@@ -164,7 +164,9 @@ type benchSSA struct {
 // benchIRC is one routine of the iterated-register-coalescing study
 // (new in regalloc-bench/10): surviving register copies under Briggs
 // conservative coalescing versus George-Appel IRC, with both total
-// spill costs (equal by construction of the decoupled IRC design).
+// spill costs. They are equal by construction of the decoupled IRC
+// design, whose spill rounds are Briggs with ConservativeCoalesce;
+// IRC is not bounded by the portfolio's aggressive `briggs` candidate.
 // Fully deterministic, so it diffs cleanly across PRs.
 type benchIRC struct {
 	Program     string `json:"program"`

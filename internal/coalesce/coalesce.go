@@ -115,6 +115,12 @@ type interferer interface {
 // need full graphs — the Briggs test reads neighbor lists.)
 func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, workers int, tr *obs.Tracer) (Stats, *ig.Graph) {
 	var st Stats
+	var bs *briggsScratch
+	if conservativeK != nil {
+		// Rewrites rename registers but never add any, so one mark
+		// array serves every round's graph.
+		bs = &briggsScratch{mark: make([]uint32, f.NumRegs())}
+	}
 	for {
 		var q interferer
 		var g *ig.Graph
@@ -172,8 +178,15 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 				if q.Interfere(int32(dst), int32(src)) {
 					continue
 				}
-				if conservativeK != nil && !briggsTest(g, f, dst, src, conservativeK) {
-					continue
+				if conservativeK != nil {
+					k := conservativeK(f.RegClass(dst))
+					ok := bs.briggsTest(g, dst, src, k)
+					if briggsObserver != nil {
+						briggsObserver(g, dst, src, k, ok)
+					}
+					if !ok {
+						continue
+					}
 				}
 				touched[dst] = true
 				touched[src] = true
@@ -208,29 +221,62 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 	}
 }
 
+// briggsObserver, when non-nil, sees every conservative-test query
+// and its answer. Tests install it to check the test against a
+// reference implementation.
+var briggsObserver func(g *ig.Graph, dst, src ir.Reg, k int, ok bool)
+
+// briggsScratch is the conservative test's mark array, one entry per
+// graph node: during a query, mark[n] == epoch flags n as a neighbor
+// of src and epoch+1 as already counted. Advancing the epoch by two
+// clears every mark at once, so a query allocates nothing.
+type briggsScratch struct {
+	mark  []uint32
+	epoch uint32
+}
+
 // briggsTest is the conservative-coalescing criterion: merging dst
 // and src is safe when the combined node has fewer than k neighbors
 // of significant degree. A neighbor adjacent to both ends loses one
-// edge in the merge, so its effective degree drops by one.
-func briggsTest(g *ig.Graph, f *ir.Func, dst, src ir.Reg, kOf func(ir.Class) int) bool {
-	k := kOf(f.RegClass(dst))
-	deg := make(map[int32]int)
-	for _, nb := range g.Neighbors(int32(dst)) {
-		deg[nb] = g.Degree(nb)
+// edge in the merge, so its effective degree drops by one. The walk
+// costs O(deg dst + deg src) and stops as soon as k significant
+// neighbors are found.
+func (s *briggsScratch) briggsTest(g *ig.Graph, dst, src ir.Reg, k int) bool {
+	s.epoch += 2
+	if s.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(s.mark)
+		s.epoch = 2
 	}
-	for _, nb := range g.Neighbors(int32(src)) {
-		if _, common := deg[nb]; common {
-			deg[nb] = g.Degree(nb) - 1
-		} else {
-			deg[nb] = g.Degree(nb)
+	inSrc, counted := s.epoch, s.epoch+1
+	d, sr := int32(dst), int32(src)
+	srcRow := g.Neighbors(sr)
+	for _, nb := range srcRow {
+		s.mark[nb] = inSrc
+	}
+	significant := 0
+	for _, nb := range g.Neighbors(d) {
+		if nb == sr {
+			continue
+		}
+		deg := g.Degree(nb)
+		if s.mark[nb] == inSrc {
+			deg--
+		}
+		s.mark[nb] = counted
+		if deg >= k {
+			if significant++; significant >= k {
+				return false
+			}
 		}
 	}
-	delete(deg, int32(dst))
-	delete(deg, int32(src))
-	significant := 0
-	for _, d := range deg {
-		if d >= k {
-			significant++
+	for _, nb := range srcRow {
+		if nb == d || s.mark[nb] == counted {
+			continue
+		}
+		if g.Degree(nb) >= k {
+			if significant++; significant >= k {
+				return false
+			}
 		}
 	}
 	return significant < k

@@ -16,7 +16,10 @@ import (
 // iterated register coalescing. The move columns count the register
 // copies each allocator leaves in the unit; the cost columns are the
 // total estimated spill cost, which IRC's decoupled design holds
-// equal to the Briggs baseline by construction.
+// equal to Briggs with ConservativeCoalesce by construction (not to
+// the aggressively coalescing default Briggs, which at (16,8) spills
+// less on seven of the 29 suite units, DQRDC, SVD, GRADNT and QSORT
+// among them, and more on three).
 type IRCRow struct {
 	Program string
 	Routine string

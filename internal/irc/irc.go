@@ -128,6 +128,12 @@ type state struct {
 	wlMovesAt  int // queue head; entries before it are consumed
 	stack      []int32
 
+	// mark and epoch are briggsOK's scratch, one entry per node: during
+	// a query, mark[t] == epoch flags t as a neighbor of v and epoch+1
+	// as already counted. Advancing the epoch by two clears every mark.
+	mark  []uint32
+	epoch uint32
+
 	r *Result
 }
 
@@ -165,6 +171,21 @@ func Color(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) in
 
 // ColorWith is Color with explicit round options.
 func ColorWith(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) *Result {
+	s := newState(f, mg, cost, kf, metric, tr, o)
+	for {
+		switch {
+		case s.popSimplify():
+		case s.popCoalesce():
+		case s.popFreeze():
+		case s.popSpill():
+		default:
+			return s.assignColors()
+		}
+	}
+}
+
+// newState snapshots the graph and fills the initial worklists.
+func newState(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) *state {
 	s := &state{
 		f:      f,
 		g:      mg,
@@ -180,16 +201,7 @@ func ColorWith(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class
 	}
 	s.build()
 	s.makeWorklists()
-	for {
-		switch {
-		case s.popSimplify():
-		case s.popCoalesce():
-		case s.popFreeze():
-		case s.popSpill():
-		default:
-			return s.assignColors()
-		}
-	}
+	return s
 }
 
 func (s *state) k(a int32) int { return s.kf(s.g.Class(a)) }
@@ -220,6 +232,7 @@ func (s *state) build() {
 	s.alias = make([]int32, s.nn)
 	s.where = make([]wl, s.nn)
 	s.moveList = make([][]int32, s.nn)
+	s.mark = make([]uint32, s.nn)
 	for v := int32(0); int(v) < s.n; v++ {
 		nbs := s.g.Neighbors(v)
 		s.adj[v] = append([]int32(nil), nbs...)
@@ -330,11 +343,17 @@ func (s *state) makeWorklists() {
 	}
 }
 
-// adjacent calls fn for each of a's neighbors still in play (not
-// stacked, not coalesced away).
+// inPlay reports whether node t is still in the graph (not stacked,
+// not coalesced away).
+func (s *state) inPlay(t int32) bool {
+	w := s.where[t]
+	return w != wlStack && w != wlCoalesced
+}
+
+// adjacent calls fn for each of a's neighbors still in play.
 func (s *state) adjacent(a int32, fn func(t int32)) {
 	for _, t := range s.adj[a] {
-		if w := s.where[t]; w != wlStack && w != wlCoalesced {
+		if s.inPlay(t) {
 			fn(t)
 		}
 	}
@@ -421,27 +440,64 @@ func (s *state) georgeOK(v, u int32) bool {
 	return ok
 }
 
+// briggsObserver, when non-nil, sees every Briggs query with the live
+// state it was answered against. Tests install it to check the test
+// against a reference implementation.
+var briggsObserver func(s *state, u, v int32, ok bool)
+
+// conservativeOK gates coalescing v into u: George's test when u is
+// precolored, the Briggs test otherwise.
+func (s *state) conservativeOK(u, v int32) bool {
+	if s.precolored(u) {
+		return s.georgeOK(v, u)
+	}
+	ok := s.briggsOK(u, v)
+	if briggsObserver != nil {
+		briggsObserver(s, u, v, ok)
+	}
+	return ok
+}
+
 // briggsOK is the Briggs conservative test on the union neighborhood
 // of u and v, with the shared-neighbor refinement: a node adjacent to
 // both ends loses an edge in the merge, so its effective degree drops
-// by one.
+// by one. The walk costs O(deg u + deg v), stops as soon as k
+// significant neighbors are found, and allocates nothing.
 func (s *state) briggsOK(u, v int32) bool {
 	k := int32(s.k(u))
-	deg := make(map[int32]int32)
-	s.adjacent(u, func(t int32) { deg[t] = s.degree[t] })
-	s.adjacent(v, func(t int32) {
-		if d, common := deg[t]; common {
-			deg[t] = d - 1
-		} else {
-			deg[t] = s.degree[t]
-		}
-	})
-	delete(deg, u)
-	delete(deg, v)
+	s.epoch += 2
+	if s.epoch == 0 { // wrapped: stale marks could alias the new epoch
+		clear(s.mark)
+		s.epoch = 2
+	}
+	inV, counted := s.epoch, s.epoch+1
+	for _, t := range s.adj[v] {
+		s.mark[t] = inV
+	}
 	significant := int32(0)
-	for _, d := range deg {
+	for _, t := range s.adj[u] {
+		if t == v || !s.inPlay(t) {
+			continue
+		}
+		d := s.degree[t]
+		if s.mark[t] == inV {
+			d--
+		}
+		s.mark[t] = counted
 		if d >= k {
-			significant++
+			if significant++; significant >= k {
+				return false
+			}
+		}
+	}
+	for _, t := range s.adj[v] {
+		if t == u || !s.inPlay(t) || s.mark[t] == counted {
+			continue
+		}
+		if s.degree[t] >= k {
+			if significant++; significant >= k {
+				return false
+			}
 		}
 	}
 	return significant < k
@@ -513,8 +569,7 @@ func (s *state) popCoalesce() bool {
 			s.r.Constrained++
 			s.addWorkList(u)
 			s.addWorkList(v)
-		case (s.precolored(u) && s.georgeOK(v, u)) ||
-			(!s.precolored(u) && s.briggsOK(u, v)):
+		case s.conservativeOK(u, v):
 			mv.state = mvCoalesced
 			s.countCoalesced(mv)
 			s.combine(u, v)

@@ -24,12 +24,16 @@ func countMoves(f *ir.Func) int {
 	return n
 }
 
-// TestIRCNeverWorseThanBriggs is the differential oracle of iterated
-// register coalescing, over the full Figure 5 corpus plus 100
-// generated CFGs: against Briggs with conservative coalescing (the
-// strongest pre-pass configuration), IRC must
+// TestIRCMatchesConservativeBriggs is the differential oracle of
+// iterated register coalescing, over the full Figure 5 corpus plus 100
+// generated CFGs. Its baseline is Briggs with conservative coalescing,
+// the configuration irc's spill rounds run — not the portfolio's
+// default `briggs`, which coalesces aggressively and can spill less.
+// Against that baseline IRC must
 //
-//   - never spill at higher total estimated cost on any unit, and
+//   - spill at exactly the same total estimated cost on every unit:
+//     the worklist round runs only on an already-colorable program and
+//     falls back to the baseline coloring rather than add a spill, and
 //   - eliminate a strictly larger share of copies: on every
 //     move-heavy unit (>= 4 copies surviving the Briggs pre-pass) it
 //     must leave no more moves, and across all such units it must
@@ -38,7 +42,7 @@ func countMoves(f *ir.Func) int {
 // The margin comes from retesting: the pre-pass runs its conservative
 // test once against the full-pressure graph, while IRC retests every
 // move as simplification lowers its neighborhood's degrees.
-func TestIRCNeverWorseThanBriggs(t *testing.T) {
+func TestIRCMatchesConservativeBriggs(t *testing.T) {
 	briggs := regalloc.DefaultOptions()
 	briggs.ConservativeCoalesce = true
 
@@ -80,8 +84,8 @@ func TestIRCNeverWorseThanBriggs(t *testing.T) {
 		}
 		bcost := bres.TotalSpillCost()
 		icost := ires.TotalSpillCost()
-		if icost > bcost {
-			t.Errorf("%s: irc spill cost %.1f exceeds briggs %.1f", u.name, icost, bcost)
+		if icost != bcost {
+			t.Errorf("%s: irc spill cost %.1f differs from conservative briggs %.1f", u.name, icost, bcost)
 		}
 		bm, im := countMoves(bres.Func), countMoves(ires.Func)
 		if bm >= 4 {

@@ -15,6 +15,7 @@
 package coalesce
 
 import (
+	"regalloc/internal/bitset"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -89,12 +90,6 @@ func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 	return st.Moves, finalGraph(f, g, nil)
 }
 
-// interferer is the one question a coalescing round asks of the
-// interference relation.
-type interferer interface {
-	Interfere(a, b int32) bool
-}
-
 // RunWithLiveness is the allocator's cache-aware entry point: lv must
 // be a current liveness for f, which the first build/coalesce round
 // reuses instead of recomputing. Liveness is revalidated only when a
@@ -104,99 +99,90 @@ type interferer interface {
 // conservative test; workers > 1 shards the graph builds (see
 // ig.BuildWithLiveness).
 //
-// The returned graph is non-nil only when no move was merged: a
-// convergence-without-merges round's graph still describes f exactly,
-// so the caller can color on it directly. After any merge, f has been
-// rewritten and the caller must renumber before building the graph it
-// will color on — returning one here would only be thrown away, so
-// none is built. (The aggressive rounds after the first never build
-// full graphs at all: they only need membership queries, which the
-// much cheaper ig.BuildMatrix answers. Conservative rounds always
-// need full graphs — the Briggs test reads neighbor lists.)
+// The returned graph is non-nil only when no move was merged: f and
+// lv are then unchanged, so the caller can color on it directly.
+// After any merge, f has been rewritten and the caller must renumber
+// before building the graph it will color on — returning one here
+// would only be thrown away, so none is built. Aggressive rounds build
+// no graph: each asks only whether its candidate moves' two ends
+// interfere, which interferingMoves answers by walking just the blocks
+// that define a candidate register. Conservative rounds build a full
+// graph every round, since the Briggs test reads neighbor lists.
 func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, workers int, tr *obs.Tracer) (Stats, *ig.Graph) {
 	var st Stats
+	// Rewrites rename registers but never add any, so scratch sized
+	// once serves every round.
+	n := f.NumRegs()
 	var bs *briggsScratch
+	var as *aggressiveScratch
 	if conservativeK != nil {
-		// Rewrites rename registers but never add any, so one mark
-		// array serves every round's graph.
-		bs = &briggsScratch{mark: make([]uint32, f.NumRegs())}
+		bs = &briggsScratch{mark: make([]uint32, n)}
+	} else {
+		as = &aggressiveScratch{start: make([]int32, n+1)}
 	}
-	for {
-		var q interferer
-		var g *ig.Graph
-		if conservativeK != nil || st.Rounds == 0 {
-			// The first round's graph doubles as the return value when
-			// the function has no coalescable moves — the overwhelmingly
-			// common case on every pass after the first.
-			g = ig.BuildWithLiveness(f, lv, workers, tr)
-			q = g
-		} else {
-			q = ig.BuildMatrix(f, lv, workers, tr)
+	parent := make([]ir.Reg, n)
+	find := func(x ir.Reg) ir.Reg {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		examined := 0
-		parent := make([]ir.Reg, f.NumRegs())
+		return x
+	}
+	touched := make([]bool, n)
+	var cands []move
+	for {
+		var examined int
+		cands, examined = candidates(f, cands[:0])
+		var g *ig.Graph
+		if conservativeK != nil {
+			g = ig.BuildWithLiveness(f, lv, workers, tr)
+		} else {
+			as.interferingMoves(f, lv, cands)
+		}
 		for i := range parent {
 			parent[i] = ir.Reg(i)
 		}
-		var find func(ir.Reg) ir.Reg
-		find = func(x ir.Reg) ir.Reg {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
-		}
+		clear(touched)
 
 		merged := 0
-		touched := make([]bool, f.NumRegs())
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if !in.IsMove() || in.A == ir.NoReg {
-					continue
-				}
-				dst, src := in.Dst, in.A
-				if dst == src {
-					continue
-				}
-				examined++
-				// Only coalesce pairs untouched in this round: the
-				// static graph g cannot answer interference queries
-				// about a range merged moments ago (its true
-				// neighbor set is already larger than g records).
-				// Chained copies are picked up by the next
-				// build/coalesce round.
-				if touched[dst] || touched[src] {
-					continue
-				}
-				if f.RegClass(dst) != f.RegClass(src) {
-					continue
-				}
-				if f.RegFlags(dst)&ir.FlagSpillTemp != 0 || f.RegFlags(src)&ir.FlagSpillTemp != 0 {
-					continue
-				}
-				if q.Interfere(int32(dst), int32(src)) {
-					continue
-				}
-				if conservativeK != nil {
-					k := conservativeK(f.RegClass(dst))
-					ok := bs.briggsTest(g, dst, src, k)
-					if briggsObserver != nil {
-						briggsObserver(g, dst, src, k, ok)
-					}
-					if !ok {
-						continue
-					}
-				}
-				touched[dst] = true
-				touched[src] = true
-				// Merge into the smaller id for determinism.
-				if src < dst {
-					dst, src = src, dst
-				}
-				parent[src] = dst
-				merged++
+		for ci, c := range cands {
+			dst, src := c.dst, c.src
+			// Only coalesce pairs untouched in this round: the round's
+			// interference answers cannot speak for a range merged
+			// moments ago (its true neighbor set is already larger).
+			// Chained copies are picked up by the next build/coalesce
+			// round.
+			if touched[dst] || touched[src] {
+				continue
 			}
+			if conservativeK != nil {
+				if g.Interfere(int32(dst), int32(src)) {
+					continue
+				}
+				k := conservativeK(f.RegClass(dst))
+				ok := bs.briggsTest(g, dst, src, k)
+				if briggsObserver != nil {
+					briggsObserver(g, dst, src, k, ok)
+				}
+				if !ok {
+					continue
+				}
+			} else {
+				if interferenceObserver != nil {
+					interferenceObserver(f, lv, dst, src, as.hit[ci])
+				}
+				if as.hit[ci] {
+					continue
+				}
+			}
+			touched[dst] = true
+			touched[src] = true
+			// Merge into the smaller id for determinism.
+			if src < dst {
+				dst, src = src, dst
+			}
+			parent[src] = dst
+			merged++
 		}
 		if tr.Enabled() {
 			tr.Counter(obs.PhaseCoalesce, "coalesce.examined", int64(examined))
@@ -208,7 +194,10 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				g = nil // f was rewritten; see the contract above
+				return st, nil // f was rewritten; see the contract above
+			}
+			if g == nil {
+				g = ig.BuildWithLiveness(f, lv, workers, tr)
 			}
 			return st, g
 		}
@@ -218,6 +207,112 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 		// round needs fresh sets.
 		lv = dataflow.ComputeLiveness(f)
 		st.LivenessRuns++
+	}
+}
+
+// move is a candidate copy dst = src.
+type move struct{ dst, src ir.Reg }
+
+// candidates appends to buf, in program order, every move a round may
+// merge: distinct same-class registers, neither a spill temporary. It
+// also returns the number of moves examined: every copy between
+// distinct registers.
+func candidates(f *ir.Func, buf []move) ([]move, int) {
+	examined := 0
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if !in.IsMove() || in.A == ir.NoReg || in.Dst == in.A {
+				continue
+			}
+			examined++
+			dst, src := in.Dst, in.A
+			if f.RegClass(dst) != f.RegClass(src) {
+				continue
+			}
+			if f.RegFlags(dst)&ir.FlagSpillTemp != 0 || f.RegFlags(src)&ir.FlagSpillTemp != 0 {
+				continue
+			}
+			buf = append(buf, move{dst, src})
+		}
+	}
+	return buf, examined
+}
+
+// interferenceObserver, when non-nil, sees every aggressive
+// interference query, the (f, lv) it was answered on, and its answer.
+// Tests install it to check the walk against the full graph.
+var interferenceObserver func(f *ir.Func, lv *dataflow.Liveness, dst, src ir.Reg, hit bool)
+
+// aggressiveScratch holds an aggressive round's interference answers:
+// hit[c] reports whether candidate c's two ends interfere. byReg lists
+// candidate indices grouped by register, register r's group being
+// byReg[start[r]:start[r+1]].
+type aggressiveScratch struct {
+	start []int32
+	byReg []int32
+	hit   []bool
+}
+
+// interferingMoves sets hit[c] exactly when ig.BuildWithLiveness(f,
+// lv) would report cands[c]'s ends as interfering. The graph holds
+// (a, b) iff some instruction defines a while b is live after it and
+// b is not that instruction's move source, or the same with a and b
+// swapped. Both ends of a candidate share a class, so only the
+// instructions defining a candidate register matter, and at each only
+// that register's move partners need checking. A block defining no
+// candidate register is skipped, and the walk of any other block
+// stops at its first such definition.
+func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, cands []move) {
+	s.hit = append(s.hit[:0], make([]bool, len(cands))...)
+	if len(cands) == 0 {
+		return
+	}
+	// Counting sort of candidate ends by register: count into start[r],
+	// prefix-sum to each group's end, then fill every group from its
+	// end down, which leaves start[r] at the group's beginning.
+	start := s.start
+	clear(start)
+	for _, c := range cands {
+		start[c.dst]++
+		start[c.src]++
+	}
+	for r := 1; r < len(start); r++ {
+		start[r] += start[r-1]
+	}
+	s.byReg = append(s.byReg[:0], make([]int32, 2*len(cands))...)
+	for ci := len(cands) - 1; ci >= 0; ci-- {
+		for _, r := range [2]ir.Reg{cands[ci].dst, cands[ci].src} {
+			start[r]--
+			s.byReg[start[r]] = int32(ci)
+		}
+	}
+	visit := func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
+		d := in.Def()
+		if d == ir.NoReg {
+			return
+		}
+		moveSrc := ir.NoReg
+		if in.IsMove() {
+			moveSrc = in.A
+		}
+		for _, ci := range s.byReg[start[d]:start[d+1]] {
+			p := cands[ci].src
+			if p == d {
+				p = cands[ci].dst
+			}
+			if p != moveSrc && liveAfter.Has(int(p)) {
+				s.hit[ci] = true
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if d := b.Instrs[i].Def(); d != ir.NoReg && start[d] != start[d+1] {
+				lv.LiveAcrossRange(f, b, i, len(b.Instrs), nil, visit)
+				break
+			}
+		}
 	}
 }
 

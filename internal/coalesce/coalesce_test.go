@@ -70,6 +70,61 @@ func TestRefusesInterferingCopy(t *testing.T) {
 	}
 }
 
+// TestMergesWhenSourceStillUsed: a = 7 ; b = a ; ret a+b. a is live
+// after the copy that defines b, but a copy's source is exempt from
+// interfering with its destination, so the two merge.
+func TestMergesWhenSourceStillUsed(t *testing.T) {
+	f := &ir.Func{Name: "U"}
+	a := f.NewReg(ir.ClassInt)
+	b := f.NewReg(ir.ClassInt)
+	c := f.NewReg(ir.ClassInt)
+	blk := f.NewBlock()
+	blk.Instrs = []ir.Instr{
+		{Op: ir.OpConst, Dst: a, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 7},
+		{Op: ir.OpMove, Dst: b, A: a, B: ir.NoReg, C: ir.NoReg},
+		{Op: ir.OpAdd, Dst: c, A: a, B: b, C: ir.NoReg},
+		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
+	}
+	f.RecomputePreds()
+	if n, _ := coalesce.Run(f); n != 1 {
+		t.Fatalf("coalesced %d, want 1", n)
+	}
+	if countMoves(f) != 0 {
+		t.Fatal("copy not deleted")
+	}
+}
+
+// TestRefusesInterferenceFromMoveFreeBlock: the copy b = a sits in
+// the entry block, but the only definition that makes a and b
+// interfere — a redefined while b is live — sits in a successor block
+// that holds no move.
+func TestRefusesInterferenceFromMoveFreeBlock(t *testing.T) {
+	f := &ir.Func{Name: "M"}
+	a := f.NewReg(ir.ClassInt)
+	b := f.NewReg(ir.ClassInt)
+	c := f.NewReg(ir.ClassInt)
+	b0 := f.NewBlock()
+	b1 := f.NewBlock()
+	b0.Instrs = []ir.Instr{
+		{Op: ir.OpConst, Dst: a, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 1},
+		{Op: ir.OpMove, Dst: b, A: a, B: ir.NoReg, C: ir.NoReg},
+		{Op: ir.OpBr, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg},
+	}
+	b0.Succs = []int{b1.ID}
+	b1.Instrs = []ir.Instr{
+		{Op: ir.OpConst, Dst: a, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 2},
+		{Op: ir.OpAdd, Dst: c, A: a, B: b, C: ir.NoReg},
+		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
+	}
+	f.RecomputePreds()
+	if n, _ := coalesce.Run(f); n != 0 {
+		t.Fatalf("coalesced an interfering pair (%d merges)", n)
+	}
+	if countMoves(f) != 1 {
+		t.Fatal("interfering copy must survive")
+	}
+}
+
 func TestSpillTempsNotCoalesced(t *testing.T) {
 	f := &ir.Func{Name: "S"}
 	a := f.NewReg(ir.ClassInt)

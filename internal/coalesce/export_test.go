@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 )
@@ -13,4 +14,23 @@ func CheckBriggsQueries(check func(got, want bool)) (restore func()) {
 		check(ok, briggsTestRef(g, dst, src, k))
 	}
 	return func() { briggsObserver = nil }
+}
+
+// CheckInterferenceQueries hands check the walk's answer and the full
+// interference graph's answer, built on the same function and
+// liveness, of every aggressive query run until restore is called.
+// Queries must come from one goroutine at a time.
+func CheckInterferenceQueries(check func(got, want bool)) (restore func()) {
+	var lastF *ir.Func
+	var lastLv *dataflow.Liveness
+	var g *ig.Graph
+	interferenceObserver = func(f *ir.Func, lv *dataflow.Liveness, dst, src ir.Reg, hit bool) {
+		// A round rewrites f only after its last query and then
+		// computes a fresh liveness, so (f, lv) names one round.
+		if f != lastF || lv != lastLv {
+			lastF, lastLv, g = f, lv, ig.BuildWithLiveness(f, lv, 1, nil)
+		}
+		check(hit, g.Interfere(int32(dst), int32(src)))
+	}
+	return func() { interferenceObserver = nil }
 }

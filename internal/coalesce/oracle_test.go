@@ -87,9 +87,51 @@ func TestBriggsTestMatchesReferenceOnCorpus(t *testing.T) {
 	}
 }
 
-// BenchmarkConservativeCoalesce times the conservative coalescing
-// pre-pass on the corpus's two most move-heavy units at (16,8).
-func BenchmarkConservativeCoalesce(b *testing.B) {
+// TestInterferenceWalkMatchesGraphOnCorpus checks every aggressive
+// interference query made while allocating the corpus plus 100
+// generated CFGs at (16,8) and (8,4), under Briggs and Chaitin,
+// against the full interference graph built on the same function and
+// liveness.
+func TestInterferenceWalkMatchesGraphOnCorpus(t *testing.T) {
+	queries, hits, wrong := 0, 0, 0
+	restore := coalesce.CheckInterferenceQueries(func(got, want bool) {
+		queries++
+		if got {
+			hits++
+		}
+		if got != want {
+			if wrong++; wrong <= 5 {
+				t.Errorf("query %d: walk says interfere = %v, graph %v", queries, got, want)
+			}
+		}
+	})
+	defer restore()
+
+	units := append(corpus(t), fuzzCorpus(t, 100)...)
+	for _, h := range []regalloc.Heuristic{regalloc.Briggs, regalloc.Chaitin} {
+		opt := regalloc.DefaultOptions()
+		opt.Heuristic = h
+		for _, k := range [][2]int{{16, 8}, {8, 4}} {
+			opt.KInt, opt.KFloat = k[0], k[1]
+			for _, u := range units {
+				if _, err := u.prog.Allocate(u.routine, opt); err != nil {
+					t.Fatalf("%s under %v at %v: %v", u.name, h, k, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d aggressive queries, %d interfering", queries, hits)
+	if wrong > 0 {
+		t.Fatalf("%d of %d queries disagree with the graph", wrong, queries)
+	}
+	if hits == 0 || hits == queries {
+		t.Fatalf("%d of %d queries interfered; the oracle needs both answers", hits, queries)
+	}
+}
+
+// BenchmarkCoalesce times the coalescing pre-pass, aggressive and
+// conservative, on the corpus's two most move-heavy units at (16,8).
+func BenchmarkCoalesce(b *testing.B) {
 	units := map[string]unit{}
 	for _, u := range corpus(b) {
 		units[u.routine] = u
@@ -100,18 +142,23 @@ func BenchmarkConservativeCoalesce(b *testing.B) {
 		}
 		return 8
 	}
-	for _, name := range []string{"GRADNT", "HSSIAN"} {
-		src := units[name].prog.Func(name)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				f := src.Clone()
-				liverange.Renumber(f)
-				lv := dataflow.ComputeLiveness(f)
-				b.StartTimer()
-				coalesce.RunWithLiveness(f, lv, kOf, 1, nil)
-			}
-		})
+	for _, mode := range []struct {
+		name string
+		k    func(ir.Class) int
+	}{{"aggressive", nil}, {"conservative", kOf}} {
+		for _, name := range []string{"GRADNT", "HSSIAN"} {
+			src := units[name].prog.Func(name)
+			b.Run(mode.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					f := src.Clone()
+					liverange.Renumber(f)
+					lv := dataflow.ComputeLiveness(f)
+					b.StartTimer()
+					coalesce.RunWithLiveness(f, lv, mode.k, 1, nil)
+				}
+			})
+		}
 	}
 }

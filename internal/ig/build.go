@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"regalloc/internal/bitset"
@@ -85,8 +84,7 @@ type piece struct {
 // enumeratePiece walks one piece's instructions backward and reports
 // every candidate interference (def × live-after, minus the defined
 // register itself and a move's source) to emit. It is the single
-// definition of the enumeration both build paths and the membership
-// matrix share.
+// definition of the enumeration both build paths share.
 func enumeratePiece(f *ir.Func, lv *dataflow.Liveness, p piece, emit func(d, l int32)) {
 	b := f.Blocks[p.bi]
 	lv.LiveAcrossRange(f, b, p.lo, p.hi, p.liveAtHi, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
@@ -323,141 +321,5 @@ func buildSharded(g *Graph, f *ir.Func, lv *dataflow.Liveness, shards, total int
 		tr.Counter(obs.PhaseBuild, "ig.par.buffered_edges", int64(buffered))
 		tr.Counter(obs.PhaseBuild, "ig.par.shard_ns", shardDur.Nanoseconds())
 		tr.Counter(obs.PhaseBuild, "ig.par.merge_ns", mergeDur.Nanoseconds())
-	}
-}
-
-// Matrix is the membership-only face of the interference relation:
-// the dual representation's bit matrix (or hash set, past
-// bitMatrixLimit) without the adjacency vectors. The aggressive
-// coalescing rounds between the first build and the post-coalesce
-// rebuild only ever ask "do these two ranges interfere?", so they use
-// a Matrix instead of a full Graph — skipping the adjacency appends
-// that dominate build time, and freeing the parallel build from any
-// ordering obligation: setting bits is commutative, so shards write
-// one shared matrix directly and there is no merge step at all.
-type Matrix struct {
-	n     int
-	class []ir.Class
-	bits  []uint64
-	edges map[uint64]struct{}
-}
-
-// Interfere reports whether a and b interfere, exactly as the full
-// graph built from the same function and liveness would.
-func (m *Matrix) Interfere(a, b int32) bool {
-	if a == b {
-		return false
-	}
-	if m.bits != nil {
-		if a > b {
-			a, b = b, a
-		}
-		i := triIndex(a, b)
-		return m.bits[i/64]&(1<<uint(i%64)) != 0
-	}
-	_, ok := m.edges[edgeKey(a, b)]
-	return ok
-}
-
-// BuildMatrix constructs the membership-only interference relation of
-// f from a precomputed liveness. For workers > 1 (and a function
-// large enough, with few enough registers for the bit matrix) the
-// enumeration is sharded with the same instruction-weighted cuts as
-// the full build; shards publish bits with atomic or, which commutes,
-// so the result is identical for any worker count.
-func BuildMatrix(f *ir.Func, lv *dataflow.Liveness, workers int, tr *obs.Tracer) *Matrix {
-	m := &Matrix{n: f.NumRegs()}
-	m.class = make([]ir.Class, m.n)
-	for i := range m.class {
-		m.class[i] = f.RegClass(ir.Reg(i))
-	}
-	total := 0
-	for _, b := range f.Blocks {
-		total += len(b.Instrs)
-	}
-	if m.n <= bitMatrixLimit {
-		m.bits = make([]uint64, (m.n*(m.n-1)/2+63)/64)
-		if shards := effectiveShards(workers, total); shards > 1 && total >= minParallelInstrs {
-			buildMatrixSharded(m, f, lv, shards, total, tr)
-			return m
-		}
-	} else {
-		m.edges = make(map[uint64]struct{})
-	}
-	attempts := 0
-	for bi := range f.Blocks {
-		enumeratePiece(f, lv, wholeBlock(f, bi), func(d, l int32) {
-			attempts++
-			if m.class[d] != m.class[l] {
-				return
-			}
-			if m.bits != nil {
-				i := triIndex2(d, l)
-				m.bits[i/64] |= 1 << uint(i%64)
-			} else {
-				m.edges[edgeKey(d, l)] = struct{}{}
-			}
-		})
-	}
-	if tr.Enabled() {
-		tr.Counter(obs.PhaseCoalesce, "ig.matrix_inserts", int64(attempts))
-	}
-	return m
-}
-
-// triIndex2 is triIndex for a possibly-unordered pair.
-func triIndex2(a, b int32) int {
-	if a > b {
-		a, b = b, a
-	}
-	return triIndex(a, b)
-}
-
-// buildMatrixSharded fills m.bits from all shards at once. The
-// pre-check load keeps the common duplicate case off the contended
-// atomic path; both the load and the or are atomic so the build is
-// clean under the race detector.
-func buildMatrixSharded(m *Matrix, f *ir.Func, lv *dataflow.Liveness, shards, total int, tr *obs.Tracer) {
-	work := splitPieces(f, lv, shards, total)
-	attemptsBy := make([]int, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			att := 0
-			for _, p := range work[s] {
-				enumeratePiece(f, lv, p, func(d, l int32) {
-					att++
-					if m.class[d] != m.class[l] {
-						return
-					}
-					i := triIndex2(d, l)
-					w, mask := i/64, uint64(1)<<uint(i%64)
-					// CAS loop standing in for an atomic or (1.22
-					// toolchains lack atomic.OrUint64). The load
-					// doubles as the duplicate check, keeping the
-					// common already-set case off the contended path.
-					for {
-						old := atomic.LoadUint64(&m.bits[w])
-						if old&mask != 0 {
-							break
-						}
-						if atomic.CompareAndSwapUint64(&m.bits[w], old, old|mask) {
-							break
-						}
-					}
-				})
-			}
-			attemptsBy[s] = att
-		}(s)
-	}
-	wg.Wait()
-	if tr.Enabled() {
-		attempts := 0
-		for _, a := range attemptsBy {
-			attempts += a
-		}
-		tr.Counter(obs.PhaseCoalesce, "ig.matrix_inserts", int64(attempts))
 	}
 }

@@ -141,50 +141,6 @@ func TestShardedBuildMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMatrixMatchesGraph: the membership-only matrix — sequential or
-// sharded — must answer Interfere exactly as the full graph does;
-// aggressive coalescing rounds stand on this equivalence.
-func TestMatrixMatchesGraph(t *testing.T) {
-	funcs := []*ir.Func{giantBlock(t, 900)}
-	for seed := uint64(1); seed <= 8; seed++ {
-		funcs = append(funcs, compileFuzz(t, seed))
-	}
-	for fi, f := range funcs {
-		lv := dataflow.ComputeLiveness(f)
-		g := BuildWithLiveness(f, lv, 1, nil)
-		mats := map[string]*Matrix{"seq": BuildMatrix(f, lv, 1, nil)}
-		for _, shards := range []int{2, 4} {
-			m := &Matrix{n: f.NumRegs()}
-			m.class = make([]ir.Class, m.n)
-			for i := range m.class {
-				m.class[i] = f.RegClass(ir.Reg(i))
-			}
-			m.bits = make([]uint64, (m.n*(m.n-1)/2+63)/64)
-			total := 0
-			for _, b := range f.Blocks {
-				total += len(b.Instrs)
-			}
-			s := shards
-			if s > total {
-				s = total
-			}
-			buildMatrixSharded(m, f, lv, s, total, nil)
-			mats[fmt.Sprintf("shards=%d", shards)] = m
-		}
-		n := int32(f.NumRegs())
-		for label, m := range mats {
-			for a := int32(0); a < n; a++ {
-				for b := int32(0); b < n; b++ {
-					if m.Interfere(a, b) != g.Interfere(a, b) {
-						t.Fatalf("func %d %s: Interfere(%d,%d) = %v, graph says %v",
-							fi, label, a, b, m.Interfere(a, b), g.Interfere(a, b))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSplitPiecesCovers: the shard work lists must tile the function —
 // every instruction of every block in exactly one piece, pieces
 // ascending by block within a shard.

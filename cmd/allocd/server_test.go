@@ -246,6 +246,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAllocUnreachableReadStaysUp: a routine that reads a variable
+// after its RETURN allocates (200) under every Figure 4 heuristic,
+// and the server goes on serving. A panic in the allocator's worker
+// goroutine is beyond net/http's recovery and would end the process.
+func TestAllocUnreachableReadStaysUp(t *testing.T) {
+	const src = `
+      SUBROUTINE UNR(X, N)
+      REAL X(10)
+      INTEGER N, I, J
+      J = N + 1
+      X(1) = J
+      RETURN
+      I = J * 2
+      X(2) = I
+      END
+`
+	_, ts := newTestServer(t)
+	for _, h := range []string{"briggs", "chaitin", "matula-beck", "irc", "ssa"} {
+		code, data := postAlloc(t, ts, "/v1/alloc?heuristic="+h, src)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", h, code, data)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the reproducer: status %d", resp.StatusCode)
+	}
+	if code, data := postAlloc(t, ts, "/v1/alloc", testSource); code != http.StatusOK {
+		t.Fatalf("next allocation: status %d: %s", code, data)
+	}
+}
+
 func TestHealthReadyAndDrain(t *testing.T) {
 	s, ts := newTestServer(t)
 	for _, path := range []string{"/healthz", "/readyz"} {

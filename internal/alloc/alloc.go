@@ -179,7 +179,6 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		// graph, compute spill costs from the stamped loop depths.
 		tr.BeginPhase(obs.PhaseBuild)
 		t0 := time.Now()
-		liverange.Renumber(work)
 		pc := newPassCtx(work)
 		var g *ig.Graph
 		var pre []int16 // precolored colors by node; nil without a machine model
@@ -197,11 +196,10 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			g = cg // non-nil exactly when no move merged
 			if cs.Moves > 0 {
 				// Coalescing rewrote the code (and so returned no
-				// graph): renumber the merged webs and rebuild on
-				// fresh liveness. The CFG analysis stays valid — no
-				// block was touched.
-				liverange.Renumber(work)
-				pc.refreshLiveness(work)
+				// graph) and left pc.lv its liveness: renumber the
+				// merged webs with it and rebuild. The CFG analysis
+				// stays valid — no block was touched.
+				pc.lv = liverange.RenumberWithLiveness(work, pc.lv)
 				g = nil
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 	"regalloc/internal/irc"
-	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
 	"regalloc/internal/spill"
 )
@@ -68,7 +67,6 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	var ps PassStats
 	tr.BeginPhase(obs.PhaseBuild)
 	t0 := time.Now()
-	liverange.Renumber(work)
 	pc := newPassCtx(work)
 	var mg *ig.MachineGraph
 	if opt.Machine != nil {

@@ -4,20 +4,22 @@ import (
 	"regalloc/internal/cfg"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
+	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
 )
 
 // passCtx is the per-pass analysis cache. One trip around the Figure
-// 4 cycle needs live-variable analysis (graph build, coalescing) and
-// CFG/loop analysis (spill-cost depths, split insertion); before
-// this cache the driver recomputed liveness at every coalesce round
-// plus once more for the post-coalesce rebuild, and ran cfg.Analyze
-// twice per pass in split mode. passCtx computes each analysis
-// exactly once when the pass starts and re-derives liveness only at
-// the points that genuinely invalidate it (a renumbering after a
-// successful coalesce). The run counts are published as build-phase
-// counters so tests — and trace consumers — can hold the allocator
-// to the one-analysis-per-pass contract.
+// 4 cycle needs live-variable analysis (renumbering, coalescing,
+// graph build) and CFG/loop analysis (spill-cost depths, split
+// insertion). passCtx computes liveness once when the pass starts,
+// before renumbering, and from then on never computes it from
+// scratch except after a coalescing round that merged moves: the
+// renumbering renames the sets it was given to the new webs, the
+// coalescer recomputes into the same sets, and the post-coalesce
+// renumbering renames the coalescer's final sets. cfg.Analyze runs
+// once per pass, split mode included. The run counts are published
+// as build-phase counters so tests — and trace consumers — can hold
+// the allocator to this contract.
 type passCtx struct {
 	lv   *dataflow.Liveness
 	info *cfg.Info
@@ -26,32 +28,24 @@ type passCtx struct {
 	cfgRuns      int
 }
 
-// newPassCtx analyzes work once: liveness for the pass's graph
-// builds and CFG/loop nesting for its cost estimates and (in split
-// mode) its spill insertion. Renumbering must already have happened —
-// liveness is per-register and a renumber would stale it. Block
-// depths are stamped as a side effect of cfg.Analyze and stay valid
-// for the whole pass: nothing before spill insertion adds or removes
-// blocks.
+// newPassCtx renumbers work into webs and analyzes it once: the
+// liveness computed to renumber, renamed to the webs, serves the
+// pass's coalescing and graph builds, and CFG/loop nesting serves its
+// cost estimates and (in split mode) its spill insertion. Block depths
+// are stamped as a side effect of cfg.Analyze and stay valid for the
+// whole pass: nothing before spill insertion adds or removes blocks.
 func newPassCtx(work *ir.Func) *passCtx {
-	pc := &passCtx{}
-	pc.refreshLiveness(work)
+	pc := &passCtx{lv: liverange.RenumberWithLiveness(work, dataflow.ComputeLiveness(work))}
+	pc.livenessRuns++
 	pc.info = cfg.Analyze(work)
 	pc.cfgRuns++
 	return pc
 }
 
-// refreshLiveness recomputes the liveness sets after a rewrite that
-// renamed registers (the post-coalesce renumber).
-func (pc *passCtx) refreshLiveness(work *ir.Func) {
-	pc.lv = dataflow.ComputeLiveness(work)
-	pc.livenessRuns++
-}
-
-// emitCounters publishes the pass's analysis-run totals. On the
-// non-coalescing path both must be exactly 1; coalescing adds one
-// liveness run per merging round plus one for the post-coalesce
-// renumber.
+// emitCounters publishes the pass's analysis-run totals. Without
+// coalescing both must be exactly 1; coalescing adds one liveness run
+// per merging round, so a coalescing pass runs liveness once per
+// coalesce round.
 func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 	if !tr.Enabled() {
 		return

@@ -1,7 +1,7 @@
 // Package bitset provides a dense bit set used by the dataflow
-// analyses (liveness, reaching definitions) that feed the register
-// allocator. Sets are fixed-capacity; all elements must be in
-// [0, n) where n is the capacity given to New.
+// analysis (liveness) that feeds the register allocator. Sets are
+// fixed-capacity; all elements must be in [0, n) where n is the
+// capacity given to New or NewMany.
 package bitset
 
 import (
@@ -25,6 +25,24 @@ func New(n int) *Set {
 		panic("bitset: negative capacity")
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+}
+
+// NewMany returns count empty sets, each with capacity for elements
+// in [0, n), carved from one backing array: three allocations however
+// many sets, which is what a per-block dataflow analysis wants.
+func NewMany(count, n int) []*Set {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	nw := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*nw)
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*nw : (i+1)*nw : (i+1)*nw], n: n}
+		out[i] = &sets[i]
+	}
+	return out
 }
 
 // Cap returns the capacity of the set.
@@ -75,6 +93,24 @@ func (s *Set) Union(o *Set) bool {
 	changed := false
 	for i, w := range o.words {
 		nw := s.words[i] | w
+		if nw != s.words[i] {
+			s.words[i] = nw
+			changed = true
+		}
+	}
+	return changed
+}
+
+// SetUnionMinus sets s to a ∪ (b − c), the transfer function of a
+// backward liveness problem, in one pass over the words, and reports
+// whether s changed. All four sets must have the same capacity.
+func (s *Set) SetUnionMinus(a, b, c *Set) bool {
+	s.check(a)
+	s.check(b)
+	s.check(c)
+	changed := false
+	for i := range s.words {
+		nw := a.words[i] | b.words[i]&^c.words[i]
 		if nw != s.words[i] {
 			s.words[i] = nw
 			changed = true

@@ -67,6 +67,46 @@ func TestSetAlgebra(t *testing.T) {
 			t.Fatalf("subtract wrong at %d", i)
 		}
 	}
+	// SetUnionMinus is Copy(b), Subtract(c), Union(a) in one pass.
+	c := bitset.New(130)
+	for i := 0; i < 130; i += 5 {
+		c.Add(i)
+	}
+	want := b.Copy()
+	want.Subtract(c)
+	want.Union(a)
+	got := bitset.New(130)
+	if !got.SetUnionMinus(a, b, c) || !got.Equal(want) {
+		t.Fatalf("SetUnionMinus = %v, want %v", got, want)
+	}
+	if got.SetUnionMinus(a, b, c) {
+		t.Fatal("repeating SetUnionMinus should report no change")
+	}
+}
+
+// TestNewMany: sets carved from one backing array are independent,
+// even across a word boundary, and each has the requested capacity.
+func TestNewMany(t *testing.T) {
+	sets := bitset.NewMany(3, 70)
+	for i, s := range sets {
+		if s.Cap() != 70 || !s.Empty() {
+			t.Fatalf("set %d: cap %d, empty %v", i, s.Cap(), s.Empty())
+		}
+	}
+	sets[1].Add(0)
+	sets[1].Add(69)
+	sets[0].Union(sets[1])
+	sets[0].Add(63)
+	sets[0].Add(64)
+	if got := sets[1].String(); got != "{0, 69}" {
+		t.Fatalf("middle set = %s", got)
+	}
+	if !sets[2].Empty() {
+		t.Fatalf("last set = %s", sets[2])
+	}
+	if got := sets[0].String(); got != "{0, 63, 64, 69}" {
+		t.Fatalf("first set = %s", got)
+	}
 }
 
 func TestForEachAndNext(t *testing.T) {

@@ -29,10 +29,13 @@ type Stats struct {
 	// Rounds is the number of build/coalesce rounds run (always at
 	// least one; the last round merges nothing).
 	Rounds int
-	// LivenessRuns counts the liveness recomputations forced by
-	// merging rounds: the round that reaches fixpoint reuses the
-	// liveness it was handed, so a function with no coalescable
-	// moves costs zero recomputations.
+	// LivenessRuns counts the liveness recomputations, one after
+	// each merging round, each into the caller's sets in place: the
+	// round that reaches fixpoint computes none, so a function with
+	// no coalescable moves costs zero. An allocator pass that
+	// computed liveness once to renumber, and renumbers again with
+	// the coalescer's final liveness, therefore runs liveness exactly
+	// Rounds times.
 	LivenessRuns int
 }
 
@@ -45,8 +48,9 @@ type Stats struct {
 // reload temporary back into a long-lived range would undo the spill
 // and could keep the allocator from converging.
 func Run(f *ir.Func) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, 1, nil)
-	return st.Moves, finalGraph(f, g, nil)
+	lv := dataflow.ComputeLiveness(f)
+	st, g := RunWithLiveness(f, lv, nil, 1, nil)
+	return st.Moves, finalGraph(f, g, lv, nil)
 }
 
 // RunTraced is Run with an observability tracer: each build/coalesce
@@ -55,24 +59,27 @@ func Run(f *ir.Func) (int, *ig.Graph) {
 // convergence is visible round by round). A nil tracer makes it
 // identical to Run.
 func RunTraced(f *ir.Func, tr *obs.Tracer) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, 1, tr)
-	return st.Moves, finalGraph(f, g, tr)
+	lv := dataflow.ComputeLiveness(f)
+	st, g := RunWithLiveness(f, lv, nil, 1, tr)
+	return st.Moves, finalGraph(f, g, lv, tr)
 }
 
 // RunConservativeTraced is RunConservative with an observability
 // tracer; see RunTraced.
 func RunConservativeTraced(f *ir.Func, k func(ir.Class) int, tr *obs.Tracer) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, 1, tr)
-	return st.Moves, finalGraph(f, g, tr)
+	lv := dataflow.ComputeLiveness(f)
+	st, g := RunWithLiveness(f, lv, k, 1, tr)
+	return st.Moves, finalGraph(f, g, lv, tr)
 }
 
 // finalGraph upholds the convenience entry points' contract of always
 // returning a graph: when RunWithLiveness skipped the final build
 // (because merged moves force the caller to renumber and rebuild
-// anyway), build one for the rewritten function here.
-func finalGraph(f *ir.Func, g *ig.Graph, tr *obs.Tracer) *ig.Graph {
+// anyway), build one for the rewritten function here, on the liveness
+// the run left in lv.
+func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness, tr *obs.Tracer) *ig.Graph {
 	if g == nil {
-		g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, tr)
+		g = ig.BuildWithLiveness(f, lv, 1, tr)
 	}
 	return g
 }
@@ -86,24 +93,27 @@ func finalGraph(f *ir.Func, g *ig.Graph, tr *obs.Tracer) *ig.Graph {
 // colorable graph into a spilling one. Included as an ablation — the
 // paper's own allocator coalesces aggressively.
 func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, 1, nil)
-	return st.Moves, finalGraph(f, g, nil)
+	lv := dataflow.ComputeLiveness(f)
+	st, g := RunWithLiveness(f, lv, k, 1, nil)
+	return st.Moves, finalGraph(f, g, lv, nil)
 }
 
 // RunWithLiveness is the allocator's cache-aware entry point: lv must
 // be a current liveness for f, which the first build/coalesce round
-// reuses instead of recomputing. Liveness is revalidated only when a
-// round actually merged moves (the rewrite renames registers, so the
-// cached sets go stale); the common converged round costs no dataflow
-// at all. conservativeK, when non-nil, switches to the Briggs
-// conservative test; workers > 1 shards the graph builds (see
-// ig.BuildWithLiveness).
+// reuses instead of recomputing. Liveness is recomputed, into lv's
+// own sets (see Liveness.Recompute), only when a round actually
+// merged moves (the rewrite renames registers, so the sets go stale);
+// the common converged round costs no dataflow at all. On return lv
+// is the liveness of f as rewritten. conservativeK, when non-nil,
+// switches to the Briggs conservative test; workers > 1 shards the
+// graph builds (see ig.BuildWithLiveness).
 //
 // The returned graph is non-nil only when no move was merged: f and
 // lv are then unchanged, so the caller can color on it directly.
 // After any merge, f has been rewritten and the caller must renumber
-// before building the graph it will color on — returning one here
-// would only be thrown away, so none is built. Aggressive rounds build
+// (liverange.RenumberWithLiveness takes lv as it stands) before
+// building the graph it will color on — returning one here would
+// only be thrown away, so none is built. Aggressive rounds build
 // no graph: each asks only whether its candidate moves' two ends
 // interfere, which interferingMoves answers by walking just the blocks
 // that define a candidate register. Conservative rounds build a full
@@ -134,10 +144,14 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 		var examined int
 		cands, examined = candidates(f, cands[:0])
 		var g *ig.Graph
+		var check func(dst, src ir.Reg, hit bool)
 		if conservativeK != nil {
 			g = ig.BuildWithLiveness(f, lv, workers, tr)
 		} else {
 			as.interferingMoves(f, lv, cands)
+			if interferenceObserver != nil {
+				check = interferenceObserver(f, lv)
+			}
 		}
 		for i := range parent {
 			parent[i] = ir.Reg(i)
@@ -168,8 +182,8 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 					continue
 				}
 			} else {
-				if interferenceObserver != nil {
-					interferenceObserver(f, lv, dst, src, as.hit[ci])
+				if check != nil {
+					check(dst, src, as.hit[ci])
 				}
 				if as.hit[ci] {
 					continue
@@ -205,7 +219,7 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 		rewrite(f, find)
 		// The rewrite renamed registers, invalidating lv; the next
 		// round needs fresh sets.
-		lv = dataflow.ComputeLiveness(f)
+		lv.Recompute(f)
 		st.LivenessRuns++
 	}
 }
@@ -239,10 +253,11 @@ func candidates(f *ir.Func, buf []move) ([]move, int) {
 	return buf, examined
 }
 
-// interferenceObserver, when non-nil, sees every aggressive
-// interference query, the (f, lv) it was answered on, and its answer.
+// interferenceObserver, when non-nil, is called at the start of each
+// aggressive round with the (f, lv) the round answers on, and returns
+// the function that sees each of the round's queries and its answer.
 // Tests install it to check the walk against the full graph.
-var interferenceObserver func(f *ir.Func, lv *dataflow.Liveness, dst, src ir.Reg, hit bool)
+var interferenceObserver func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit bool)
 
 // aggressiveScratch holds an aggressive round's interference answers:
 // hit[c] reports whether candidate c's two ends interfere. byReg lists

@@ -21,16 +21,17 @@ func CheckBriggsQueries(check func(got, want bool)) (restore func()) {
 // liveness, of every aggressive query run until restore is called.
 // Queries must come from one goroutine at a time.
 func CheckInterferenceQueries(check func(got, want bool)) (restore func()) {
-	var lastF *ir.Func
-	var lastLv *dataflow.Liveness
-	var g *ig.Graph
-	interferenceObserver = func(f *ir.Func, lv *dataflow.Liveness, dst, src ir.Reg, hit bool) {
-		// A round rewrites f only after its last query and then
-		// computes a fresh liveness, so (f, lv) names one round.
-		if f != lastF || lv != lastLv {
-			lastF, lastLv, g = f, lv, ig.BuildWithLiveness(f, lv, 1, nil)
+	interferenceObserver = func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit bool) {
+		// One graph per round, built at its first query: f and lv
+		// keep their pointers across rounds (lv is recomputed in
+		// place), so only the round says when they changed.
+		var g *ig.Graph
+		return func(dst, src ir.Reg, hit bool) {
+			if g == nil {
+				g = ig.BuildWithLiveness(f, lv, 1, nil)
+			}
+			check(hit, g.Interfere(int32(dst), int32(src)))
 		}
-		check(hit, g.Interfere(int32(dst), int32(src)))
 	}
 	return func() { interferenceObserver = nil }
 }

@@ -1,7 +1,7 @@
-// Package dataflow implements the bit-vector dataflow analyses the
-// allocator depends on: live-variable analysis (which builds the
-// interference graph) and reaching definitions (which builds webs in
-// the renumbering pass).
+// Package dataflow implements the bit-vector live-variable analysis
+// the allocator depends on: it builds the interference graph, answers
+// the coalescer's interference queries, and is all the renumbering
+// pass needs to build webs (see package liverange).
 package dataflow
 
 import (
@@ -14,20 +14,50 @@ import (
 type Liveness struct {
 	In  []*bitset.Set // indexed by block ID
 	Out []*bitset.Set
+
+	// use and def are each block's upward-exposed uses and its
+	// definitions; Recompute reuses them along with In and Out.
+	use, def []*bitset.Set
 }
 
 // ComputeLiveness runs backward iterative live-variable analysis.
+// All of its sets come from one backing array.
 func ComputeLiveness(f *ir.Func) *Liveness {
-	n := len(f.Blocks)
-	nr := f.NumRegs()
-	use := make([]*bitset.Set, n)
-	def := make([]*bitset.Set, n)
-	lv := &Liveness{In: make([]*bitset.Set, n), Out: make([]*bitset.Set, n)}
+	lv := new(Liveness)
+	lv.Recompute(f)
+	return lv
+}
+
+// NewLiveness returns empty sets for the given numbers of blocks and
+// registers, all from one backing array, for a caller that fills In
+// and Out itself and may later Recompute into them.
+func NewLiveness(blocks, regs int) *Liveness {
+	n := blocks
+	sets := bitset.NewMany(4*n, regs)
+	return &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n], use: sets[2*n : 3*n : 3*n], def: sets[3*n:]}
+}
+
+// Recompute overwrites lv with the liveness of f. When f has the
+// block and register counts lv's sets were sized for — as after a
+// rewrite that renames registers without adding any — those sets are
+// cleared and reused; otherwise fresh ones are allocated. Either way,
+// a set taken from lv before the call is stale after it.
+func (lv *Liveness) Recompute(f *ir.Func) {
+	n, nr := len(f.Blocks), f.NumRegs()
+	if len(lv.In) == n && len(lv.use) == n && (n == 0 || lv.In[0].Cap() == nr && lv.use[0].Cap() == nr) {
+		for i := 0; i < n; i++ {
+			lv.In[i].Clear()
+			lv.Out[i].Clear()
+			lv.use[i].Clear()
+			lv.def[i].Clear()
+		}
+	} else {
+		*lv = *NewLiveness(n, nr)
+	}
 
 	var ubuf []ir.Reg
 	for _, b := range f.Blocks {
-		u := bitset.New(nr)
-		d := bitset.New(nr)
+		u, d := lv.use[b.ID], lv.def[b.ID]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			ubuf = in.AppendUses(ubuf[:0])
@@ -40,19 +70,14 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				d.Add(int(dst))
 			}
 		}
-		use[b.ID] = u
-		def[b.ID] = d
-		lv.In[b.ID] = bitset.New(nr)
-		lv.Out[b.ID] = bitset.New(nr)
 	}
 
 	// Iterate to fixpoint; processing blocks in reverse order makes
 	// the backward problem converge in very few passes for reducible
 	// flow graphs.
-	tmp := bitset.New(nr)
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
+		for i := n - 1; i >= 0; i-- {
 			b := f.Blocks[i]
 			out := lv.Out[b.ID]
 			for _, s := range b.Succs {
@@ -61,16 +86,11 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				}
 			}
 			// in = use ∪ (out − def)
-			tmp.CopyFrom(out)
-			tmp.Subtract(def[b.ID])
-			tmp.Union(use[b.ID])
-			if !tmp.Equal(lv.In[b.ID]) {
-				lv.In[b.ID].CopyFrom(tmp)
+			if lv.In[b.ID].SetUnionMinus(lv.use[b.ID], out, lv.def[b.ID]) {
 				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // LiveAcross walks block b backward from its last instruction,

@@ -16,121 +16,193 @@ import (
 )
 
 // Renumber rewrites f in place so that every live range (web) has
-// its own virtual register, and returns the number of live ranges.
-func Renumber(f *ir.Func) int {
-	r := dataflow.ComputeReaching(f)
-	ns := len(r.Sites)
+// its own virtual register; afterwards f.NumRegs() is the number of
+// webs. It returns the liveness of the rewritten function, so a
+// caller that needs one computes none.
+func Renumber(f *ir.Func) *dataflow.Liveness {
+	return RenumberWithLiveness(f, dataflow.ComputeLiveness(f))
+}
 
-	// Union-find over def sites: two defs belong to the same web
-	// when some use is reached by both.
-	parent := make([]int, ns)
-	for i := range parent {
-		parent[i] = i
+// RenumberWithLiveness is Renumber for a caller holding lv, the
+// current liveness of f; it runs no dataflow analysis. lv is only
+// read, so it still describes f as it was before the rewrite.
+//
+// A web is a class of definitions under "reach a common use", closed
+// transitively, and a use with no earlier definition in its block is
+// reached by exactly the definitions reaching its block's entry. So
+// the webs are the classes of a union-find over the definitions plus
+// one entry point per (block, live-in register): each block's last
+// definition of r — or, if it has none, its own entry point for r —
+// joins the entry point for r of every successor that has r live-in.
+// The entry block's entry point for r stands for the fabricated
+// definition of a register read before any write. Webs are numbered
+// in order of their first definition: fabricated ones first, by
+// register (one for each register live into the entry block or
+// never defined), then real ones in program order. An entry point
+// no definition reaches (a read in unreachable code) gets a web of
+// its own, numbered after those.
+func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness {
+	var before *ir.Func
+	if renumberObserver != nil {
+		before = f.Clone()
 	}
-	var find func(int) int
-	find = func(x int) int {
+	nr := f.NumRegs()
+
+	// Union-find elements, in this order: the entry points of blocks
+	// 1..n-1, each block's in register order; one per register for
+	// the entry block, doubling as its fabricated definition; then
+	// the definitions, appended in program order as the first walk
+	// meets them. regOf records each element's register.
+	entryBase := make([]int32, len(f.Blocks))
+	var regOf []ir.Reg
+	for _, b := range f.Blocks[1:] {
+		entryBase[b.ID] = int32(len(regOf))
+		lv.In[b.ID].ForEach(func(r int) { regOf = append(regOf, ir.Reg(r)) })
+	}
+	fabricated := int32(len(regOf))
+	for r := 0; r < nr; r++ {
+		regOf = append(regOf, ir.Reg(r))
+	}
+	firstDef := int32(len(regOf))
+	parent := make([]int32, len(regOf), len(regOf)+f.NumInstrs())
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			// Keep the smaller root for deterministic numbering.
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
+	union := func(a, b int32) { parent[find(a)] = find(b) }
+
+	// cur[r] is the element holding r's value at the walk's current
+	// point; at[r] says which block (and which walk) set it. Every
+	// register live into a block or read in it before a write is set
+	// on entry, so reading a value set in another block means lv is
+	// not f's liveness.
+	cur := make([]int32, nr)
+	at := make([]int32, nr)
+	stamp := int32(0)
+	enter := func(b int, visit func(r int, e int32)) {
+		e := entryBase[b]
+		lv.In[b].ForEach(func(r int) {
+			if b == 0 {
+				visit(r, fabricated+int32(r))
+				return
 			}
+			visit(r, e)
+			e++
+		})
+	}
+	setCur := func(r int, e int32) { cur[r], at[r] = e, stamp }
+	live := func(r int) int32 {
+		if at[r] != stamp {
+			panic("liverange: liveness does not describe the function")
+		}
+		return cur[r]
+	}
+
+	// First walk: number the definitions and join each block's
+	// outgoing values to its successors' entry points.
+	defined := make([]bool, nr)
+	for _, b := range f.Blocks {
+		stamp++
+		enter(b.ID, setCur)
+		for i := range b.Instrs {
+			if d := b.Instrs[i].Def(); d != ir.NoReg {
+				setCur(int(d), int32(len(parent)))
+				parent = append(parent, int32(len(parent)))
+				regOf = append(regOf, d)
+				defined[d] = true
+			}
+		}
+		for _, s := range b.Succs {
+			enter(s, func(r int, e int32) { union(live(r), e) })
 		}
 	}
 
-	for _, b := range f.Blocks {
-		r.WalkUses(f, b, func(_ int, _ *ir.Instr, _ ir.Reg, ds []int) {
-			for i := 1; i < len(ds); i++ {
-				union(ds[0], ds[i])
-			}
-		})
-	}
-
-	// Number webs in order of their smallest def site, which keeps
-	// numbering deterministic (the paper's footnote 4: ties between
-	// equal-cost ranges are broken by an arbitrary but fixed index).
-	webOf := make([]ir.Reg, ns)
-	for i := range webOf {
-		webOf[i] = ir.NoReg
+	// Number the webs in the order the doc comment gives.
+	web := make([]ir.Reg, len(parent))
+	for i := range web {
+		web[i] = ir.NoReg
 	}
 	var cls []ir.Class
 	var flags []ir.Flags
-	next := ir.Reg(0)
-	for si := 0; si < ns; si++ {
-		root := find(si)
-		if webOf[root] == ir.NoReg {
-			webOf[root] = next
-			orig := r.Sites[root].Reg
-			cls = append(cls, f.RegClass(orig))
-			flags = append(flags, f.RegFlags(orig))
-			next++
-		}
-		webOf[si] = webOf[root]
-	}
-
-	// Index real def sites by (block, instr).
-	siteAt := make([]map[int]int, len(f.Blocks))
-	for i := range siteAt {
-		siteAt[i] = make(map[int]int)
-	}
-	for si, s := range r.Sites {
-		if s.Index >= 0 {
-			siteAt[s.Block][s.Index] = si
+	name := func(e int32) {
+		if root := find(e); web[root] == ir.NoReg {
+			web[root] = ir.Reg(len(cls))
+			cls = append(cls, f.RegClass(regOf[e]))
+			flags = append(flags, f.RegFlags(regOf[e]))
 		}
 	}
+	for r := 0; r < nr; r++ {
+		if lv.In[0].Has(r) || !defined[r] {
+			name(fabricated + int32(r))
+		}
+	}
+	for e := firstDef; e < int32(len(parent)); e++ {
+		name(e)
+	}
+	for e := int32(0); e < fabricated; e++ {
+		name(e)
+	}
+	for e := range web {
+		web[e] = web[find(int32(e))]
+	}
 
-	// Rewrite every operand. Uses are resolved against the reaching
-	// set *before* the instruction's own definition takes effect.
+	// Second walk: rewrite every operand to its web, and rename the
+	// live-in and live-out sets the same way.
+	out := dataflow.NewLiveness(len(f.Blocks), len(cls))
+	resolve := func(u ir.Reg) ir.Reg {
+		if u == ir.NoReg {
+			return ir.NoReg
+		}
+		return web[live(int(u))]
+	}
+	site := firstDef
 	for _, b := range f.Blocks {
-		cur := r.In[b.ID].Copy()
+		stamp++
+		in := out.In[b.ID]
+		enter(b.ID, func(r int, e int32) {
+			setCur(r, e)
+			in.Add(int(web[e]))
+		})
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			resolve := func(u ir.Reg) ir.Reg {
-				if u == ir.NoReg {
-					return ir.NoReg
+			ins := &b.Instrs[i]
+			ins.A = resolve(ins.A)
+			ins.B = resolve(ins.B)
+			ins.C = resolve(ins.C)
+			if ins.Op == ir.OpCall {
+				for j, a := range ins.Args {
+					ins.Args[j] = resolve(a)
 				}
-				for _, si := range r.ByReg[u] {
-					if cur.Has(si) {
-						return webOf[si]
-					}
-				}
-				// A use with no reaching def cannot occur: every
-				// upward-exposed or undefined register received a
-				// fabricated entry def site.
-				panic("liverange: use without reaching definition")
 			}
-			in.A = resolve(in.A)
-			in.B = resolve(in.B)
-			in.C = resolve(in.C)
-			for j, a := range in.Args {
-				in.Args[j] = resolve(a)
-			}
-			if d := in.Def(); d != ir.NoReg {
-				for _, si := range r.ByReg[d] {
-					cur.Remove(si)
-				}
-				si := siteAt[b.ID][i]
-				cur.Add(si)
-				in.Dst = webOf[si]
+			if d := ins.Def(); d != ir.NoReg {
+				setCur(int(d), site)
+				ins.Dst = web[site]
+				site++
 			}
 		}
+		o := out.Out[b.ID]
+		lv.Out[b.ID].ForEach(func(r int) { o.Add(int(web[live(r)])) })
 	}
 
 	// Params refer to the webs of their OpParam definitions.
 	remapParams(f)
 
 	f.ResetRegs(cls, flags)
-	return int(next)
+	if renumberObserver != nil {
+		renumberObserver(before, f, out)
+	}
+	return out
 }
+
+// renumberObserver, when non-nil, sees every renumbering: a copy of
+// the function before, the function after, and the liveness returned.
+// Tests install it to check against a reference implementation.
+var renumberObserver func(before, after *ir.Func, lv *dataflow.Liveness)
 
 // remapParams repoints f.Params at the rewritten OpParam
 // destinations.

@@ -3,6 +3,7 @@ package liverange_test
 import (
 	"testing"
 
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
 	"regalloc/internal/irinterp"
 	"regalloc/internal/liverange"
@@ -34,9 +35,10 @@ func disjointWebs() *ir.Func {
 func TestSplitsDisjointWebs(t *testing.T) {
 	f := disjointWebs()
 	before := f.NumRegs()
-	n := liverange.Renumber(f)
-	if n != f.NumRegs() {
-		t.Fatalf("Renumber returned %d but function has %d regs", n, f.NumRegs())
+	lv := liverange.Renumber(f)
+	n := f.NumRegs()
+	if lv.In[0].Cap() != n {
+		t.Fatalf("returned liveness covers %d regs but function has %d", lv.In[0].Cap(), n)
 	}
 	if n != before+1 {
 		t.Fatalf("expected %d webs (x split in two), got %d", before+1, n)
@@ -161,5 +163,70 @@ func TestLiveRangeSizes(t *testing.T) {
 	// reg 0 (x): 2 defs, 3 uses (x+x counts twice, then x+y once).
 	if defs[0] != 2 || uses[0] != 3 {
 		t.Fatalf("x: defs=%d uses=%d", defs[0], uses[0])
+	}
+}
+
+// unreachableRead builds the shape of a routine that reads a variable
+// in code after its RETURN:
+//
+//	b0: j = 1 ; ret j
+//	b1: i = j+j ; ret i   (no predecessor)
+//
+// No definition reaches b1's read of j.
+func unreachableRead() *ir.Func {
+	f := &ir.Func{Name: "U", HasRet: true, RetCls: ir.ClassInt}
+	j := f.NewReg(ir.ClassInt)
+	i := f.NewReg(ir.ClassInt)
+	b0 := f.NewBlock()
+	b1 := f.NewBlock()
+	b0.Instrs = []ir.Instr{
+		{Op: ir.OpConst, Dst: j, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: 1},
+		{Op: ir.OpRet, Dst: ir.NoReg, A: j, B: ir.NoReg, C: ir.NoReg},
+	}
+	b1.Instrs = []ir.Instr{
+		{Op: ir.OpAdd, Dst: i, A: j, B: j, C: ir.NoReg},
+		{Op: ir.OpRet, Dst: ir.NoReg, A: i, B: ir.NoReg, C: ir.NoReg},
+	}
+	f.RecomputePreds()
+	return f
+}
+
+// TestUnreachableReadGetsOwnWeb: a read no definition reaches gets a
+// web of its own, numbered after the definitions' webs, instead of a
+// panic.
+func TestUnreachableReadGetsOwnWeb(t *testing.T) {
+	f := unreachableRead()
+	p := ir.NewProgram(0)
+	p.Add(f.Clone())
+	ref, err := irinterp.New(p, 1024).Call("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := liverange.Renumber(f)
+	if err := ir.Validate(f); err != nil {
+		t.Fatal(err)
+	}
+	def, read := f.Blocks[0].Instrs[0].Dst, f.Blocks[1].Instrs[0].A
+	if f.NumRegs() != 3 || def != 0 || read != 2 || f.Blocks[1].Instrs[0].B != read {
+		t.Fatalf("%d webs, j defined as v%d and read as v%d; want 3, v0 and v2", f.NumRegs(), def, read)
+	}
+	if f.RegClass(read) != ir.ClassInt {
+		t.Fatalf("unreachable read's web has class %s", f.RegClass(read))
+	}
+	want := dataflow.ComputeLiveness(f)
+	for b := range f.Blocks {
+		if !lv.In[b].Equal(want.In[b]) || !lv.Out[b].Equal(want.Out[b]) {
+			t.Fatalf("b%d: returned liveness in %v out %v, recomputed in %v out %v",
+				b, lv.In[b], lv.Out[b], want.In[b], want.Out[b])
+		}
+	}
+	p2 := ir.NewProgram(0)
+	p2.Add(f)
+	got, err := irinterp.New(p2, 1024).Call("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.I != ref.I {
+		t.Fatalf("renumbering changed the result: %d vs %d", got.I, ref.I)
 	}
 }

@@ -79,10 +79,13 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheUnderCoalescing: coalescing rounds legitimately
-// recompute liveness (each merge rewrites registers), but the CFG
-// analysis must still run exactly once per pass — merges never touch
-// blocks. This pins the fix for the double cfg.Analyze in split mode.
+// TestAnalysisCacheUnderCoalescing: a coalescing pass computes
+// liveness once to renumber and once after each round that merged
+// moves (each merge rewrites registers) — so exactly once per
+// coalesce round, the post-coalesce renumbering reusing the
+// coalescer's final sets — and runs the CFG analysis exactly once,
+// since merges never touch blocks. This pins the fix for the double
+// cfg.Analyze in split mode.
 func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 	prog, err := regalloc.Compile(pressure)
 	if err != nil {
@@ -98,13 +101,22 @@ func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	values, _ := decodeCounters(t, &buf)
+	merged := false
 	for pass := range res.Passes {
 		if got := values[pass]["analysis.cfg_runs"]; got != 1 {
 			t.Errorf("pass %d: analysis.cfg_runs = %d, want exactly 1", pass, got)
 		}
-		if got := values[pass]["analysis.liveness_runs"]; got < 1 {
-			t.Errorf("pass %d: analysis.liveness_runs = %d, want >= 1", pass, got)
+		rounds := values[pass]["coalesce.rounds"]
+		if rounds < 1 {
+			t.Fatalf("pass %d: coalesce.rounds = %d; every pass coalesces", pass, rounds)
 		}
+		if got := values[pass]["analysis.liveness_runs"]; got != rounds {
+			t.Errorf("pass %d: analysis.liveness_runs = %d, want coalesce.rounds = %d", pass, got, rounds)
+		}
+		merged = merged || rounds > 1
+	}
+	if !merged {
+		t.Fatal("test premise broken: no pass of PRESS merged a move")
 	}
 }
 

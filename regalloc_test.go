@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"regalloc"
+	"regalloc/internal/alloc"
 	"regalloc/internal/vm"
 )
 
@@ -51,6 +52,45 @@ func TestCompileAllocateRun(t *testing.T) {
 	}
 	if v.I != 832040 {
 		t.Fatalf("fib(30) = %d", v.I)
+	}
+}
+
+// unreachableRead reads J in code after the RETURN, where no
+// definition reaches it.
+const unreachableRead = `
+      SUBROUTINE UNR(X, N)
+      REAL X(10)
+      INTEGER N, I, J
+      J = N + 1
+      X(1) = J
+      RETURN
+      I = J * 2
+      X(2) = I
+      END
+`
+
+// TestAllocateUnreachableRead: every heuristic allocates a routine
+// that reads a variable after its RETURN, with a verified assignment,
+// at the paper's (16,8) and at (4,4).
+func TestAllocateUnreachableRead(t *testing.T) {
+	prog, err := regalloc.Compile(unreachableRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []regalloc.Heuristic{regalloc.Chaitin, regalloc.Briggs, regalloc.MatulaBeck, regalloc.SSA, regalloc.IRC} {
+		for _, k := range [][2]int{{16, 8}, {4, 4}} {
+			opt := regalloc.DefaultOptions()
+			opt.Heuristic = h
+			opt.KInt, opt.KFloat = k[0], k[1]
+			res, err := prog.Allocate("UNR", opt)
+			if err != nil {
+				t.Errorf("%v at %v: %v", h, k, err)
+				continue
+			}
+			if err := alloc.VerifyAssignment(res.Func, res.Colors); err != nil {
+				t.Errorf("%v at %v: %v", h, k, err)
+			}
+		}
 	}
 }
 

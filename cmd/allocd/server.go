@@ -306,7 +306,7 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	if fail != nil {
 		return nil, rescache.Miss, fail
 	}
-	rt, _ := reqtrace.FromContext(ctx)
+	rt, parent := reqtrace.FromContext(ctx)
 	rt.Annotate("unit", requestUnit(req, kind))
 	rt.Annotate("heuristic", requestHeuristic(req, opt))
 
@@ -314,7 +314,7 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	var fill func() ([]byte, error)
 	switch kind {
 	case "src":
-		prog, err := regalloc.Compile(req.Source)
+		prog, err := compileTraced(ctx, req.Source)
 		if err != nil {
 			s.reg.Record(obs.RunSummary{Unit: "(compile)", Error: true})
 			return nil, rescache.Miss, failErr(http.StatusBadRequest, codeCompileFailed, "compile", err)
@@ -323,7 +323,9 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 			s.reg.Record(obs.RunSummary{Unit: req.Unit, Error: true})
 			return nil, rescache.Miss, failf(http.StatusBadRequest, codeUnknownUnit, "no unit %s (have %s)", req.Unit, strings.Join(prog.Functions(), ", "))
 		}
+		tk := time.Now()
 		key = srcKey(prog, opt, req)
+		rt.Record(parent, "cachekey", tk, time.Since(tk))
 		fill = func() ([]byte, error) { return s.sourceBody(ctx, prog, opt, req) }
 	case "ig":
 		g, costs, err := graphgen.ReadGraph(strings.NewReader(req.Source))
@@ -331,7 +333,9 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 			s.reg.Record(obs.RunSummary{Unit: "(graph)", Error: true})
 			return nil, rescache.Miss, failErr(http.StatusBadRequest, codeBadGraph, "parse graph", err)
 		}
+		tk := time.Now()
 		key = graphKey(g, costs, opt, req)
+		rt.Record(parent, "cachekey", tk, time.Since(tk))
 		fill = func() ([]byte, error) { return s.graphBody(ctx, g, costs, opt, req) }
 	default:
 		return nil, rescache.Miss, failf(http.StatusBadRequest, codeBadRequest, "unknown input kind %q", kind)
@@ -351,6 +355,22 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 		return nil, out, s.asAPIError(ctx, err)
 	}
 	return b, out, nil
+}
+
+// compileTraced compiles source, recording a compile span under the
+// request's span: the front end and optimizer run on every source
+// request, cache hits included, since the cache key is a digest of
+// the compiled IR.
+func compileTraced(ctx context.Context, source string) (*regalloc.Program, error) {
+	rt, parent := reqtrace.FromContext(ctx)
+	t0 := time.Now()
+	prog, err := regalloc.Compile(source)
+	if err != nil {
+		rt.Record(parent, "compile", t0, time.Since(t0), reqtrace.Attr{Key: "error", Value: err.Error()})
+	} else {
+		rt.Record(parent, "compile", t0, time.Since(t0))
+	}
+	return prog, err
 }
 
 // requestUnit names the request's allocation target for annotations
@@ -620,7 +640,7 @@ func (s *server) allocPortfolio(w http.ResponseWriter, ctx context.Context, req 
 	rt.Annotate("heuristic", "portfolio")
 	rt.Annotate("cache", "bypass")
 	opt.Observer = s.metrics
-	prog, err := regalloc.Compile(req.Source)
+	prog, err := compileTraced(ctx, req.Source)
 	if err != nil {
 		s.reg.Record(obs.RunSummary{Unit: "(compile)", Error: true})
 		writeError(w, failErr(http.StatusBadRequest, codeCompileFailed, "compile", err))

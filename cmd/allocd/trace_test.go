@@ -214,6 +214,40 @@ func TestTraceCausalChain(t *testing.T) {
 	if entry.Status != http.StatusOK || entry.DurNS <= 0 {
 		t.Errorf("access log outcome = %+v", entry)
 	}
+
+	// The same request again is a cache hit, and the front end and
+	// key derivation that make up nearly all of it are attributed:
+	// one compile and one cachekey span under the request, both over
+	// before the lookup starts.
+	const hitTraceID = "0af7651916cd43dd8448eb211c80319c"
+	code, data, _ = postTraced(t, ts, "/v1/alloc?heuristic=briggs&kint=4&kfloat=4&unit=SAXPYISH", testSource, "00-"+hitTraceID+"-b7ad6b7169203331-01")
+	if code != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", code, data)
+	}
+	hit := findRecord(debugRequests(t, ts), hitTraceID)
+	if hit == nil {
+		t.Fatal("/debug/requests has no record for the repeat request")
+	}
+	if got := hit.Annotation("cache"); got != "hit" {
+		t.Fatalf("repeat cache annotation = %q, want hit", got)
+	}
+	root := spansNamed(hit, "request")
+	hitLookups := spansNamed(hit, "cache:lookup")
+	if len(root) != 1 || len(hitLookups) != 1 {
+		t.Fatalf("repeat: request spans = %d, cache:lookup spans = %d, want 1 each", len(root), len(hitLookups))
+	}
+	for _, name := range []string{"compile", "cachekey"} {
+		sps := spansNamed(hit, name)
+		if len(sps) != 1 {
+			t.Fatalf("repeat: %s spans = %d, want 1", name, len(sps))
+		}
+		if sps[0].Parent != root[0].ID {
+			t.Errorf("repeat: %s span parented to %d, want the request span %d", name, sps[0].Parent, root[0].ID)
+		}
+		if end := sps[0].StartNS + sps[0].DurNS; end > hitLookups[0].StartNS {
+			t.Errorf("repeat: %s span ends at %dns, after cache:lookup starts at %dns", name, end, hitLookups[0].StartNS)
+		}
+	}
 }
 
 // TestTracePortfolioCandidates asserts the race is visible in the

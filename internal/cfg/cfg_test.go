@@ -203,6 +203,14 @@ func TestDominatorTable(t *testing.T) {
 			wantIDom: []int{0, 0, 1, 2, 1},
 			loops:    2,
 		},
+		{
+			name: "irreducible cycle inside a loop",
+			// Loop 1..4 with latch 4; inside it 2 and 3 form a
+			// cycle entered from both sides.
+			succs:    [][]int{{1}, {2, 3}, {3, 4}, {2, 4}, {1, 5}, {}},
+			wantIDom: []int{0, 0, 1, 1, 1, 4},
+			loops:    1,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,6 +232,17 @@ func TestDominatorTable(t *testing.T) {
 					if got != want {
 						t.Errorf("Dominates(%d,%d) = %v, oracle says %v", v, w, got, want)
 					}
+				}
+			}
+			// A preheader for each loop in turn, with the analysis
+			// kept current, matches a fresh one; the entry's
+			// preheader is unreachable.
+			for i := range info.Loops {
+				header := info.Loops[i].Header
+				pre := cfg.InsertPreheader(f, info.Loops[i])
+				info.AddPreheader(f, header, pre.ID)
+				if err := diffInfo(info, cfg.AnalyzeRef(f)); err != nil {
+					t.Errorf("after the preheader of the loop at b%d: %v", header, err)
 				}
 			}
 		})

@@ -1,7 +1,7 @@
 // Package opt implements the machine-independent optimizations the
 // paper's compiler (the IRⁿ optimizer, PL.8-style) performed before
-// register allocation: local common-subexpression elimination and
-// loop-invariant code motion.
+// register allocation: local common-subexpression elimination,
+// loop-invariant code motion, and dead-code elimination.
 //
 // These passes matter to the reproduction because they are what
 // creates the paper's characteristic live-range structure. Hoisting
@@ -15,6 +15,8 @@
 package opt
 
 import (
+	"sort"
+
 	"regalloc/internal/cfg"
 	"regalloc/internal/ir"
 )
@@ -82,8 +84,9 @@ func LocalCSE(f *ir.Func) int {
 	// table entries and operands without version tracking.
 	defCount := countDefs(f)
 
+	avail := make(map[exprKey]ir.Reg)
 	for _, b := range f.Blocks {
-		avail := make(map[exprKey]ir.Reg)
+		clear(avail)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			d := in.Def()
@@ -106,45 +109,76 @@ func LocalCSE(f *ir.Func) int {
 	return replaced
 }
 
+// maxHoists bounds LICM's work: hoisting stops after this many
+// hoists, each one loop's batch. A unit of a few hundred sequential
+// loops reaches it; the cap is kept so the optimized code stays
+// identical to what earlier versions produced.
+const maxHoists = 512
+
 // LICM hoists loop-invariant pure computations to loop preheaders,
 // innermost loops first. A computation is hoisted when it is pure,
 // its destination has exactly one definition in the whole function,
 // and its operands have no definitions inside the loop. Returns the
 // number of instructions moved.
+//
+// Each hoist takes the first loop, innermost first, that has
+// something to hoist, moves that loop's batch into a new preheader,
+// and starts the scan over. The CFG is analyzed once: AddPreheader
+// keeps the analysis current after each preheader, and definition
+// counts never change, since hoisting moves instructions and adds or
+// removes no definition. A loop that hoisted nothing when last
+// examined is skipped until a hoist touches it. A hoist from loop l
+// touches only the loops that contain l's header, which gain the
+// preheader, and the loops that contain a block l's batch left; any
+// other loop has the same blocks, instructions, exits and dominators
+// as when it last hoisted nothing, and would hoist nothing again.
 func LICM(f *ir.Func) int {
+	info := cfg.Analyze(f)
+	if len(info.Loops) == 0 {
+		return 0
+	}
+	order := innermostFirst(info)
+	h := newHoister(f, info)
+	clean := make([]bool, len(info.Loops))
 	hoisted := 0
-	// One loop is hoisted per CFG analysis: inserting a preheader
-	// adds a block inside any enclosing loop, so the loop inventory
-	// must be recomputed before touching another loop. Iterate to
-	// fixpoint (the cap is a safety net far above any real function).
-	for pass := 0; pass < 512; pass++ {
-		info := cfg.Analyze(f)
-		loops := innermostFirst(info)
-		moved := 0
-		for _, l := range loops {
-			moved += hoistLoop(f, info, l)
-			if moved > 0 {
-				break // CFG changed; re-analyze
+	for n := 0; n < maxHoists; n++ {
+		moved, li := 0, -1
+		for _, i := range order {
+			if clean[i] {
+				continue
 			}
+			if moved = h.hoistLoop(info.Loops[i]); moved > 0 {
+				li = i
+				break
+			}
+			clean[i] = true
+		}
+		if li < 0 {
+			break
 		}
 		hoisted += moved
-		if moved == 0 {
-			break
+		header := info.Loops[li].Header
+		info.AddPreheader(f, header, len(f.Blocks)-1)
+		for i, l := range info.Loops {
+			if clean[i] && (l.Contains(header) || h.touches(l)) {
+				clean[i] = false
+			}
 		}
 	}
 	return hoisted
 }
 
-// innermostFirst orders loops by decreasing header depth so inner
-// loops hoist first.
-func innermostFirst(info *cfg.Info) []cfg.Loop {
-	loops := append([]cfg.Loop(nil), info.Loops...)
-	for i := 1; i < len(loops); i++ {
-		for j := i; j > 0 && info.Depth[loops[j].Header] > info.Depth[loops[j-1].Header]; j-- {
-			loops[j], loops[j-1] = loops[j-1], loops[j]
-		}
+// innermostFirst orders loop indices by decreasing header depth so
+// inner loops hoist first; loops at equal depth keep their order.
+func innermostFirst(info *cfg.Info) []int {
+	order := make([]int, len(info.Loops))
+	for i := range order {
+		order[i] = i
 	}
-	return loops
+	sort.SliceStable(order, func(i, j int) bool {
+		return info.Depth[info.Loops[order[i]].Header] > info.Depth[info.Loops[order[j]].Header]
+	})
+	return order
 }
 
 // memRegion identifies the storage an OpLoad/OpStore touches, for
@@ -168,39 +202,87 @@ func accessRegion(f *ir.Func, in *ir.Instr) memRegion {
 	return memRegion{}
 }
 
-func hoistLoop(f *ir.Func, info *cfg.Info, l cfg.Loop) int {
-	inLoop := make(map[int]bool, len(l.Blocks))
+// hoister holds LICM's per-unit state and the scratch hoistLoop
+// reuses across calls. The marks are stamps: a block or register is
+// marked for the current call when its entry equals stamp.
+type hoister struct {
+	f        *ir.Func
+	info     *cfg.Info
+	defCount []int
+	stamp    int32
+	inLoop   []int32 // by block
+	// definedIn marks registers defined in the loop and not yet
+	// chosen; chosen marks the destinations of chosen instructions,
+	// and so the instructions, since each has one definition.
+	definedIn, chosen []int32
+	stored            []memRegion
+	exitSources       []int
+	order             []site
+	left              []int // blocks the last hoist removed instructions from
+}
+
+type site struct{ block, index int }
+
+func newHoister(f *ir.Func, info *cfg.Info) *hoister {
+	return &hoister{
+		f:         f,
+		info:      info,
+		defCount:  countDefs(f),
+		inLoop:    make([]int32, len(f.Blocks)+maxHoists),
+		definedIn: make([]int32, f.NumRegs()),
+		chosen:    make([]int32, f.NumRegs()),
+	}
+}
+
+// touches reports whether the last hoist removed instructions from a
+// block of l.
+func (h *hoister) touches(l cfg.Loop) bool {
+	for _, b := range h.left {
+		if l.Contains(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// hoistLoop moves l's invariant computations into a new preheader,
+// the last block of f, and returns how many it moved; with none to
+// move it changes nothing.
+func (h *hoister) hoistLoop(l cfg.Loop) int {
+	f, info := h.f, h.info
+	h.stamp++
+	st := h.stamp
 	for _, b := range l.Blocks {
-		inLoop[b] = true
+		h.inLoop[b] = st
 	}
 	// Registers defined inside the loop, calls, stores, and the
 	// loop's exit-source blocks.
-	definedIn := make(map[ir.Reg]bool)
 	hasCall := false
-	storedRegions := make(map[memRegion]bool)
-	var exitSources []int
+	h.stored = h.stored[:0]
+	h.exitSources = h.exitSources[:0]
 	for _, bid := range l.Blocks {
 		b := f.Blocks[bid]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.NoReg {
-				definedIn[d] = true
+				h.definedIn[d] = st
 			}
 			switch in.Op {
 			case ir.OpCall:
 				hasCall = true
 			case ir.OpStore, ir.OpSpillStore:
-				storedRegions[accessRegion(f, in)] = true
+				if r := accessRegion(f, in); !h.isStored(r) {
+					h.stored = append(h.stored, r)
+				}
 			}
 		}
 		for _, s := range b.Succs {
-			if !inLoop[s] {
-				exitSources = append(exitSources, bid)
+			if h.inLoop[s] != st {
+				h.exitSources = append(h.exitSources, bid)
 				break
 			}
 		}
 	}
-	defCount := countDefs(f)
 
 	// loadHoistable applies the extra conditions for memory reads:
 	// the load's block must execute on every trip through the loop
@@ -209,13 +291,10 @@ func hoistLoop(f *ir.Func, info *cfg.Info, l cfg.Loop) int {
 	// the first iteration would issue), and nothing in the loop may
 	// write the load's region. A call could write anything.
 	loadHoistable := func(bid int, in *ir.Instr) bool {
-		if hasCall {
+		if hasCall || h.isStored(accessRegion(f, in)) {
 			return false
 		}
-		if storedRegions[accessRegion(f, in)] {
-			return false
-		}
-		for _, es := range exitSources {
+		for _, es := range h.exitSources {
 			if !info.Dominates(bid, es) {
 				return false
 			}
@@ -226,9 +305,7 @@ func hoistLoop(f *ir.Func, info *cfg.Info, l cfg.Loop) int {
 	// Collect hoistable instructions to fixpoint: an instruction
 	// whose operands stop being "defined in loop" once a producer is
 	// hoisted becomes hoistable too.
-	type site struct{ block, index int }
-	var order []site
-	chosen := make(map[site]bool)
+	h.order = h.order[:0]
 	for changed := true; changed; {
 		changed = false
 		for _, bid := range l.Blocks {
@@ -236,8 +313,7 @@ func hoistLoop(f *ir.Func, info *cfg.Info, l cfg.Loop) int {
 			for i := range instrs {
 				in := &instrs[i]
 				d := in.Def()
-				s := site{bid, i}
-				if chosen[s] || d == ir.NoReg || defCount[d] != 1 {
+				if d == ir.NoReg || h.defCount[d] != 1 || h.chosen[d] == st {
 					continue
 				}
 				switch {
@@ -250,51 +326,58 @@ func hoistLoop(f *ir.Func, info *cfg.Info, l cfg.Loop) int {
 				default:
 					continue
 				}
-				if (in.A != ir.NoReg && definedIn[in.A]) ||
-					(in.B != ir.NoReg && definedIn[in.B]) ||
-					(in.C != ir.NoReg && definedIn[in.C]) {
+				if (in.A != ir.NoReg && h.definedIn[in.A] == st) ||
+					(in.B != ir.NoReg && h.definedIn[in.B] == st) ||
+					(in.C != ir.NoReg && h.definedIn[in.C] == st) {
 					continue
 				}
-				chosen[s] = true
-				order = append(order, s)
-				delete(definedIn, d)
+				h.chosen[d] = st
+				h.order = append(h.order, site{bid, i})
+				h.definedIn[d] = 0
 				changed = true
 			}
 		}
 	}
-	if len(order) == 0 {
+	if len(h.order) == 0 {
 		return 0
 	}
 
 	// Build the preheader and splice the hoisted instructions into
 	// it in their original relative order (operands before users is
 	// guaranteed because a producer became hoistable no later than
-	// its consumers, and order respects discovery).
-	pre := cfg.InsertPreheader(f, inLoop, l.Header)
-	var lifted []ir.Instr
-	remove := make(map[int]map[int]bool) // block -> instr index set
-	for _, s := range order {
-		lifted = append(lifted, f.Blocks[s.block].Instrs[s.index])
-		if remove[s.block] == nil {
-			remove[s.block] = make(map[int]bool)
-		}
-		remove[s.block][s.index] = true
+	// its consumers, and order respects discovery). The preheader
+	// ends in a branch to the header; they go before it.
+	pre := cfg.InsertPreheader(f, l)
+	instrs := make([]ir.Instr, 0, len(h.order)+len(pre.Instrs))
+	for _, s := range h.order {
+		instrs = append(instrs, f.Blocks[s.block].Instrs[s.index])
 	}
-	for bid, idxs := range remove {
+	pre.Instrs = append(instrs, pre.Instrs...)
+	h.left = h.left[:0]
+	for _, bid := range l.Blocks {
 		b := f.Blocks[bid]
 		out := b.Instrs[:0]
 		for i := range b.Instrs {
-			if !idxs[i] {
+			if d := b.Instrs[i].Def(); d == ir.NoReg || h.chosen[d] != st {
 				out = append(out, b.Instrs[i])
 			}
 		}
+		if len(out) < len(b.Instrs) {
+			h.left = append(h.left, bid)
+		}
 		b.Instrs = out
 	}
-	// Preheader ends in a branch to the header; insert before it.
-	term := pre.Instrs[len(pre.Instrs)-1]
-	pre.Instrs = append(pre.Instrs[:len(pre.Instrs)-1], lifted...)
-	pre.Instrs = append(pre.Instrs, term)
-	return len(lifted)
+	return len(h.order)
+}
+
+// isStored reports whether the loop being examined stores to r.
+func (h *hoister) isStored(r memRegion) bool {
+	for _, s := range h.stored {
+		if s == r {
+			return true
+		}
+	}
+	return false
 }
 
 func countDefs(f *ir.Func) []int {

@@ -116,11 +116,7 @@ func InsertCodeSplit(f *ir.Func, spilled []ir.Reg, info *cfg.Info) Stats {
 				continue
 			}
 			if preheader[li] == nil {
-				inLoop := make(map[int]bool, len(l.Blocks))
-				for _, bid := range l.Blocks {
-					inLoop[bid] = true
-				}
-				preheader[li] = cfg.InsertPreheader(f, inLoop, l.Header)
+				preheader[li] = cfg.InsertPreheader(f, l)
 			}
 			t := f.NewReg(f.RegClass(r))
 			f.SetRegFlags(t, f.RegFlags(r)|ir.FlagSplitTemp)

@@ -366,8 +366,8 @@ type Program struct {
 }
 
 // Compile parses, checks, lowers, and optimizes source. The
-// machine-independent optimizer (local CSE + loop-invariant code
-// motion) runs by default because the paper's compiler was an
+// machine-independent optimizer (local CSE, loop-invariant code
+// motion, dead-code elimination) runs by default because the paper's compiler was an
 // optimizing compiler and the optimizer's long-lived temporaries are
 // what creates the live-range structure the paper studies; use
 // CompileNoOpt for the unoptimized ablation.

@@ -1,8 +1,7 @@
 // api.go is the /v1 request surface: the typed AllocRequest decoded
 // from a JSON body or from legacy query parameters by one shared
 // parser, and the structured error envelope every non-2xx response
-// carries. Keeping both forms behind one struct is what lets the
-// deprecated /alloc route stay a thin alias over the /v1 handler.
+// carries.
 package main
 
 import (

@@ -35,8 +35,6 @@
 //	                     array of request objects, or an NDJSON
 //	                     stream (replied to in kind, streaming). Each
 //	                     item succeeds or fails independently.
-//	POST /alloc          deprecated alias for /v1/alloc (same
-//	                     handler; answers with a Deprecation header).
 //	GET  /metrics        Prometheus text exposition: the run
 //	                     registry (spills, palettes, per-phase
 //	                     latency histograms), live trace-counter

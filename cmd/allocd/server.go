@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"regexp"
@@ -60,9 +59,6 @@ type server struct {
 	// succeed on a quieter instant — while drain and client
 	// cancellation stay 503.
 	allocTimeout time.Duration
-
-	// legacyOnce guards the one-time deprecation log for /alloc.
-	legacyOnce sync.Once
 }
 
 func newServer(maxInflight int) *server {
@@ -89,7 +85,6 @@ func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/alloc", s.traced(s.handleAlloc))
 	mux.HandleFunc("/v1/alloc/batch", s.traced(s.handleBatch))
-	mux.HandleFunc("/alloc", s.traced(s.handleAllocLegacy))
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
@@ -158,19 +153,6 @@ const maxBodyBytes = 8 << 20
 // igFirstLine recognizes a .ig graph body by its mandatory leading
 // node-count directive.
 var igFirstLine = regexp.MustCompile(`^n\s+\d+`)
-
-// handleAllocLegacy is the deprecated /alloc route: the same handler
-// as /v1/alloc (the shared parser accepts both request forms), plus
-// the successor-version headers and a one-time log nudging callers
-// over.
-func (s *server) handleAllocLegacy(w http.ResponseWriter, r *http.Request) {
-	s.legacyOnce.Do(func() {
-		log.Printf("allocd: /alloc is deprecated; use /v1/alloc (same request forms, structured errors)")
-	})
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/alloc>; rel="successor-version"`)
-	s.handleAlloc(w, r)
-}
 
 // readBody drains the request body under the size cap, classifying
 // failures: only an actual overflow is 413; other read errors

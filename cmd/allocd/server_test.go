@@ -67,7 +67,7 @@ func postAlloc(t *testing.T, ts *httptest.Server, path, body string) (int, []byt
 
 func TestAllocSource(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, data := postAlloc(t, ts, "/alloc?heuristic=briggs&kint=8&kfloat=4", testSource)
+	code, data := postAlloc(t, ts, "/v1/alloc?heuristic=briggs&kint=8&kfloat=4", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -86,7 +86,7 @@ func TestAllocSource(t *testing.T) {
 		t.Fatal("colors included without ?colors=1")
 	}
 
-	code, data = postAlloc(t, ts, "/alloc?colors=1", testSource)
+	code, data = postAlloc(t, ts, "/v1/alloc?colors=1", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -101,7 +101,7 @@ func TestAllocSource(t *testing.T) {
 
 func TestAllocGraphSniffedAndExplicit(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, path := range []string{"/alloc?kint=2", "/alloc?input=ig&kint=2"} {
+	for _, path := range []string{"/v1/alloc?kint=2", "/v1/alloc?input=ig&kint=2"} {
 		code, data := postAlloc(t, ts, path, testGraph)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", path, code, data)
@@ -118,7 +118,7 @@ func TestAllocGraphSniffedAndExplicit(t *testing.T) {
 	}
 	// Chaitin on the same graph must spill (the pessimistic half of
 	// Figure 3).
-	code, data := postAlloc(t, ts, "/alloc?kint=2&heuristic=chaitin", testGraph)
+	code, data := postAlloc(t, ts, "/v1/alloc?kint=2&heuristic=chaitin", testGraph)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -133,7 +133,7 @@ func TestAllocGraphSniffedAndExplicit(t *testing.T) {
 
 func TestAllocGraphPColor(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, data := postAlloc(t, ts, "/alloc?heuristic=pcolor&workers=2&seed=7&colors=1", testGraph)
+	code, data := postAlloc(t, ts, "/v1/alloc?heuristic=pcolor&workers=2&seed=7&colors=1", testGraph)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -166,14 +166,14 @@ func TestAllocErrors(t *testing.T) {
 		want       int
 		wantCode   string
 	}{
-		{"/alloc", "", http.StatusBadRequest, "empty_body"},
-		{"/alloc", "NOT FORTRAN AT ALL ((", http.StatusBadRequest, "compile_failed"},
-		{"/alloc?kint=0", testSource, http.StatusBadRequest, "bad_k"},
-		{"/alloc?heuristic=bogus", testSource, http.StatusBadRequest, "bad_heuristic"},
-		{"/alloc?metric=bogus", testSource, http.StatusBadRequest, "bad_metric"},
-		{"/alloc?input=bogus", testSource, http.StatusBadRequest, "bad_request"},
-		{"/alloc?unit=MISSING", testSource, http.StatusBadRequest, "unknown_unit"},
-		{"/alloc?input=ig", "n x\n", http.StatusBadRequest, "bad_graph"},
+		{"/v1/alloc", "", http.StatusBadRequest, "empty_body"},
+		{"/v1/alloc", "NOT FORTRAN AT ALL ((", http.StatusBadRequest, "compile_failed"},
+		{"/v1/alloc?kint=0", testSource, http.StatusBadRequest, "bad_k"},
+		{"/v1/alloc?heuristic=bogus", testSource, http.StatusBadRequest, "bad_heuristic"},
+		{"/v1/alloc?metric=bogus", testSource, http.StatusBadRequest, "bad_metric"},
+		{"/v1/alloc?input=bogus", testSource, http.StatusBadRequest, "bad_request"},
+		{"/v1/alloc?unit=MISSING", testSource, http.StatusBadRequest, "unknown_unit"},
+		{"/v1/alloc?input=ig", "n x\n", http.StatusBadRequest, "bad_graph"},
 	}
 	for _, tc := range cases {
 		code, data := postAlloc(t, ts, tc.path, tc.body)
@@ -184,17 +184,17 @@ func TestAllocErrors(t *testing.T) {
 			t.Errorf("%s: error code %q, want %q (%s)", tc.path, e.Code, tc.wantCode, data)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/alloc")
+	resp, err := http.Get(ts.URL + "/v1/alloc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /alloc: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/alloc: status %d, want 405", resp.StatusCode)
 	}
 	if e := errorEnvelope(t, data); e.Code != "method_not_allowed" {
-		t.Errorf("GET /alloc: error code %q", e.Code)
+		t.Errorf("GET /v1/alloc: error code %q", e.Code)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			postAlloc(t, ts, "/alloc?kint=8&nocache=1", testSource)
-			postAlloc(t, ts, "/alloc?input=ig&kint=2&nocache=1", testGraph)
+			postAlloc(t, ts, "/v1/alloc?kint=8&nocache=1", testSource)
+			postAlloc(t, ts, "/v1/alloc?input=ig&kint=2&nocache=1", testGraph)
 		}()
 	}
 	wg.Wait()
@@ -334,7 +334,7 @@ func TestPprofMounted(t *testing.T) {
 func TestAllocTimeout(t *testing.T) {
 	s := newServer(4)
 	s.allocTimeout = time.Nanosecond
-	req := httptest.NewRequest(http.MethodPost, "/alloc", strings.NewReader(testSource))
+	req := httptest.NewRequest(http.MethodPost, "/v1/alloc", strings.NewReader(testSource))
 	rec := httptest.NewRecorder()
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusTooManyRequests {
@@ -349,7 +349,7 @@ func TestAllocTimeout(t *testing.T) {
 
 	// A generous deadline changes nothing.
 	s.allocTimeout = time.Minute
-	req = httptest.NewRequest(http.MethodPost, "/alloc", strings.NewReader(testSource))
+	req = httptest.NewRequest(http.MethodPost, "/v1/alloc", strings.NewReader(testSource))
 	rec = httptest.NewRecorder()
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusOK {
@@ -361,7 +361,7 @@ func TestAllocTimeout(t *testing.T) {
 // a named subset, and the race report in the reply.
 func TestAllocPortfolio(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, data := postAlloc(t, ts, "/alloc?portfolio=1&kint=8&kfloat=4&colors=1", testSource)
+	code, data := postAlloc(t, ts, "/v1/alloc?portfolio=1&kint=8&kfloat=4&colors=1", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -406,7 +406,7 @@ func TestAllocPortfolio(t *testing.T) {
 	}
 
 	// Named subset with a custom seed list and mode.
-	code, data = postAlloc(t, ts, "/alloc?portfolio=briggs,chaitin,pcolor/s9&pseeds=9&pmode=first-good", testSource)
+	code, data = postAlloc(t, ts, "/v1/alloc?portfolio=briggs,chaitin,pcolor/s9&pseeds=9&pmode=first-good", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("subset: status %d: %s", code, data)
 	}
@@ -446,11 +446,11 @@ func TestAllocPortfolio(t *testing.T) {
 func TestAllocPortfolioErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, path := range []string{
-		"/alloc?portfolio=bogus-strategy",
-		"/alloc?portfolio=1&pmode=bogus",
-		"/alloc?portfolio=1&pbudget=bogus",
-		"/alloc?portfolio=1&pseeds=notanumber",
-		"/alloc?portfolio=1&unit=MISSING",
+		"/v1/alloc?portfolio=bogus-strategy",
+		"/v1/alloc?portfolio=1&pmode=bogus",
+		"/v1/alloc?portfolio=1&pbudget=bogus",
+		"/v1/alloc?portfolio=1&pseeds=notanumber",
+		"/v1/alloc?portfolio=1&unit=MISSING",
 	} {
 		code, data := postAlloc(t, ts, path, testSource)
 		if code != http.StatusBadRequest {
@@ -466,7 +466,7 @@ func TestAllocPortfolioMaxInflightOne(t *testing.T) {
 	s := newServer(1)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
-	code, data := postAlloc(t, ts, "/alloc?portfolio=1", testSource)
+	code, data := postAlloc(t, ts, "/v1/alloc?portfolio=1", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
@@ -493,7 +493,7 @@ func TestAllocErrorStatuses(t *testing.T) {
 	// AllocateAllContext, the answer is 503.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/alloc", strings.NewReader(testSource)).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/alloc", strings.NewReader(testSource)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -501,7 +501,7 @@ func TestAllocErrorStatuses(t *testing.T) {
 	}
 
 	// Oversized body: 413.
-	req = httptest.NewRequest(http.MethodPost, "/alloc", strings.NewReader(strings.Repeat("x", maxBodyBytes+1)))
+	req = httptest.NewRequest(http.MethodPost, "/v1/alloc", strings.NewReader(strings.Repeat("x", maxBodyBytes+1)))
 	rec = httptest.NewRecorder()
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -509,7 +509,7 @@ func TestAllocErrorStatuses(t *testing.T) {
 	}
 
 	// Body read error that is not a size overflow: 400, not 413.
-	req = httptest.NewRequest(http.MethodPost, "/alloc", io.MultiReader(strings.NewReader("abc"), iotest.ErrReader(errors.New("peer reset"))))
+	req = httptest.NewRequest(http.MethodPost, "/v1/alloc", io.MultiReader(strings.NewReader("abc"), iotest.ErrReader(errors.New("peer reset"))))
 	rec = httptest.NewRecorder()
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusBadRequest {

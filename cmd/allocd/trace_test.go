@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -119,17 +121,7 @@ func TestTraceCausalChain(t *testing.T) {
 		t.Fatal("server reused the client's span id instead of minting a child")
 	}
 
-	var resp allocResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if len(resp.Units) != 1 {
-		t.Fatalf("units = %d, want 1", len(resp.Units))
-	}
-	var wantPhaseNS int64
-	for _, ns := range resp.Units[0].PhaseNS {
-		wantPhaseNS += ns
-	}
+	unit := singleUnit(t, data)
 
 	// The flight recorder holds the full span tree for that trace ID.
 	rec := findRecord(debugRequests(t, ts), knownTraceID)
@@ -152,26 +144,7 @@ func TestTraceCausalChain(t *testing.T) {
 	if len(lookups) != 1 {
 		t.Fatalf("cache:lookup spans = %d, want 1", len(lookups))
 	}
-	allocs := spansNamed(rec, "alloc:SAXPYISH")
-	if len(allocs) != 1 {
-		t.Fatalf("alloc:SAXPYISH spans = %d, want 1", len(allocs))
-	}
-
-	// Per-phase spans reconcile exactly with the response's phase_ns:
-	// both are derived from the same integer PassStats durations.
-	var gotPhaseNS int64
-	for _, sp := range spansNamed(rec, "phase:") {
-		if sp.Parent != allocs[0].ID {
-			t.Errorf("phase span %s not parented to the alloc span", sp.Name)
-		}
-		gotPhaseNS += sp.DurNS
-	}
-	if gotPhaseNS != wantPhaseNS {
-		t.Fatalf("summed phase spans = %dns, response phase_ns = %dns (must reconcile exactly)", gotPhaseNS, wantPhaseNS)
-	}
-	if allocs[0].DurNS != wantPhaseNS {
-		t.Fatalf("alloc span = %dns, want %dns (sum of its phases)", allocs[0].DurNS, wantPhaseNS)
-	}
+	requireOneAllocSpan(t, rec, "briggs", unit)
 
 	// The latency histogram carries the trace ID as an exemplar.
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -248,6 +221,80 @@ func TestTraceCausalChain(t *testing.T) {
 			t.Errorf("repeat: %s span ends at %dns, after cache:lookup starts at %dns", name, end, hitLookups[0].StartNS)
 		}
 	}
+
+	// irc and ssa run drivers of their own, irc around a whole Figure
+	// 4 baseline allocation, and each still records one alloc span.
+	for i, h := range []string{"irc", "ssa"} {
+		traceID := fmt.Sprintf("%032x", i+1)
+		code, data, _ := postTraced(t, ts, "/v1/alloc?heuristic="+h+"&kint=4&kfloat=4&unit=SAXPYISH", testSource, "00-"+traceID+"-b7ad6b7169203331-01")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", h, code, data)
+		}
+		unit := singleUnit(t, data)
+		rec := findRecord(debugRequests(t, ts), traceID)
+		if rec == nil {
+			t.Fatalf("%s: /debug/requests has no record for trace %s", h, traceID)
+		}
+		requireOneAllocSpan(t, rec, h, unit)
+	}
+}
+
+// singleUnit decodes a one-unit allocation response.
+func singleUnit(t *testing.T, data []byte) unitResponse {
+	t.Helper()
+	var resp allocResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if len(resp.Units) != 1 {
+		t.Fatalf("units = %d, want 1", len(resp.Units))
+	}
+	return resp.Units[0]
+}
+
+// spanAttr returns the value of sp's attribute key, or "".
+func spanAttr(sp reqtrace.Span, key string) string {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// requireOneAllocSpan checks the allocator's part of a traced
+// SAXPYISH request: exactly one alloc span, labeled with the request's
+// heuristic and the response's pass count, and phase spans parented
+// to it whose durations reconcile exactly with the response's
+// phase_ns (both derive from the same integer PassStats durations).
+func requireOneAllocSpan(t *testing.T, rec *reqtrace.RequestRecord, heuristic string, unit unitResponse) {
+	t.Helper()
+	allocs := spansNamed(rec, "alloc:SAXPYISH")
+	if len(allocs) != 1 {
+		t.Fatalf("%s: alloc:SAXPYISH spans = %d, want 1", heuristic, len(allocs))
+	}
+	if got := spanAttr(allocs[0], "heuristic"); got != heuristic {
+		t.Errorf("%s: alloc span heuristic = %q", heuristic, got)
+	}
+	if got, want := spanAttr(allocs[0], "passes"), strconv.Itoa(unit.Passes); got != want {
+		t.Errorf("%s: alloc span passes = %q, response passes = %s", heuristic, got, want)
+	}
+	var wantPhaseNS, gotPhaseNS int64
+	for _, ns := range unit.PhaseNS {
+		wantPhaseNS += ns
+	}
+	for _, sp := range spansNamed(rec, "phase:") {
+		if sp.Parent != allocs[0].ID {
+			t.Errorf("%s: phase span %s not parented to the alloc span", heuristic, sp.Name)
+		}
+		gotPhaseNS += sp.DurNS
+	}
+	if gotPhaseNS != wantPhaseNS {
+		t.Fatalf("%s: summed phase spans = %dns, response phase_ns = %dns (must reconcile exactly)", heuristic, gotPhaseNS, wantPhaseNS)
+	}
+	if allocs[0].DurNS != wantPhaseNS {
+		t.Fatalf("%s: alloc span = %dns, want %dns (sum of its phases)", heuristic, allocs[0].DurNS, wantPhaseNS)
+	}
 }
 
 // TestTracePortfolioCandidates asserts the race is visible in the
@@ -268,23 +315,15 @@ func TestTracePortfolioCandidates(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("candidate spans = %d, want 2", len(cands))
 	}
-	attr := func(sp reqtrace.Span, key string) string {
-		for _, a := range sp.Attrs {
-			if a.Key == key {
-				return a.Value
-			}
-		}
-		return ""
-	}
 	winners := 0
 	byID := map[uint32]reqtrace.Span{}
 	for _, sp := range cands {
 		byID[sp.ID] = sp
-		if attr(sp, "winner") == "true" {
+		if spanAttr(sp, "winner") == "true" {
 			winners++
 		}
-		if attr(sp, "status") != "finished" {
-			t.Errorf("candidate %s status = %q", sp.Name, attr(sp, "status"))
+		if spanAttr(sp, "status") != "finished" {
+			t.Errorf("candidate %s status = %q", sp.Name, spanAttr(sp, "status"))
 		}
 	}
 	if winners != 1 {

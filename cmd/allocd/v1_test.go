@@ -460,9 +460,9 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasHeaders: /alloc still works but advertises its
-// successor; /v1/alloc does not carry the deprecation marker.
-func TestDeprecatedAliasHeaders(t *testing.T) {
+// TestAllocAliasRemoved: the retired /alloc alias is not routed, and
+// /v1/alloc carries no deprecation marker.
+func TestAllocAliasRemoved(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/alloc", "text/plain", strings.NewReader(testGraph))
 	if err != nil {
@@ -470,14 +470,8 @@ func TestDeprecatedAliasHeaders(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/alloc: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("/alloc missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/alloc") || !strings.Contains(link, "successor-version") {
-		t.Errorf("/alloc Link header %q", link)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /alloc: status %d, want 404", resp.StatusCode)
 	}
 
 	resp, err = http.Post(ts.URL+"/v1/alloc", "text/plain", strings.NewReader(testGraph))
@@ -486,6 +480,9 @@ func TestDeprecatedAliasHeaders(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/alloc: status %d", resp.StatusCode)
+	}
 	if resp.Header.Get("Deprecation") != "" {
 		t.Error("/v1/alloc carries a Deprecation header")
 	}

@@ -433,10 +433,10 @@ func TestReportShapeAndGate(t *testing.T) {
 		SlowTraceIDs: []string{"4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b700f067aa0ba902b7"},
 	}
 	r := newReport(lt)
-	if r.Schema != "regalloc-bench/10" {
+	if r.Schema != "regalloc-bench/11" {
 		t.Fatalf("schema %q", r.Schema)
 	}
-	if len(r.SchemaHistory) == 0 || !strings.Contains(r.SchemaHistory[len(r.SchemaHistory)-1], "irc") {
+	if len(r.SchemaHistory) == 0 || !strings.HasPrefix(r.SchemaHistory[len(r.SchemaHistory)-1], r.Schema+":") {
 		t.Fatalf("schema history %v", r.SchemaHistory)
 	}
 	data, err := json.Marshal(r)

@@ -132,6 +132,9 @@ var colorScratchPool = sync.Pool{New: func() any { return new(color.Scratch) }}
 // service request or an expired portfolio budget stops a multi-pass
 // allocation between passes instead of running it to the end. The
 // error wraps ctx.Err(), matchable with errors.Is.
+//
+// A successful run is recorded as one request-trace span per unit
+// (see recordPassSpans), whichever allocator family ran it.
 func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -139,6 +142,21 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.MaxPasses <= 0 {
 		opt.MaxPasses = 64
 	}
+	start := time.Now()
+	res, err := run(ctx, f, opt)
+	if err != nil {
+		return nil, err
+	}
+	recordPassSpans(ctx, f.Name, opt, res.Passes, start)
+	return res, nil
+}
+
+// run allocates f under a validated opt with MaxPasses resolved. It
+// dispatches the SSA and IRC heuristics to their drivers and runs the
+// Figure 4 cycle itself for the rest; runIRC calls it again for its
+// Figure 4 baseline, so that baseline is not recorded as a second
+// allocation.
+func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.Heuristic == color.SSA && !opt.UsePColor {
 		// The SSA heuristic replaces the whole Figure 4 cycle, not
 		// just the simplify order. (UsePColor ignores Heuristic, so
@@ -156,7 +174,6 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	res := &Result{Options: opt}
 	kf := opt.K()
 	tr := obs.New(opt.Observer, f.Name)
-	runStart := time.Now()
 
 	// One coloring scratch serves every pass of the cycle (and, via
 	// the pool, every later Run on this goroutine's path): worklists,
@@ -189,7 +206,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			}
 			tc := time.Now()
 			tr.BeginPhase(obs.PhaseCoalesce)
-			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, opt.Workers, tr)
+			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, 0, tr)
 			tr.EndPhase(obs.PhaseCoalesce, time.Since(tc))
 			ps.CoalescedMoves = cs.Moves
 			pc.livenessRuns += cs.LivenessRuns
@@ -211,7 +228,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			g = mg.Graph
 			pre = mg.Pre
 		} else if g == nil {
-			g = ig.BuildWithLiveness(work, pc.lv, opt.Workers, tr)
+			g = ig.BuildWithLiveness(work, pc.lv, 0, tr)
 		}
 		var rematOK []bool
 		var rematVals []spill.RematValue
@@ -369,7 +386,6 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 				}
 				res.Func = work
 				res.Colors = colors
-				recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
 				return res, nil
 			}
 			toSpill = over
@@ -408,7 +424,6 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 							return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 						}
 					}
-					recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
 					return res, nil
 				}
 				toSpill = uncolored

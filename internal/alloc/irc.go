@@ -52,7 +52,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	base.Heuristic = color.Briggs
 	base.Coalesce = true
 	base.ConservativeCoalesce = true
-	res, err := RunContext(ctx, f, base)
+	res, err := run(ctx, f, base)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,6 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	work := res.Func
 	kf := opt.K()
 	tr := obs.New(opt.Observer, f.Name)
-	runStart := time.Now()
 	tr.SetPass(len(res.Passes))
 
 	// Phase 2: one worklist-machine round over the colorable program.
@@ -72,7 +71,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.Machine != nil {
 		mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
 	} else {
-		mg = ig.WrapPlain(ig.BuildWithLiveness(work, pc.lv, opt.Workers, tr))
+		mg = ig.WrapPlain(ig.BuildWithLiveness(work, pc.lv, 0, tr))
 	}
 	var costs []float64
 	if opt.Rematerialize {
@@ -122,6 +121,5 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	}
 	res.Func = work
 	res.Colors = colors
-	recordPassSpans(ctx, f.Name, opt, res.Passes[len(res.Passes)-1:], runStart)
 	return res, nil
 }

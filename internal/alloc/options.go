@@ -79,13 +79,9 @@ type Options struct {
 	// obs are.
 	Observer obs.Sink
 	// Workers bounds the worker pool used by whole-program
-	// allocation (regalloc.AssembleContext); 0 means GOMAXPROCS.
-	// Within a single unit, Workers > 1 additionally shards the
-	// interference-graph build across goroutines (see
-	// ig.BuildWithLiveness); the effective shard count is capped at
-	// GOMAXPROCS and small units stay sequential. The sharded build
-	// merges deterministically, so results are byte-identical to
-	// Workers <= 1 — only the build wall time changes.
+	// allocation (regalloc.AssembleContext); 0 means GOMAXPROCS. It
+	// sizes only that pool: each unit is allocated sequentially, so
+	// Workers never changes an allocation.
 	Workers int
 	// UsePColor replaces the sequential simplify/select pair with the
 	// speculative parallel first-fit engine (internal/pcolor) inside

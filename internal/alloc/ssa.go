@@ -3,7 +3,6 @@ package alloc
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"regalloc/internal/ir"
 	"regalloc/internal/obs"
@@ -22,7 +21,6 @@ import (
 func runSSA(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	work := f.Clone()
 	tr := obs.New(opt.Observer, f.Name)
-	runStart := time.Now()
 	sres, err := ssa.Allocate(ctx, work, opt.K(), opt.CostParams, tr)
 	if err != nil {
 		return nil, err
@@ -49,6 +47,5 @@ func runSSA(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	})
 	res.Passes[0].Build = st.Build
 	res.Passes[0].Spill = st.Spill
-	recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
 	return res, nil
 }

@@ -15,9 +15,8 @@
 //     (seed, workers) pair when the speculative engine is on.
 //
 // Fields that provably cannot change the result are excluded:
-// Options.Workers only shards the graph build (documented and tested
-// byte-identical to sequential) and sizes the whole-program worker
-// pool, and Options.Observer only watches. Excluding them is what
+// Options.Workers only sizes the whole-program worker pool, and
+// Options.Observer only watches. Excluding them is what
 // makes a warm cache survive clients that tune concurrency knobs.
 //
 // Every digest is domain-separated (a fixed tag is hashed first) and

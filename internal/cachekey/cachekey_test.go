@@ -74,8 +74,8 @@ func TestGraphSeparates(t *testing.T) {
 func TestOptionsFingerprint(t *testing.T) {
 	base := alloc.DefaultOptions()
 
-	// Result-neutral knobs collide: Workers shards the build
-	// byte-identically and Observer only watches.
+	// Result-neutral knobs collide: Workers only sizes the
+	// whole-program pool and Observer only watches.
 	tuned := base
 	tuned.Workers = 8
 	if Options(base) != Options(tuned) {

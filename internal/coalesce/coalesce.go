@@ -49,27 +49,8 @@ type Stats struct {
 // and could keep the allocator from converging.
 func Run(f *ir.Func) (int, *ig.Graph) {
 	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, nil, 1, nil)
-	return st.Moves, finalGraph(f, g, lv, nil)
-}
-
-// RunTraced is Run with an observability tracer: each build/coalesce
-// round emits counters for the moves examined and merged, which is
-// finer-grained than the total Run returns (the fixpoint loop's
-// convergence is visible round by round). A nil tracer makes it
-// identical to Run.
-func RunTraced(f *ir.Func, tr *obs.Tracer) (int, *ig.Graph) {
-	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, nil, 1, tr)
-	return st.Moves, finalGraph(f, g, lv, tr)
-}
-
-// RunConservativeTraced is RunConservative with an observability
-// tracer; see RunTraced.
-func RunConservativeTraced(f *ir.Func, k func(ir.Class) int, tr *obs.Tracer) (int, *ig.Graph) {
-	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, k, 1, tr)
-	return st.Moves, finalGraph(f, g, lv, tr)
+	st, g := RunWithLiveness(f, lv, nil, 0, nil)
+	return st.Moves, finalGraph(f, g, lv)
 }
 
 // finalGraph upholds the convenience entry points' contract of always
@@ -77,9 +58,9 @@ func RunConservativeTraced(f *ir.Func, k func(ir.Class) int, tr *obs.Tracer) (in
 // (because merged moves force the caller to renumber and rebuild
 // anyway), build one for the rewritten function here, on the liveness
 // the run left in lv.
-func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness, tr *obs.Tracer) *ig.Graph {
+func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness) *ig.Graph {
 	if g == nil {
-		g = ig.BuildWithLiveness(f, lv, 1, tr)
+		g = ig.BuildWithLiveness(f, lv, 0, nil)
 	}
 	return g
 }
@@ -94,8 +75,8 @@ func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness, tr *obs.Tracer) 
 // paper's own allocator coalesces aggressively.
 func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, k, 1, nil)
-	return st.Moves, finalGraph(f, g, lv, nil)
+	st, g := RunWithLiveness(f, lv, k, 0, nil)
+	return st.Moves, finalGraph(f, g, lv)
 }
 
 // RunWithLiveness is the allocator's cache-aware entry point: lv must
@@ -105,8 +86,9 @@ func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 // merged moves (the rewrite renames registers, so the sets go stale);
 // the common converged round costs no dataflow at all. On return lv
 // is the liveness of f as rewritten. conservativeK, when non-nil,
-// switches to the Briggs conservative test; workers > 1 shards the
-// graph builds (see ig.BuildWithLiveness).
+// switches to the Briggs conservative test. The int argument is
+// ignored; it stays only because perfbench's probe still passes a
+// worker count.
 //
 // The returned graph is non-nil only when no move was merged: f and
 // lv are then unchanged, so the caller can color on it directly.
@@ -118,7 +100,7 @@ func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 // interfere, which interferingMoves answers by walking just the blocks
 // that define a candidate register. Conservative rounds build a full
 // graph every round, since the Briggs test reads neighbor lists.
-func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, workers int, tr *obs.Tracer) (Stats, *ig.Graph) {
+func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, _ int, tr *obs.Tracer) (Stats, *ig.Graph) {
 	var st Stats
 	// Rewrites rename registers but never add any, so scratch sized
 	// once serves every round.
@@ -146,7 +128,7 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 		var g *ig.Graph
 		var check func(dst, src ir.Reg, hit bool)
 		if conservativeK != nil {
-			g = ig.BuildWithLiveness(f, lv, workers, tr)
+			g = ig.BuildWithLiveness(f, lv, 0, tr)
 		} else {
 			as.interferingMoves(f, lv, cands)
 			if interferenceObserver != nil {
@@ -211,7 +193,7 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 				return st, nil // f was rewritten; see the contract above
 			}
 			if g == nil {
-				g = ig.BuildWithLiveness(f, lv, workers, tr)
+				g = ig.BuildWithLiveness(f, lv, 0, tr)
 			}
 			return st, g
 		}
@@ -324,7 +306,7 @@ func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, 
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg && start[d] != start[d+1] {
-				lv.LiveAcrossRange(f, b, i, len(b.Instrs), nil, visit)
+				lv.LiveAcrossRange(f, b, i, visit)
 				break
 			}
 		}

@@ -28,7 +28,7 @@ func CheckInterferenceQueries(check func(got, want bool)) (restore func()) {
 		var g *ig.Graph
 		return func(dst, src ir.Reg, hit bool) {
 			if g == nil {
-				g = ig.BuildWithLiveness(f, lv, 1, nil)
+				g = ig.BuildWithLiveness(f, lv, 0, nil)
 			}
 			check(hit, g.Interfere(int32(dst), int32(src)))
 		}

@@ -156,7 +156,7 @@ func BenchmarkCoalesce(b *testing.B) {
 					liverange.Renumber(f)
 					lv := dataflow.ComputeLiveness(f)
 					b.StartTimer()
-					coalesce.RunWithLiveness(f, lv, mode.k, 1, nil)
+					coalesce.RunWithLiveness(f, lv, mode.k, 0, nil)
 				}
 			})
 		}

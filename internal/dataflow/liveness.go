@@ -99,25 +99,17 @@ func (lv *Liveness) Recompute(f *ir.Func) {
 // callback must not retain the set. This is the traversal the
 // interference-graph builder uses.
 func (lv *Liveness) LiveAcross(f *ir.Func, b *ir.Block, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	lv.LiveAcrossRange(f, b, 0, len(b.Instrs), nil, visit)
+	lv.LiveAcrossRange(f, b, 0, visit)
 }
 
-// LiveAcrossRange is LiveAcross restricted to instructions [lo, hi)
-// of b. liveAtHi must be the set live after instruction hi-1 (as
-// LiveAtCuts computes it); nil means hi is the end of the block and
-// the walk starts from the block's live-out. The set is copied, not
-// mutated. Splitting a block into ranges at cut points and walking
-// each range with its LiveAtCuts set visits exactly the states the
-// full LiveAcross walk would — this is what lets the parallel
-// interference-graph build cut inside the huge straight-line blocks
-// of generated code instead of sharding on block boundaries only.
-func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo, hi int, liveAtHi *bitset.Set, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	if liveAtHi == nil {
-		liveAtHi = lv.Out[b.ID]
-	}
-	live := liveAtHi.Copy()
+// LiveAcrossRange is LiveAcross stopped at instruction lo: it starts
+// from the block's live-out, as LiveAcross does, and visits
+// instructions len(b.Instrs)-1 down to lo. The coalescer uses it to
+// skip the head of a block that defines no register it asks about.
+func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo int, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
+	live := lv.Out[b.ID].Copy()
 	var ubuf []ir.Reg
-	for i := hi - 1; i >= lo; i-- {
+	for i := len(b.Instrs) - 1; i >= lo; i-- {
 		in := &b.Instrs[i]
 		visit(i, in, live)
 		if dst := in.Def(); dst != ir.NoReg {
@@ -128,35 +120,4 @@ func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo, hi int, liveAtH
 			live.Add(int(r))
 		}
 	}
-}
-
-// LiveAtCuts returns, for each cut index (ascending, each in
-// (0, len(b.Instrs))), the set live after instruction cut-1 of b —
-// the state the backward LiveAcross walk holds when it is about to
-// visit instruction cut-1. One backward sweep serves all cuts; the
-// sweep only transfers the live set (no per-live-register work), so
-// it is far cheaper than the enumeration walk it seeds.
-func (lv *Liveness) LiveAtCuts(f *ir.Func, b *ir.Block, cuts []int) []*bitset.Set {
-	out := make([]*bitset.Set, len(cuts))
-	live := lv.Out[b.ID].Copy()
-	var ubuf []ir.Reg
-	next := len(cuts) - 1
-	for i := len(b.Instrs) - 1; i >= 0 && next >= 0; i-- {
-		if cuts[next] == i+1 {
-			out[next] = live.Copy()
-			next--
-			if next < 0 {
-				break
-			}
-		}
-		in := &b.Instrs[i]
-		if dst := in.Def(); dst != ir.NoReg {
-			live.Remove(int(dst))
-		}
-		ubuf = in.AppendUses(ubuf[:0])
-		for _, r := range ubuf {
-			live.Add(int(r))
-		}
-	}
-	return out
 }

@@ -105,19 +105,59 @@ func TestCSRMatchesLegacyAdjacencyOnCorpus(t *testing.T) {
 	for _, size := range []int{40, 300, 900} {
 		f := giantBlock(t, size)
 		lv := dataflow.ComputeLiveness(f)
-		g := BuildWithLiveness(f, lv, 1, nil)
+		g := BuildWithLiveness(f, lv, 0, nil)
 		classes := make([]ir.Class, f.NumRegs())
 		for i := range classes {
 			classes[i] = f.RegClass(ir.Reg(i))
 		}
 		l := newLegacyAdj(classes)
-		for bi := range f.Blocks {
-			enumeratePiece(f, lv, wholeBlock(f, bi), func(d, lr int32) {
-				l.addEdge(d, lr)
-			})
-		}
+		enumerate(f, lv, l.addEdge)
 		requireMatchesLegacy(t, g, l, "corpus build")
 	}
+}
+
+// giantBlock builds a function whose instruction count is
+// concentrated in one straight-line block, the shape of generated
+// numeric code (GRADNT and HSSIAN put >90% of the routine in a single
+// block).
+func giantBlock(t *testing.T, n int) *ir.Func {
+	t.Helper()
+	f := &ir.Func{Name: "GIANT"}
+	regs := make([]ir.Reg, 40)
+	for i := range regs {
+		regs[i] = f.NewReg(ir.ClassInt)
+	}
+	b := f.NewBlock()
+	for i := range regs {
+		b.Instrs = append(b.Instrs, ir.Instr{
+			Op: ir.OpConst, Dst: regs[i],
+			A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: int64(i),
+		})
+	}
+	rng := uint64(7)
+	for i := 0; i < n; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		d := regs[rng%uint64(len(regs))]
+		a := regs[(rng>>8)%uint64(len(regs))]
+		c := regs[(rng>>16)%uint64(len(regs))]
+		if rng%5 == 0 {
+			b.Instrs = append(b.Instrs, ir.Instr{
+				Op: ir.OpMove, Dst: d, A: a, B: ir.NoReg, C: ir.NoReg,
+			})
+		} else {
+			b.Instrs = append(b.Instrs, ir.Instr{
+				Op: ir.OpAdd, Dst: d, A: a, B: c, C: ir.NoReg,
+			})
+		}
+	}
+	last := regs[0]
+	b.Instrs = append(b.Instrs, ir.Instr{
+		Op: ir.OpRet, Dst: ir.NoReg, A: last, B: ir.NoReg, C: ir.NoReg,
+	})
+	f.RecomputePreds()
+	return f
 }
 
 // TestMaxDegree pins the one-pass max-degree helper against the

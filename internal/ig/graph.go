@@ -35,7 +35,6 @@ import (
 
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
-	"regalloc/internal/obs"
 )
 
 // bitMatrixLimit bounds the dense membership representation: up to
@@ -72,8 +71,8 @@ func New(class []ir.Class) *Graph {
 
 // NewSized is New with a capacity hint for the expected edge count,
 // pre-sizing the edge log and the membership set so bulk builders
-// (graphgen's scale tier, the sharded merge) do not pay growth
-// rehashes on the way to millions of edges. edgeHint <= 0 means no
+// (graphgen's scale tier) do not pay growth rehashes on the way to
+// millions of edges. edgeHint <= 0 means no
 // hint.
 func NewSized(class []ir.Class, edgeHint int) *Graph {
 	g := &Graph{
@@ -241,21 +240,12 @@ func (g *Graph) MaxDegree() int {
 // after that point, except — for a copy instruction — the copy's
 // source. That exception is Chaitin's: the move dst/src pair should
 // be coalescable, not conflicting, when dst's value is just src's.
-func Build(f *ir.Func) *Graph {
-	return BuildTraced(f, nil)
-}
-
-// BuildTraced is Build with an observability tracer: the finished
-// graph's node and edge totals, and the interference-query work done
-// while building (edge insertions attempted, including duplicates
-// the edge-hash rejected), are emitted as build-phase counters. A
-// nil tracer makes it identical to Build.
 //
-// Both Build and BuildTraced compute liveness from scratch; callers
-// holding a current liveness (the allocator's per-pass cache) should
-// use BuildWithLiveness.
-func BuildTraced(f *ir.Func, tr *obs.Tracer) *Graph {
-	return BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, tr)
+// Build computes liveness from scratch; callers holding a current
+// liveness (the allocator's per-pass cache) should use
+// BuildWithLiveness.
+func Build(f *ir.Func) *Graph {
+	return BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 }
 
 // String summarizes the graph.

@@ -109,7 +109,7 @@ func BenchmarkIRCRound(b *testing.B) {
 		}
 		f := res.Func
 		liverange.Renumber(f)
-		mg := ig.WrapPlain(ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, nil))
+		mg := ig.WrapPlain(ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil))
 		costs := spill.Costs(f, opt.CostParams)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -146,7 +146,7 @@ func TestBriggsSpillsSubsetOfChaitin(t *testing.T) {
 		f := prog.Func("FZ").Clone()
 		liverange.Renumber(f)
 		lv := dataflow.ComputeLiveness(f)
-		g := ig.BuildWithLiveness(f, lv, 1, nil)
+		g := ig.BuildWithLiveness(f, lv, 0, nil)
 		costs := spill.Costs(f, spill.DefaultCostParams())
 
 		chaitin := color.Simplify(g, costs, kf, color.Chaitin, color.CostOverDegree)
@@ -169,13 +169,10 @@ func TestBriggsSpillsSubsetOfChaitin(t *testing.T) {
 	}
 }
 
-// TestWorkersEquivalence: the sharded graph build merges
-// deterministically, so Workers must never change an allocation —
-// same colors, same per-pass statistics — on fuzzed routines and on
-// the paper's SVD workload. (On a single-CPU machine the build caps
-// its shard count and the property holds trivially; on multicore CI
-// this exercises the real parallel path, and the internal ig tests
-// force the sharded path regardless.)
+// TestWorkersEquivalence: Workers sizes only the whole-program
+// worker pool, so it must never change an allocation — same colors,
+// same per-pass statistics — on fuzzed routines and on the paper's
+// SVD workload.
 func TestWorkersEquivalence(t *testing.T) {
 	check := func(t *testing.T, prog *regalloc.Program, name string) {
 		t.Helper()

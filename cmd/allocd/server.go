@@ -807,12 +807,12 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 	}
 
 	if req.Heuristic == "pcolor" {
-		t0 := time.Now()
+		span, end := rt.StartSpan(parent, "alloc:"+name, reqtrace.Attr{Key: "heuristic", Value: "pcolor"})
+		tr := obs.New(rt.PhaseSpans(span), name)
+		t0 := tr.Begin(obs.PhaseColor)
 		colors, st := pcolor.Color(g, pcolor.Options{Workers: pcolorWorkers(req), Seed: pcolorSeed(req)})
-		dur := time.Since(t0)
-		graphSpan := rt.Record(parent, "alloc:"+name, t0, dur,
-			reqtrace.Attr{Key: "heuristic", Value: "pcolor"})
-		rt.Record(graphSpan, "phase:color", t0, dur)
+		dur := tr.End(obs.PhaseColor, t0)
+		end()
 		rt.Annotate("spill_cost_milli", "0")
 		if err := color.Verify(g, colors, pcolor.KFor(st)); err != nil {
 			s.reg.Record(obs.RunSummary{Unit: name, Error: true})
@@ -849,36 +849,28 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 		}
 		return opt.KFloat
 	}
-	tr := obs.New(s.metrics, name)
-	t0 := time.Now()
-	tr.BeginPhase(obs.PhaseSimplify)
+	span, end := rt.StartSpan(parent, "alloc:"+name, reqtrace.Attr{Key: "heuristic", Value: h.String()})
+	tr := obs.New(obs.Multi(s.metrics, rt.PhaseSpans(span)), name)
+	t0 := tr.Begin(obs.PhaseSimplify)
 	sr := color.SimplifyTraced(g, costs, kf, h, opt.Metric, tr)
-	simplifyDur := time.Since(t0)
-	tr.EndPhase(obs.PhaseSimplify, simplifyDur)
+	simplifyDur := tr.End(obs.PhaseSimplify, t0)
 	var spilled []int32
 	var colors []int16
 	var colorDur time.Duration
 	if h == color.Chaitin && len(sr.SpillMarked) > 0 {
 		spilled = sr.SpillMarked
 	} else {
-		tc := time.Now()
-		tr.BeginPhase(obs.PhaseColor)
+		tc := tr.Begin(obs.PhaseColor)
 		colors, spilled = color.SelectTraced(g, sr, kf, h != color.Chaitin, tr)
-		colorDur = time.Since(tc)
-		tr.EndPhase(obs.PhaseColor, colorDur)
+		colorDur = tr.End(obs.PhaseColor, tc)
 	}
 	dur := time.Since(t0)
+	end()
 	cost := 0.0
 	for _, n := range spilled {
 		cost += costs[n]
 	}
 	if rt != nil {
-		graphSpan := rt.Record(parent, "alloc:"+name, t0, dur,
-			reqtrace.Attr{Key: "heuristic", Value: h.String()})
-		rt.Record(graphSpan, "phase:simplify", t0, simplifyDur)
-		if colorDur > 0 {
-			rt.Record(graphSpan, "phase:color", t0.Add(simplifyDur), colorDur)
-		}
 		rt.Annotate("spill_cost_milli", strconv.FormatInt(obs.SpillCostMilli(cost), 10))
 	}
 	sum := obs.RunSummary{

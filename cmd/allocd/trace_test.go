@@ -264,36 +264,96 @@ func spanAttr(sp reqtrace.Span, key string) string {
 
 // requireOneAllocSpan checks the allocator's part of a traced
 // SAXPYISH request: exactly one alloc span, labeled with the request's
-// heuristic and the response's pass count, and phase spans parented
-// to it whose durations reconcile exactly with the response's
-// phase_ns (both derive from the same integer PassStats durations).
+// heuristic and the response's pass count, and phase spans inside it
+// whose durations reconcile exactly with the response's phase_ns
+// (both are the same clock readings).
 func requireOneAllocSpan(t *testing.T, rec *reqtrace.RequestRecord, heuristic string, unit unitResponse) {
 	t.Helper()
-	allocs := spansNamed(rec, "alloc:SAXPYISH")
-	if len(allocs) != 1 {
-		t.Fatalf("%s: alloc:SAXPYISH spans = %d, want 1", heuristic, len(allocs))
-	}
-	if got := spanAttr(allocs[0], "heuristic"); got != heuristic {
-		t.Errorf("%s: alloc span heuristic = %q", heuristic, got)
-	}
-	if got, want := spanAttr(allocs[0], "passes"), strconv.Itoa(unit.Passes); got != want {
+	run := requireAllocSpan(t, rec, "alloc:SAXPYISH", heuristic)
+	if got, want := spanAttr(run, "passes"), strconv.Itoa(unit.Passes); got != want {
 		t.Errorf("%s: alloc span passes = %q, response passes = %s", heuristic, got, want)
 	}
 	var wantPhaseNS, gotPhaseNS int64
 	for _, ns := range unit.PhaseNS {
 		wantPhaseNS += ns
 	}
-	for _, sp := range spansNamed(rec, "phase:") {
-		if sp.Parent != allocs[0].ID {
-			t.Errorf("%s: phase span %s not parented to the alloc span", heuristic, sp.Name)
-		}
+	for _, sp := range requirePhasesInside(t, rec, run, heuristic) {
 		gotPhaseNS += sp.DurNS
 	}
 	if gotPhaseNS != wantPhaseNS {
 		t.Fatalf("%s: summed phase spans = %dns, response phase_ns = %dns (must reconcile exactly)", heuristic, gotPhaseNS, wantPhaseNS)
 	}
-	if allocs[0].DurNS != wantPhaseNS {
-		t.Fatalf("%s: alloc span = %dns, want %dns (sum of its phases)", heuristic, allocs[0].DurNS, wantPhaseNS)
+}
+
+// requireAllocSpan returns the record's one span called name and
+// checks its heuristic attribute.
+func requireAllocSpan(t *testing.T, rec *reqtrace.RequestRecord, name, heuristic string) reqtrace.Span {
+	t.Helper()
+	allocs := spansNamed(rec, name)
+	if len(allocs) != 1 {
+		t.Fatalf("%s: %s spans = %d, want 1", heuristic, name, len(allocs))
+	}
+	if got := spanAttr(allocs[0], "heuristic"); got != heuristic {
+		t.Errorf("%s: %s span heuristic = %q", heuristic, name, got)
+	}
+	return allocs[0]
+}
+
+// requirePhasesInside returns the record's phase spans after checking
+// that they are children of run, in order, not overlapping, and inside
+// it. The run span is the allocation's wall time, so it may exceed
+// their sum.
+func requirePhasesInside(t *testing.T, rec *reqtrace.RequestRecord, run reqtrace.Span, heuristic string) []reqtrace.Span {
+	t.Helper()
+	phases := spansNamed(rec, "phase:")
+	prevEnd := run.StartNS
+	for _, sp := range phases {
+		if sp.Parent != run.ID {
+			t.Errorf("%s: phase span %s not parented to the alloc span", heuristic, sp.Name)
+		}
+		if sp.StartNS < prevEnd {
+			t.Errorf("%s: %s (pass %s) starts at %dns, before %dns (the previous phase's end, or the alloc span's start)",
+				heuristic, sp.Name, spanAttr(sp, "pass"), sp.StartNS, prevEnd)
+		}
+		prevEnd = sp.StartNS + sp.DurNS
+	}
+	if end := run.StartNS + run.DurNS; prevEnd > end {
+		t.Errorf("%s: last phase span ends at %dns, after the alloc span ends at %dns", heuristic, prevEnd, end)
+	}
+	return phases
+}
+
+// TestTraceGraphPaths: both graph paths record their alloc span and
+// phase spans through the same sink as source allocations.
+func TestTraceGraphPaths(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct {
+		heuristic string
+		phases    []string
+	}{
+		{"briggs", []string{"phase:simplify", "phase:color"}},
+		{"pcolor", []string{"phase:color"}},
+	} {
+		code, data, tp := postTraced(t, ts, "/v1/alloc?kint=2&heuristic="+tc.heuristic, testGraph, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.heuristic, code, data)
+		}
+		sc, err := reqtrace.Parse(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := findRecord(debugRequests(t, ts), sc.TraceID.String())
+		if rec == nil {
+			t.Fatalf("%s: no record for the graph request", tc.heuristic)
+		}
+		run := requireAllocSpan(t, rec, "alloc:graph", tc.heuristic)
+		var names []string
+		for _, sp := range requirePhasesInside(t, rec, run, tc.heuristic) {
+			names = append(names, sp.Name)
+		}
+		if strings.Join(names, ",") != strings.Join(tc.phases, ",") {
+			t.Errorf("%s: phase spans %v, want %v", tc.heuristic, names, tc.phases)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // load.go is the driver: closed- or open-loop request generation
-// against /v1/alloc, latency observation on the repo's fixed-bucket
-// histogram, client-side cache accounting from the X-Cache reply
+// against /v1/alloc, every request's latency kept as a raw sample,
+// client-side cache accounting from the X-Cache reply
 // header, and per-request W3C trace identities — every request
 // carries a minted traceparent, and the trace IDs of the slowest and
 // errored requests are kept so the report (and a failing SLO gate)
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"regalloc/internal/graphgen"
-	"regalloc/internal/obs"
 	"regalloc/internal/reqtrace"
 )
 
@@ -48,8 +47,8 @@ type loadConfig struct {
 // collector aggregates results from all in-flight workers.
 type collector struct {
 	mu       sync.Mutex
-	lat      obs.LatencyHistogram // service replies only (any HTTP status)
-	errLat   obs.LatencyHistogram // transport failures (status 0)
+	lat      []time.Duration // service replies only (any HTTP status)
+	errLat   []time.Duration // transport failures (status 0)
 	requests int64
 	errors   int64
 	statuses map[int]int64
@@ -84,13 +83,13 @@ func (c *collector) observe(status int, xcache, traceID string, d time.Duration,
 	if status == 0 {
 		// Transport failure: the duration is the client's timeout or
 		// connect path, not service latency. Folding a batch of
-		// 30-second client timeouts into the same histogram the SLO
+		// 30-second client timeouts into the same sample the SLO
 		// gate reads would let a brief outage masquerade as a tail
 		// regression (or, worse, mask one); they are tracked apart
 		// and reported as error_latency.
-		c.errLat.Observe(d)
+		c.errLat = append(c.errLat, d)
 	} else {
-		c.lat.Observe(d)
+		c.lat = append(c.lat, d)
 	}
 	c.statuses[status]++
 	if failed {
@@ -338,7 +337,7 @@ func summarize(cfg loadConfig, mode string, col *collector, dropped int64) *load
 	if col.requests > 0 {
 		lt.ErrorRate = float64(col.errors) / float64(col.requests)
 	}
-	if col.errLat.Count > 0 {
+	if len(col.errLat) > 0 {
 		q := quantilesOf(col.errLat)
 		lt.ErrorLatency = &q
 	}

@@ -411,6 +411,33 @@ func TestTransportErrorLatencySeparate(t *testing.T) {
 	}
 }
 
+// TestLatencyPercentilesExact: the report's percentiles come from the
+// raw sample by nearest rank. On 99 replies of 1.1ms and one of 30ms,
+// p50, p95 and p99 are all 1.1ms and the max is 30ms; interpolating
+// inside the 1-2-5 histogram buckets gave about 1.5ms and 2ms.
+func TestLatencyPercentilesExact(t *testing.T) {
+	col := newCollector()
+	for i := 0; i < 99; i++ {
+		col.observe(http.StatusOK, "miss", "", 1100*time.Microsecond, false)
+	}
+	col.observe(http.StatusOK, "miss", "", 30*time.Millisecond, false)
+	lt := summarize(loadConfig{Corpus: &corpus{}}, "closed", col, 0)
+	want := quantiles{
+		Count:  100,
+		P50NS:  1_100_000,
+		P95NS:  1_100_000,
+		P99NS:  1_100_000,
+		MeanNS: 1_389_000,
+		MaxNS:  30_000_000,
+	}
+	if lt.Latency != want {
+		t.Fatalf("latency = %+v, want %+v", lt.Latency, want)
+	}
+	if lt.ErrorLatency != nil {
+		t.Fatalf("error_latency = %+v with no transport failures", lt.ErrorLatency)
+	}
+}
+
 func TestRunLoadUnreachableTarget(t *testing.T) {
 	corpus, err := buildCorpus(1)
 	if err != nil {
@@ -433,7 +460,7 @@ func TestReportShapeAndGate(t *testing.T) {
 		SlowTraceIDs: []string{"4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b700f067aa0ba902b7"},
 	}
 	r := newReport(lt)
-	if r.Schema != "regalloc-bench/11" {
+	if r.Schema != "regalloc-bench/12" {
 		t.Fatalf("schema %q", r.Schema)
 	}
 	if len(r.SchemaHistory) == 0 || !strings.HasPrefix(r.SchemaHistory[len(r.SchemaHistory)-1], r.Schema+":") {

@@ -1,20 +1,19 @@
 // report.go is the bench-json document allocload emits: schema
-// regalloc-bench/11, which carries the loadtest section added in /6,
+// regalloc-bench/12, which carries the loadtest section added in /6,
 // the /7 error_latency split (transport failures quantified apart
-// from service latency), and the /9 trace linkage — the trace IDs of
+// from service latency), the /9 trace linkage — the trace IDs of
 // the slowest and errored requests plus their flight-recorder span
-// trees, fetched back from allocd after the run. The section's shape
-// mirrors cmd/bench's latency quantiles so the two reports diff with
-// the same tooling.
+// trees, fetched back from allocd after the run — and, since /12,
+// exact percentiles over every request.
 package main
 
 import (
-	"regalloc/internal/obs"
+	"sort"
+	"time"
 )
 
-// quantiles summarizes one obs.LatencyHistogram the same way
-// cmd/bench does: percentile estimates by linear interpolation
-// within the fixed 1-2-5 buckets, clamped to the observed maximum.
+// quantiles summarizes a latency sample exactly: nearest-rank
+// percentiles, the mean and the maximum over every observation.
 type quantiles struct {
 	Count  int64 `json:"count"`
 	P50NS  int64 `json:"p50_ns"`
@@ -24,14 +23,29 @@ type quantiles struct {
 	MaxNS  int64 `json:"max_ns"`
 }
 
-func quantilesOf(h obs.LatencyHistogram) quantiles {
+// quantilesOf summarizes ds without modifying it. The pct-th
+// percentile is the sample at nearest rank r, the smallest r with
+// r/n >= pct/100 (perfbench's rule, in integer arithmetic so the rank
+// is exact).
+func quantilesOf(ds []time.Duration) quantiles {
+	n := len(ds)
+	if n == 0 {
+		return quantiles{}
+	}
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	at := func(pct int) int64 { return s[(pct*n+99)/100-1].Nanoseconds() }
+	var sum time.Duration
+	for _, d := range s {
+		sum += d
+	}
 	return quantiles{
-		Count:  h.Count,
-		P50NS:  h.Quantile(0.50).Nanoseconds(),
-		P95NS:  h.Quantile(0.95).Nanoseconds(),
-		P99NS:  h.Quantile(0.99).Nanoseconds(),
-		MeanNS: h.Mean().Nanoseconds(),
-		MaxNS:  h.MaxNS,
+		Count:  int64(n),
+		P50NS:  at(50),
+		P95NS:  at(95),
+		P99NS:  at(99),
+		MeanNS: (sum / time.Duration(n)).Nanoseconds(),
+		MaxNS:  s[n-1].Nanoseconds(),
 	}
 }
 
@@ -111,7 +125,7 @@ type report struct {
 
 // benchSchema and benchSchemaHistory are the shared bench-json
 // lineage; cmd/bench carries the same strings.
-const benchSchema = "regalloc-bench/11"
+const benchSchema = "regalloc-bench/12"
 
 func benchSchemaHistory() []string {
 	return []string{
@@ -124,6 +138,7 @@ func benchSchemaHistory() []string {
 		"regalloc-bench/9: adds loadtest.slow_trace_ids/error_trace_ids/traces (trace IDs of the slowest and errored requests, with their flight-recorder records fetched from allocd's /debug/requests); all /8 fields unchanged",
 		"regalloc-bench/10: adds irc (iterated register coalescing vs the Briggs conservative pre-pass: surviving copies per figure-5 routine) and irc_eliminated_pct; all /9 fields unchanged",
 		"regalloc-bench/11: drops runs[].workers, the workers=4 runs and build_improvement_pct (the graph build is sequential, so they timed the same path twice); all other /10 fields unchanged",
+		"regalloc-bench/12: drops reps, runs, graphs, pcolor, phase_latency and run_latency (perfbench times the allocator from raw samples; bench -figure 7 and -figure pcolor print the same comparisons), and loadtest percentiles become exact nearest-rank ones over every request; all other /11 fields unchanged",
 	}
 }
 

@@ -1,7 +1,8 @@
-// benchjson implements bench -bench-json: a machine-readable phase
-// benchmark over the paper's figure-7 routines and the standalone
-// graph-coloring stress generators, written as one JSON document so
-// CI can archive it and successive PRs can be diffed.
+// benchjson implements bench -bench-json: the quality studies
+// (portfolio races, the scale tier, the SSA and IRC studies) written
+// as one machine-readable JSON document so CI can archive it and
+// successive PRs can be diffed. Allocator timing lives in perfbench,
+// which reports percentiles from raw samples.
 //
 // Schema history (repeated in the report's schema_history field so an
 // archived file explains itself; every bump up to /10 is additive):
@@ -51,6 +52,13 @@
 //	                  rows and build_improvement_pct: the graph build
 //	                  is sequential, so those rows timed the same path
 //	                  twice; all other /10 fields unchanged
+//	regalloc-bench/12 drops reps, runs, graphs, pcolor, phase_latency
+//	                  and run_latency: perfbench times the allocator
+//	                  from raw samples, and bench -figure 7 and -figure
+//	                  pcolor print the same comparisons. allocload's
+//	                  loadtest percentiles become exact nearest-rank
+//	                  ones over every request (same fields); all
+//	                  other /11 fields unchanged
 package main
 
 import (
@@ -59,66 +67,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"regalloc"
-	"regalloc/internal/color"
 	"regalloc/internal/experiments"
 	"regalloc/internal/fsutil"
-	"regalloc/internal/graphgen"
-	"regalloc/internal/ig"
-	"regalloc/internal/ir"
-	"regalloc/internal/obs"
-	"regalloc/internal/pcolor"
 	"regalloc/internal/workloads"
 )
-
-// benchPass is one trip around the Figure 4 cycle, nanoseconds.
-type benchPass struct {
-	BuildNS    int64 `json:"build_ns"`
-	SimplifyNS int64 `json:"simplify_ns"`
-	ColorNS    int64 `json:"color_ns"`
-	SpillNS    int64 `json:"spill_ns"`
-	Spilled    int   `json:"spilled"`
-}
-
-// benchRun is the per-pass timing of one routine (best-of-reps to
-// damp scheduler noise).
-type benchRun struct {
-	Routine     string      `json:"routine"`
-	Passes      []benchPass `json:"passes"`
-	BuildNS     int64       `json:"build_ns_total"`
-	TotalNS     int64       `json:"total_ns"`
-	LiveRanges  int         `json:"live_ranges"`
-	Spilled     int         `json:"spilled_total"`
-	PassesCount int         `json:"pass_count"`
-}
-
-// benchGraph times simplify+select on a generated stress graph.
-type benchGraph struct {
-	Name      string `json:"name"`
-	Heuristic string `json:"heuristic"`
-	Nodes     int    `json:"nodes"`
-	Edges     int    `json:"edges"`
-	Spilled   int    `json:"spilled"`
-	NS        int64  `json:"ns"`
-}
-
-// benchPColor compares the speculative parallel colorer against the
-// sequential smallest-last heuristic on one large stress graph.
-type benchPColor struct {
-	Name      string  `json:"name"`
-	Nodes     int     `json:"nodes"`
-	Edges     int     `json:"edges"`
-	Workers   int     `json:"workers"`
-	SeqNS     int64   `json:"seq_ns"`
-	ParNS     int64   `json:"par_ns"`
-	Speedup   float64 `json:"speedup"`
-	Rounds    int     `json:"rounds"`
-	Conflicts int     `json:"conflicts"`
-	SeqColors int     `json:"seq_colors"`
-	ParColors int     `json:"par_colors"`
-}
 
 // benchScale is one cell of the scale tier (new in regalloc-bench/7):
 // parallel coloring wall time on a 10^5-node graph, per topology,
@@ -201,44 +155,11 @@ type benchPortfolio struct {
 	Candidates  []benchPortfolioCandidate `json:"candidates"`
 }
 
-// benchQuantiles summarizes one obs.LatencyHistogram: percentile
-// estimates by linear interpolation within the 1-2-5 buckets, clamped
-// to the observed maximum.
-type benchQuantiles struct {
-	Count  int64 `json:"count"`
-	P50NS  int64 `json:"p50_ns"`
-	P95NS  int64 `json:"p95_ns"`
-	P99NS  int64 `json:"p99_ns"`
-	MeanNS int64 `json:"mean_ns"`
-	MaxNS  int64 `json:"max_ns"`
-}
-
-func quantilesOf(h obs.LatencyHistogram) benchQuantiles {
-	return benchQuantiles{
-		Count:  h.Count,
-		P50NS:  h.Quantile(0.50).Nanoseconds(),
-		P95NS:  h.Quantile(0.95).Nanoseconds(),
-		P99NS:  h.Quantile(0.99).Nanoseconds(),
-		MeanNS: h.Mean().Nanoseconds(),
-		MaxNS:  h.MaxNS,
-	}
-}
-
 type benchReport struct {
-	Schema        string        `json:"schema"`
-	SchemaHistory []string      `json:"schema_history"`
-	GoMaxProcs    int           `json:"gomaxprocs"`
-	NumCPU        int           `json:"num_cpu"`
-	Reps          int           `json:"reps"`
-	Runs          []benchRun    `json:"runs"`
-	Graphs        []benchGraph  `json:"graphs"`
-	PColor        []benchPColor `json:"pcolor"`
-	// PhaseLatency aggregates every rep of every figure-7 allocation
-	// (not just the best-of-reps kept in Runs) per Figure 4 phase;
-	// RunLatency does the same for whole-allocation wall time. New in
-	// regalloc-bench/4.
-	PhaseLatency map[string]benchQuantiles `json:"phase_latency"`
-	RunLatency   benchQuantiles            `json:"run_latency"`
+	Schema        string   `json:"schema"`
+	SchemaHistory []string `json:"schema_history"`
+	GoMaxProcs    int      `json:"gomaxprocs"`
+	NumCPU        int      `json:"num_cpu"`
 	// Portfolio races the default strategy set once per figure-7
 	// routine: deterministic winner by (milli spill cost, spills,
 	// index). New in regalloc-bench/5.
@@ -288,16 +209,13 @@ func figure7Routines() (map[string]*regalloc.Program, []struct{ program, routine
 // runBenchJSON writes the benchmark report to path and returns any
 // error (the caller exits nonzero on failure, so a CI job that
 // uploads the artifact fails loudly instead of archiving nothing).
-func runBenchJSON(path string, reps int) error {
-	if reps <= 0 {
-		reps = 3
-	}
+func runBenchJSON(path string) error {
 	compiled, wanted, err := figure7Routines()
 	if err != nil {
 		return err
 	}
 	report := &benchReport{
-		Schema: "regalloc-bench/11",
+		Schema: "regalloc-bench/12",
 		SchemaHistory: []string{
 			"regalloc-bench/3: runs, graphs, pcolor, build_improvement_pct",
 			"regalloc-bench/4: adds phase_latency + run_latency (p50/p95/p99 over every rep); all /3 fields unchanged",
@@ -308,158 +226,12 @@ func runBenchJSON(path string, reps int) error {
 			"regalloc-bench/9: adds loadtest.slow_trace_ids/error_trace_ids/traces (trace IDs of the slowest and errored requests, with their flight-recorder records fetched from allocd's /debug/requests); all /8 fields unchanged",
 			"regalloc-bench/10: adds irc (iterated register coalescing vs the Briggs conservative pre-pass: surviving copies per figure-5 routine) and irc_eliminated_pct; all /9 fields unchanged",
 			"regalloc-bench/11: drops runs[].workers, the workers=4 runs and build_improvement_pct (the graph build is sequential, so they timed the same path twice); all other /10 fields unchanged",
+			"regalloc-bench/12: drops reps, runs, graphs, pcolor, phase_latency and run_latency (perfbench times the allocator from raw samples; bench -figure 7 and -figure pcolor print the same comparisons), and loadtest percentiles become exact nearest-rank ones over every request; all other /11 fields unchanged",
 		},
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Reps:         reps,
-		PhaseLatency: map[string]benchQuantiles{},
-		Note: "times are best-of-reps wall clock; " +
-			"phase_latency/run_latency aggregate every rep, not the best",
-	}
-
-	// Every rep of every allocation below is also recorded here, so
-	// the /4 latency quantiles see the full distribution rather than
-	// the minimum that Runs keeps.
-	reg := regalloc.NewRegistry()
-
-	for _, s := range wanted {
-		prog := compiled[s.program]
-		best := benchRun{Routine: s.routine}
-		for rep := 0; rep < reps; rep++ {
-			opt := regalloc.DefaultOptions()
-			opt.Heuristic = regalloc.Briggs
-			res, err := prog.Allocate(s.routine, opt)
-			if err != nil {
-				return fmt.Errorf("%s: %w", s.routine, err)
-			}
-			reg.Record(regalloc.Summarize(s.routine, res))
-			run := benchRun{Routine: s.routine}
-			for _, p := range res.Passes {
-				run.Passes = append(run.Passes, benchPass{
-					BuildNS:    p.Build.Nanoseconds(),
-					SimplifyNS: p.Simplify.Nanoseconds(),
-					ColorNS:    p.Color.Nanoseconds(),
-					SpillNS:    p.Spill.Nanoseconds(),
-					Spilled:    p.Spilled,
-				})
-				run.BuildNS += p.Build.Nanoseconds()
-			}
-			run.TotalNS = res.TotalTime().Nanoseconds()
-			run.LiveRanges = res.LiveRanges()
-			run.Spilled = res.TotalSpilled()
-			run.PassesCount = len(res.Passes)
-			if best.TotalNS == 0 || run.BuildNS < best.BuildNS {
-				best = run
-			}
-		}
-		report.Runs = append(report.Runs, best)
-	}
-
-	// Standalone coloring on generated graphs: isolates the
-	// simplify/select machinery from the compiler front half.
-	type gen struct {
-		name  string
-		g     *ig.Graph
-		costs []float64
-	}
-	var gens []gen
-	{
-		g, costs := graphgen.Random(400, 0.08, 11)
-		gens = append(gens, gen{"random-400-0.08", g, costs})
-	}
-	{
-		g, costs := graphgen.SVDLike(60, 40, 8, 12, 3, 7)
-		gens = append(gens, gen{"svdlike-60x40", g, costs})
-	}
-	kf := func(ir.Class) int { return 8 }
-	for _, ge := range gens {
-		for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.MatulaBeck} {
-			var bestNS int64
-			var spilled int
-			for rep := 0; rep < reps; rep++ {
-				t0 := time.Now()
-				sr := color.Simplify(ge.g, ge.costs, kf, h, color.CostOverDegree)
-				var sp []int32
-				if h == color.Chaitin && len(sr.SpillMarked) > 0 {
-					sp = sr.SpillMarked
-				} else {
-					_, sp = color.Select(ge.g, sr.Stack, kf, h != color.Chaitin)
-				}
-				ns := time.Since(t0).Nanoseconds()
-				if bestNS == 0 || ns < bestNS {
-					bestNS = ns
-				}
-				spilled = len(sp)
-			}
-			report.Graphs = append(report.Graphs, benchGraph{
-				Name:      ge.name,
-				Heuristic: h.String(),
-				Nodes:     ge.g.NumNodes(),
-				Edges:     ge.g.NumEdges(),
-				Spilled:   spilled,
-				NS:        bestNS,
-			})
-		}
-	}
-
-	// Speculative parallel coloring on large random graphs: the
-	// sequential side is the same smallest-last machinery timed
-	// above, the parallel side the Rokos-style engine at 1 worker
-	// (scheme overhead) and at GOMAXPROCS (the speedup claim: on a
-	// host with GOMAXPROCS >= 4 the latter beats sequential wall
-	// clock on Random(n >= 20000)).
-	for _, spec := range []struct {
-		name string
-		n    int
-		p    float64
-		seed uint64
-	}{
-		{"random-20000-0.0012", 20000, 0.0012, 21},
-		{"random-32000-0.0008", 32000, 0.0008, 22},
-	} {
-		g, _ := graphgen.Random(spec.n, spec.p, spec.seed)
-		var seqNS int64
-		var seq *pcolor.Stats
-		for rep := 0; rep < reps; rep++ {
-			t0 := time.Now()
-			_, st := pcolor.Sequential(g)
-			if ns := time.Since(t0).Nanoseconds(); seqNS == 0 || ns < seqNS {
-				seqNS = ns
-			}
-			seq = st
-		}
-		workerCounts := []int{1}
-		if gmp := runtime.GOMAXPROCS(0); gmp > 1 {
-			workerCounts = append(workerCounts, gmp)
-		}
-		for _, workers := range workerCounts {
-			var parNS int64
-			var st *pcolor.Stats
-			var colors []int16
-			for rep := 0; rep < reps; rep++ {
-				t0 := time.Now()
-				colors, st = pcolor.Color(g, pcolor.Options{Workers: workers, Seed: 1})
-				if ns := time.Since(t0).Nanoseconds(); parNS == 0 || ns < parNS {
-					parNS = ns
-				}
-			}
-			if err := color.Verify(g, colors, pcolor.KFor(st)); err != nil {
-				return fmt.Errorf("pcolor %s workers=%d: %w", spec.name, workers, err)
-			}
-			report.PColor = append(report.PColor, benchPColor{
-				Name:      spec.name,
-				Nodes:     g.NumNodes(),
-				Edges:     g.NumEdges(),
-				Workers:   st.Workers,
-				SeqNS:     seqNS,
-				ParNS:     parNS,
-				Speedup:   float64(seqNS) / float64(parNS),
-				Rounds:    st.Rounds,
-				Conflicts: st.Conflicts,
-				SeqColors: seq.ColorsInt,
-				ParColors: st.ColorsInt,
-			})
-		}
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Note: "quality studies only; the ns columns are single-run wall clock, " +
+			"and perfbench is the allocator's timing benchmark",
 	}
 
 	// Portfolio races over the figure-7 routines (new in /5): the
@@ -472,7 +244,6 @@ func runBenchJSON(path string, reps int) error {
 		if err != nil {
 			return fmt.Errorf("portfolio %s: %w", s.routine, err)
 		}
-		reg.Record(regalloc.SummarizePortfolio(s.routine, pr))
 		win := pr.Outcomes[pr.Winner]
 		bp := benchPortfolio{
 			Routine:     s.routine,
@@ -564,14 +335,6 @@ func runBenchJSON(path string, reps int) error {
 		})
 	}
 	report.IRCEliminatedPct = ircStudy.EliminatedPct()
-
-	snap := reg.Snapshot()
-	for p := 0; p < obs.NumPhases; p++ {
-		if h := snap.Phase[p]; h.Count > 0 {
-			report.PhaseLatency[obs.Phase(p).String()] = quantilesOf(h)
-		}
-	}
-	report.RunLatency = quantilesOf(snap.Total)
 
 	f, err := os.Create(path)
 	if err != nil {

@@ -49,12 +49,11 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSON-lines allocator event trace to this file (\"-\" for stdout)")
 	perfettoPath := flag.String("trace-perfetto", "", "write a Chrome/Perfetto trace-event JSON file (\"-\" for stdout)")
 	metrics := flag.Bool("metrics", false, "print aggregated allocator metrics after the figures")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable phase benchmark to this file and exit")
-	benchReps := flag.Int("bench-reps", 3, "repetitions per configuration in -bench-json mode (best is kept)")
+	benchJSON := flag.String("bench-json", "", "write the quality studies (portfolio, scale, ssa, irc) as machine-readable JSON to this file and exit")
 	flag.Parse()
 
 	if *benchJSON != "" {
-		fail(runBenchJSON(*benchJSON, *benchReps))
+		fail(runBenchJSON(*benchJSON))
 		return
 	}
 

@@ -252,19 +252,17 @@ func runGraph(k int, random string, svdlike, verbose bool, sink obs.Sink) {
 	fmt.Printf("graph: %d nodes, %d edges, k = %d\n", g.NumNodes(), g.NumEdges(), k)
 	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.MatulaBeck} {
 		tr := obs.New(sink, "graph:"+h.String())
-		tr.BeginPhase(obs.PhaseSimplify)
-		t0 := time.Now()
+		t0 := tr.Begin(obs.PhaseSimplify)
 		sr := color.SimplifyTraced(g, costs, kf, h, color.CostOverDegree, tr)
-		tr.EndPhase(obs.PhaseSimplify, time.Since(t0))
+		tr.End(obs.PhaseSimplify, t0)
 		var spilled []int32
 		var colors []int16
 		if h == color.Chaitin && len(sr.SpillMarked) > 0 {
 			spilled = sr.SpillMarked
 		} else {
-			tr.BeginPhase(obs.PhaseColor)
-			t0 = time.Now()
+			t0 = tr.Begin(obs.PhaseColor)
 			colors, spilled = color.SelectTraced(g, sr, kf, h != color.Chaitin, tr)
-			tr.EndPhase(obs.PhaseColor, time.Since(t0))
+			tr.End(obs.PhaseColor, t0)
 		}
 		cost := 0.0
 		for _, n := range spilled {
@@ -297,11 +295,9 @@ func runPColor(workers int, seed uint64, algo pcolor.Algo, random string, svdlik
 	g, _, err := loadGraph(random, svdlike)
 	fail(err)
 	tr := obs.New(sink, "graph:pcolor")
-	tr.BeginPhase(obs.PhaseColor)
-	t0 := time.Now()
+	t0 := tr.Begin(obs.PhaseColor)
 	colors, st := pcolor.Color(g, pcolor.Options{Workers: workers, Seed: seed, Algo: algo, Tracer: tr})
-	dur := time.Since(t0)
-	tr.EndPhase(obs.PhaseColor, dur)
+	dur := tr.End(obs.PhaseColor, t0)
 	if err := color.Verify(g, colors, pcolor.KFor(st)); err != nil {
 		fail(fmt.Errorf("pcolor produced an improper coloring: %w", err))
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
 	"regalloc/internal/pcolor"
+	"regalloc/internal/reqtrace"
 	"regalloc/internal/spill"
 )
 
@@ -133,8 +135,12 @@ var colorScratchPool = sync.Pool{New: func() any { return new(color.Scratch) }}
 // allocation between passes instead of running it to the end. The
 // error wraps ctx.Err(), matchable with errors.Is.
 //
-// A successful run is recorded as one request-trace span per unit
-// (see recordPassSpans), whichever allocator family ran it.
+// When ctx carries a request trace, the run is one "alloc:UNIT" span,
+// opened as the run starts, whichever allocator family runs it. Each
+// build, simplify, color and spill phase becomes a "phase:NAME" child
+// as it ends (reqtrace.PhaseSpans), from the same clock readings that
+// time PassStats. The span closes with a "passes" attribute, or with
+// "error" when the run fails.
 func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -142,38 +148,48 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.MaxPasses <= 0 {
 		opt.MaxPasses = 64
 	}
-	start := time.Now()
-	res, err := run(ctx, f, opt)
+	rt, parent := reqtrace.FromContext(ctx)
+	if rt == nil {
+		return run(ctx, f, opt, obs.New(opt.Observer, f.Name))
+	}
+	label := opt.Heuristic.String()
+	if opt.UsePColor {
+		// The speculative engine shadows Heuristic, as it does below.
+		label = "pcolor"
+	}
+	span, end := rt.StartSpan(parent, "alloc:"+f.Name, reqtrace.Attr{Key: "heuristic", Value: label})
+	res, err := run(ctx, f, opt, obs.New(obs.Multi(opt.Observer, rt.PhaseSpans(span)), f.Name))
 	if err != nil {
+		end(reqtrace.Attr{Key: "error", Value: err.Error()})
 		return nil, err
 	}
-	recordPassSpans(ctx, f.Name, opt, res.Passes, start)
+	end(reqtrace.Attr{Key: "passes", Value: strconv.Itoa(len(res.Passes))})
 	return res, nil
 }
 
-// run allocates f under a validated opt with MaxPasses resolved. It
+// run allocates f under a validated opt with MaxPasses resolved,
+// emitting events on tr (nil when nothing observes the run). It
 // dispatches the SSA and IRC heuristics to their drivers and runs the
 // Figure 4 cycle itself for the rest; runIRC calls it again for its
 // Figure 4 baseline, so that baseline is not recorded as a second
 // allocation.
-func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
+func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	if opt.Heuristic == color.SSA && !opt.UsePColor {
 		// The SSA heuristic replaces the whole Figure 4 cycle, not
 		// just the simplify order. (UsePColor ignores Heuristic, so
 		// the speculative engine keeps precedence, as it does for the
 		// other heuristics.)
-		return runSSA(ctx, f, opt)
+		return runSSA(ctx, f, opt, tr)
 	}
 	if opt.Heuristic == color.IRC && !opt.UsePColor {
 		// Iterated register coalescing replaces the cycle's separate
 		// coalesce pre-pass and simplify phase with one worklist
 		// machine (same UsePColor precedence as above).
-		return runIRC(ctx, f, opt)
+		return runIRC(ctx, f, opt, tr)
 	}
 	work := f.Clone()
 	res := &Result{Options: opt}
 	kf := opt.K()
-	tr := obs.New(opt.Observer, f.Name)
 
 	// One coloring scratch serves every pass of the cycle (and, via
 	// the pool, every later Run on this goroutine's path): worklists,
@@ -194,8 +210,7 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		// Build: renumber into webs, analyze once (liveness + CFG,
 		// cached in the pass context), coalesce copies, rebuild the
 		// graph, compute spill costs from the stamped loop depths.
-		tr.BeginPhase(obs.PhaseBuild)
-		t0 := time.Now()
+		t0 := tr.Begin(obs.PhaseBuild)
 		pc := newPassCtx(work)
 		var g *ig.Graph
 		var pre []int16 // precolored colors by node; nil without a machine model
@@ -204,10 +219,9 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			if opt.ConservativeCoalesce {
 				ck = kf
 			}
-			tc := time.Now()
-			tr.BeginPhase(obs.PhaseCoalesce)
+			tc := tr.Begin(obs.PhaseCoalesce)
 			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, 0, tr)
-			tr.EndPhase(obs.PhaseCoalesce, time.Since(tc))
+			tr.End(obs.PhaseCoalesce, tc)
 			ps.CoalescedMoves = cs.Moves
 			pc.livenessRuns += cs.LivenessRuns
 			g = cg // non-nil exactly when no move merged
@@ -239,10 +253,9 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		} else {
 			costs = spill.Costs(work, opt.CostParams)
 		}
-		ps.Build = time.Since(t0)
+		ps.Build = tr.End(obs.PhaseBuild, t0)
 		ps.LiveRanges = work.NumRegs()
 		ps.Edges = g.NumEdges()
-		tr.EndPhase(obs.PhaseBuild, ps.Build)
 		pc.emitCounters(tr)
 		if tr.Enabled() {
 			tr.Counter(obs.PhaseBuild, "graph.nodes", int64(ps.LiveRanges))
@@ -258,8 +271,7 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			// class budget. The survivors keep their colors — a subset
 			// of a proper coloring is proper — so a pass whose palette
 			// fits the budget is a finished allocation.
-			tr.BeginPhase(obs.PhaseColor)
-			t0 = time.Now()
+			t0 = tr.Begin(obs.PhaseColor)
 			workers := opt.PColorWorkers
 			if workers <= 0 {
 				workers = DefaultPColorWorkers
@@ -377,8 +389,7 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 				colors[v] = c
 				tr.ColorReuse(v, int32(g.Degree(v)), inUse, c)
 			}
-			ps.Color = time.Since(t0)
-			tr.EndPhase(obs.PhaseColor, ps.Color)
+			ps.Color = tr.End(obs.PhaseColor, t0)
 			if len(over) == 0 {
 				res.Passes = append(res.Passes, ps)
 				if err := color.Verify(g, colors, kf); err != nil {
@@ -391,23 +402,19 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			toSpill = over
 		} else {
 			// Simplify.
-			tr.BeginPhase(obs.PhaseSimplify)
-			t0 = time.Now()
+			t0 = tr.Begin(obs.PhaseSimplify)
 			sr := color.SimplifyPreInto(sc, g, pre, costs, kf, opt.Heuristic, opt.Metric, tr)
-			ps.Simplify = time.Since(t0)
+			ps.Simplify = tr.End(obs.PhaseSimplify, t0)
 			ps.ScanSteps = sr.ScanSteps
-			tr.EndPhase(obs.PhaseSimplify, ps.Simplify)
 			tr.Counter(obs.PhaseSimplify, "simplify.scan_steps", int64(ps.ScanSteps))
 
 			if opt.Heuristic == color.Chaitin && len(sr.SpillMarked) > 0 {
 				// Chaitin: spill immediately, skip coloring this pass.
 				toSpill = sr.SpillMarked
 			} else {
-				tr.BeginPhase(obs.PhaseColor)
-				t0 = time.Now()
+				t0 = tr.Begin(obs.PhaseColor)
 				colors, uncolored := color.SelectPreInto(sc, g, pre, sr, kf, opt.Heuristic != color.Chaitin, tr)
-				ps.Color = time.Since(t0)
-				tr.EndPhase(obs.PhaseColor, ps.Color)
+				ps.Color = tr.End(obs.PhaseColor, t0)
 				if len(uncolored) == 0 {
 					res.Passes = append(res.Passes, ps)
 					if err := color.Verify(g, colors, kf); err != nil {
@@ -441,8 +448,7 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			ps.SpillCost += costs[n]
 		}
 		ps.Spilled = len(toSpill)
-		tr.BeginPhase(obs.PhaseSpill)
-		t0 = time.Now()
+		t0 = tr.Begin(obs.PhaseSpill)
 		var st spill.Stats
 		switch {
 		case opt.Split:
@@ -455,12 +461,11 @@ func run(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		default:
 			st = spill.InsertCode(work, regs)
 		}
-		ps.Spill = time.Since(t0)
+		ps.Spill = tr.End(obs.PhaseSpill, t0)
 		ps.LoadsInserted = st.Loads
 		ps.StoresInserted = st.Stores
 		ps.Remats = st.Remats
 		ps.SplitLoads = st.SplitLoads
-		tr.EndPhase(obs.PhaseSpill, ps.Spill)
 		if tr.Enabled() {
 			tr.Counter(obs.PhaseSpill, "spill.ranges", int64(ps.Spilled))
 			// Fixed-point millicost: cost estimates are fractional

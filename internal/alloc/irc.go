@@ -3,7 +3,6 @@ package alloc
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"regalloc/internal/color"
 	"regalloc/internal/ig"
@@ -44,7 +43,7 @@ import (
 // Each phase 1 pass lands in Result.Passes as usual; the worklist
 // round is appended as one more pass, its machine charged to the
 // simplify phase and its rewrite + select to the color phase.
-func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
+func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	// Phase 1: decide spills with the Figure 4 baseline. Everything
 	// else about the request (machine model, spill lowering flavor,
 	// costs, metric, observer) carries over unchanged.
@@ -52,20 +51,18 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	base.Heuristic = color.Briggs
 	base.Coalesce = true
 	base.ConservativeCoalesce = true
-	res, err := run(ctx, f, base)
+	res, err := run(ctx, f, base, tr)
 	if err != nil {
 		return nil, err
 	}
 	res.Options = opt
 	work := res.Func
 	kf := opt.K()
-	tr := obs.New(opt.Observer, f.Name)
 	tr.SetPass(len(res.Passes))
 
 	// Phase 2: one worklist-machine round over the colorable program.
 	var ps PassStats
-	tr.BeginPhase(obs.PhaseBuild)
-	t0 := time.Now()
+	t0 := tr.Begin(obs.PhaseBuild)
 	pc := newPassCtx(work)
 	var mg *ig.MachineGraph
 	if opt.Machine != nil {
@@ -80,23 +77,20 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	} else {
 		costs = spill.Costs(work, opt.CostParams)
 	}
-	ps.Build = time.Since(t0)
+	ps.Build = tr.End(obs.PhaseBuild, t0)
 	ps.LiveRanges = work.NumRegs()
 	ps.Edges = mg.NumEdges()
-	tr.EndPhase(obs.PhaseBuild, ps.Build)
 	pc.emitCounters(tr)
 	if tr.Enabled() {
 		tr.Counter(obs.PhaseBuild, "graph.nodes", int64(mg.NumNodes()))
 		tr.Counter(obs.PhaseBuild, "graph.edges", int64(ps.Edges))
 	}
 
-	tr.BeginPhase(obs.PhaseSimplify)
-	t0 = time.Now()
+	t0 = tr.Begin(obs.PhaseSimplify)
 	// Terminal round: spill-temp moves are fair game — no further
 	// spill round can be forced to spill a widened temporary web.
 	rr := irc.ColorWith(work, mg, costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
-	ps.Simplify = time.Since(t0)
-	tr.EndPhase(obs.PhaseSimplify, ps.Simplify)
+	ps.Simplify = tr.End(obs.PhaseSimplify, t0)
 
 	if len(rr.Spilled) > 0 {
 		// The baseline coloring leaned on optimism this round's
@@ -105,12 +99,10 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	tr.BeginPhase(obs.PhaseColor)
-	t0 = time.Now()
+	t0 = tr.Begin(obs.PhaseColor)
 	ps.CoalescedMoves = rr.ApplyRewrite(work)
 	colors := append([]int16(nil), rr.Colors[:work.NumRegs()]...)
-	ps.Color = time.Since(t0)
-	tr.EndPhase(obs.PhaseColor, ps.Color)
+	ps.Color = tr.End(obs.PhaseColor, t0)
 	res.Passes = append(res.Passes, ps)
 	if opt.Machine != nil {
 		if err := VerifyAssignmentMachine(work, colors, opt.Machine); err != nil {

@@ -18,9 +18,8 @@ import (
 // the SSA path skips color.Verify's graph check (its coloring is
 // optimal by construction, and lowering adds scratch registers the
 // analysis graph never saw), so the stronger oracle runs instead.
-func runSSA(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
+func runSSA(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	work := f.Clone()
-	tr := obs.New(opt.Observer, f.Name)
 	sres, err := ssa.Allocate(ctx, work, opt.K(), opt.CostParams, tr)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
-
 // CacheStats is a point-in-time snapshot of a result cache
 // (internal/rescache), defined here so the exporters (promtext,
 // cmd/allocd's /metrics, cmd/allocload's scrape parser) share one
@@ -46,22 +40,4 @@ func (s CacheStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits+s.Shared) / float64(total)
-}
-
-// String renders a deterministic one-stop summary (the same contract
-// RegistrySnapshot.String keeps).
-func (s CacheStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cache: %d hit(s), %d miss(es), %d shared, %d abandoned, %d eviction(s) (hit rate %.3f)\n",
-		s.Hits, s.Misses, s.Shared, s.Abandoned, s.Evictions, s.HitRate())
-	fmt.Fprintf(&b, "  stored: %d entr(ies), %d byte(s)\n", s.Entries, s.Bytes)
-	if s.HitLatency.Count > 0 {
-		fmt.Fprintf(&b, "  hit  p50 %10s  p99 %10s  max %10s\n",
-			s.HitLatency.Quantile(0.50), s.HitLatency.Quantile(0.99), time.Duration(s.HitLatency.MaxNS))
-	}
-	if s.FillLatency.Count > 0 {
-		fmt.Fprintf(&b, "  fill p50 %10s  p99 %10s  max %10s\n",
-			s.FillLatency.Quantile(0.50), s.FillLatency.Quantile(0.99), time.Duration(s.FillLatency.MaxNS))
-	}
-	return b.String()
 }

@@ -32,20 +32,8 @@ type ExemplarHistogram struct {
 // it as the bucket's exemplar (last writer wins — recency is the
 // useful property for debugging).
 func (h *ExemplarHistogram) Observe(d time.Duration, traceID string, at time.Time) {
-	idx := NumLatencyBuckets
-	for i, ub := range LatencyBuckets {
-		if d <= ub {
-			idx = i
-			break
-		}
-	}
 	h.mu.Lock()
-	h.hist.Count++
-	h.hist.SumNS += d.Nanoseconds()
-	if ns := d.Nanoseconds(); ns > h.hist.MaxNS {
-		h.hist.MaxNS = ns
-	}
-	h.hist.Buckets[idx]++
+	idx := h.hist.Observe(d)
 	if traceID != "" {
 		h.exemplars[idx] = Exemplar{
 			TraceID: traceID,

@@ -63,8 +63,10 @@ const (
 	// KindSpanBegin marks a phase starting; Phase is set.
 	KindSpanBegin Kind = iota
 	// KindSpanEnd marks a phase finishing; Phase and Dur are set.
-	// Dur is the same duration recorded in the pass's PassStats
-	// field, so traces reconcile exactly with the summary record.
+	// Tracer.End takes one clock reading for both: Time is the
+	// matching begin event's Time plus Dur, and Dur is the value the
+	// allocator stores in the pass's PassStats field, so traces,
+	// request spans and the summary record reconcile exactly.
 	KindSpanEnd
 	// KindCounter is a named measurement scoped to a phase; Name and
 	// Value are set (e.g. "graph.edges" after build).
@@ -169,20 +171,30 @@ func (t *Tracer) emit(e Event) {
 	t.sink.Emit(e)
 }
 
-// BeginPhase emits a span-begin for p.
-func (t *Tracer) BeginPhase(p Phase) {
+// Begin emits a span-begin for p and returns its time: the one clock
+// reading that stamps the event and that the caller hands to End. On
+// a nil Tracer it only reads the clock.
+func (t *Tracer) Begin(p Phase) time.Time {
 	if t == nil {
-		return
+		return time.Now()
 	}
-	t.emit(Event{Kind: KindSpanBegin, Phase: p})
+	now := t.now()
+	t.sink.Emit(Event{Time: now, Kind: KindSpanBegin, Unit: t.unit, Pass: t.pass, Phase: p})
+	return now
 }
 
-// EndPhase emits a span-end for p with the measured duration d.
-func (t *Tracer) EndPhase(p Phase, d time.Duration) {
+// End emits a span-end for p, begun at start, and returns the
+// phase's duration. One clock reading stamps the event and fixes the
+// duration, so the event's Time is exactly start plus Dur. On a nil
+// Tracer it only measures.
+func (t *Tracer) End(p Phase, start time.Time) time.Duration {
 	if t == nil {
-		return
+		return time.Since(start)
 	}
-	t.emit(Event{Kind: KindSpanEnd, Phase: p, Dur: d})
+	now := t.now()
+	d := now.Sub(start)
+	t.sink.Emit(Event{Time: now, Kind: KindSpanEnd, Unit: t.unit, Pass: t.pass, Phase: p, Dur: d})
+	return d
 }
 
 // Counter emits a named value scoped to phase p.

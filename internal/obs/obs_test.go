@@ -19,25 +19,49 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer reports enabled")
 	}
 	tr.SetPass(3)
-	tr.BeginPhase(obs.PhaseBuild)
-	tr.EndPhase(obs.PhaseBuild, time.Millisecond)
+	start := tr.Begin(obs.PhaseBuild)
+	if start.IsZero() || tr.End(obs.PhaseBuild, start) < 0 {
+		t.Fatal("nil tracer must still measure the phase")
+	}
 	tr.Counter(obs.PhaseBuild, "graph.nodes", 7)
 	tr.SpillDecision(1, 9, 40, 4.4)
 	tr.ColorReuse(1, 9, 3, 2)
 	if obs.New(nil, "unit") != nil {
 		t.Fatal("New(nil, ...) must return the nil tracer")
 	}
+	if n := testing.AllocsPerRun(100, func() { tr.End(obs.PhaseBuild, tr.Begin(obs.PhaseBuild)) }); n != 0 {
+		t.Fatalf("nil tracer Begin/End allocate %v times", n)
+	}
 }
+
+// clock is an injected tracer clock that moves only when told to, so
+// tests control every phase duration.
+type clock struct{ t time.Time }
+
+func (c *clock) now() time.Time { return c.t }
+
+// span runs one phase p of length d on tr, whose clock is c.
+func (c *clock) span(tr *obs.Tracer, p obs.Phase, d time.Duration) {
+	start := tr.Begin(p)
+	c.t = c.t.Add(d)
+	tr.End(p, start)
+}
+
+func newClock() *clock { return &clock{t: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)} }
 
 // TestTracerStampsContext: events carry the unit name and the pass
 // set via SetPass.
 func TestTracerStampsContext(t *testing.T) {
 	var got []obs.Event
 	sink := sinkFunc(func(e obs.Event) { got = append(got, e) })
-	tr := obs.New(sink, "SVD")
-	tr.BeginPhase(obs.PhaseBuild)
+	c := newClock()
+	tr := obs.NewWithClock(sink, "SVD", c.now)
+	start := tr.Begin(obs.PhaseSimplify)
 	tr.SetPass(2)
-	tr.EndPhase(obs.PhaseSimplify, 5*time.Millisecond)
+	c.t = c.t.Add(5 * time.Millisecond)
+	if d := tr.End(obs.PhaseSimplify, start); d != 5*time.Millisecond {
+		t.Fatalf("End returned %v, want 5ms", d)
+	}
 	if len(got) != 2 {
 		t.Fatalf("got %d events", len(got))
 	}
@@ -47,8 +71,8 @@ func TestTracerStampsContext(t *testing.T) {
 	if got[1].Pass != 2 || got[1].Dur != 5*time.Millisecond || got[1].Phase != obs.PhaseSimplify {
 		t.Fatalf("event 1: %+v", got[1])
 	}
-	if got[1].Time.IsZero() {
-		t.Fatal("event time not stamped")
+	if !got[0].Time.Equal(start) || !got[1].Time.Equal(got[0].Time.Add(got[1].Dur)) {
+		t.Fatalf("span times: begin %v (Begin returned %v), end %v, dur %v", got[0].Time, start, got[1].Time, got[1].Dur)
 	}
 }
 
@@ -60,10 +84,10 @@ func (f sinkFunc) Emit(e obs.Event) { f(e) }
 // kind-appropriate fields present.
 func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := obs.New(obs.NewJSONSink(&buf), "QSORT")
+	c := newClock()
+	tr := obs.NewWithClock(obs.NewJSONSink(&buf), "QSORT", c.now)
 	tr.SetPass(1)
-	tr.BeginPhase(obs.PhaseSimplify)
-	tr.EndPhase(obs.PhaseSimplify, 1500*time.Nanosecond)
+	c.span(tr, obs.PhaseSimplify, 1500*time.Nanosecond)
 	tr.Counter(obs.PhaseBuild, "graph.edges", 42)
 	tr.SpillDecision(7, 12, 80, 6.67)
 	tr.ColorReuse(9, 20, 4, 5)
@@ -105,8 +129,9 @@ func TestJSONSink(t *testing.T) {
 // TestTextSink: lines mention the kind and the key quantities.
 func TestTextSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := obs.New(obs.NewTextSink(&buf), "FIB")
-	tr.EndPhase(obs.PhaseColor, time.Millisecond)
+	c := newClock()
+	tr := obs.NewWithClock(obs.NewTextSink(&buf), "FIB", c.now)
+	c.span(tr, obs.PhaseColor, time.Millisecond)
 	tr.SpillDecision(3, 8, 20, 2.5)
 	out := buf.String()
 	for _, want := range []string{"[FIB pass=0]", "span_end", "phase=color", "spill_decision", "node=3", "metric=2.5"} {
@@ -120,9 +145,10 @@ func TestTextSink(t *testing.T) {
 // totals accumulate, and Snapshot is an isolated copy.
 func TestMetricsSink(t *testing.T) {
 	ms := obs.NewMetricsSink()
-	tr := obs.New(ms, "U")
-	tr.EndPhase(obs.PhaseBuild, 5*time.Microsecond)
-	tr.EndPhase(obs.PhaseBuild, 50*time.Microsecond)
+	c := newClock()
+	tr := obs.NewWithClock(ms, "U", c.now)
+	c.span(tr, obs.PhaseBuild, 5*time.Microsecond)
+	c.span(tr, obs.PhaseBuild, 50*time.Microsecond)
 	tr.Counter(obs.PhaseBuild, "graph.nodes", 100)
 	tr.Counter(obs.PhaseBuild, "graph.nodes", 20)
 	tr.SpillDecision(1, 9, 30, 3.3)
@@ -134,10 +160,10 @@ func TestMetricsSink(t *testing.T) {
 		t.Fatalf("counter sum: %v", snap.Counters)
 	}
 	h := snap.Durations["build"]
-	if h.Count != 2 || h.Sum != 55*time.Microsecond || h.Max != 50*time.Microsecond {
+	if h.Count != 2 || h.SumNS != 55_000 || h.MaxNS != 50_000 {
 		t.Fatalf("histogram: %+v", h)
 	}
-	if h.Buckets[1] != 1 || h.Buckets[2] != 1 { // <=10µs and <=100µs decades
+	if h.Buckets[2] != 1 || h.Buckets[5] != 1 { // the <=5µs and <=50µs steps of the 1-2-5 ladder
 		t.Fatalf("histogram buckets: %v", h.Buckets)
 	}
 	if snap.SpillDecisions != 2 || snap.SpillCost != 40 || snap.ColorReuses != 1 {
@@ -204,8 +230,7 @@ func TestSinksConcurrent(t *testing.T) {
 			tr := obs.New(sink, "unit")
 			for i := 0; i < 200; i++ {
 				tr.SetPass(i)
-				tr.BeginPhase(obs.PhaseBuild)
-				tr.EndPhase(obs.PhaseBuild, time.Microsecond)
+				tr.End(obs.PhaseBuild, tr.Begin(obs.PhaseBuild))
 				tr.Counter(obs.PhaseBuild, "n", 1)
 				tr.SpillDecision(int32(i), 4, 1, 0.25)
 			}

@@ -13,16 +13,16 @@ import (
 // sinks.go folds a *live event stream* into counters, the Registry
 // accumulates *completed runs* — one RunSummary per Allocate/Assemble
 // call — across the lifetime of a process, so a long-running service
-// (cmd/allocd) or a benchmark sweep (cmd/bench -bench-json) can
-// answer "what has this allocator done so far" without replaying
-// traces. Exporters render a Snapshot: internal/obs/promtext in
-// Prometheus text exposition format, cmd/bench in its JSON schema.
+// (cmd/allocd) can answer "what has this allocator done so far"
+// without replaying traces. internal/obs/promtext renders a Snapshot
+// in Prometheus text exposition format.
 
 // LatencyBuckets is the fixed upper-bound ladder (a 1-2-5 series from
 // 1µs to 10s) shared by every LatencyHistogram. Fixed buckets make
 // histograms mergeable across runs, processes, and scrapes — the
-// property Prometheus histograms are built on — at the price of
-// interpolated (rather than exact) percentiles.
+// property Prometheus histograms are built on. A histogram keeps no
+// samples, so it yields no exact percentile; the reports that print
+// percentiles (allocload, perfbench) compute them from raw samples.
 var LatencyBuckets = [NumLatencyBuckets]time.Duration{
 	1 * time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
 	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
@@ -48,21 +48,24 @@ type LatencyHistogram struct {
 	Buckets [NumLatencyBuckets + 1]int64 // Buckets[i]: d <= LatencyBuckets[i]; last: larger
 }
 
-// Observe counts one duration.
-func (h *LatencyHistogram) Observe(d time.Duration) {
+// Observe counts one duration and returns the index of the bucket it
+// landed in.
+func (h *LatencyHistogram) Observe(d time.Duration) int {
 	ns := d.Nanoseconds()
 	h.Count++
 	h.SumNS += ns
 	if ns > h.MaxNS {
 		h.MaxNS = ns
 	}
+	idx := NumLatencyBuckets
 	for i, ub := range LatencyBuckets {
 		if d <= ub {
-			h.Buckets[i]++
-			return
+			idx = i
+			break
 		}
 	}
-	h.Buckets[NumLatencyBuckets]++
+	h.Buckets[idx]++
+	return idx
 }
 
 // Merge adds o's observations into h (bucket-wise; this is why the
@@ -84,46 +87,6 @@ func (h LatencyHistogram) Mean() time.Duration {
 		return 0
 	}
 	return time.Duration(h.SumNS / h.Count)
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation inside the bucket holding the target rank — the same
-// estimate Prometheus's histogram_quantile computes from the exported
-// buckets, so dashboards and in-process numbers agree. The estimate
-// is clamped to the observed maximum (exact for the overflow bucket).
-func (h LatencyHistogram) Quantile(q float64) time.Duration {
-	if h.Count == 0 || math.IsNaN(q) || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	var cum int64
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		if cum+n < rank {
-			cum += n
-			continue
-		}
-		var lo, hi int64
-		if i > 0 {
-			lo = LatencyBuckets[i-1].Nanoseconds()
-		}
-		if i < NumLatencyBuckets {
-			hi = LatencyBuckets[i].Nanoseconds()
-		} else {
-			hi = h.MaxNS
-		}
-		est := lo + int64(float64(hi-lo)*float64(rank-cum)/float64(n))
-		if est > h.MaxNS {
-			est = h.MaxNS
-		}
-		return time.Duration(est)
-	}
-	return time.Duration(h.MaxNS)
 }
 
 // RunSummary condenses one completed run — an Allocate/Assemble unit
@@ -382,12 +345,12 @@ func (s RegistrySnapshot) String() string {
 		if h.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-9s spans %5d  p50 %10s  p95 %10s  p99 %10s  max %10s\n",
-			Phase(p).String(), h.Count, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), time.Duration(h.MaxNS))
+		fmt.Fprintf(&b, "  %-9s spans %5d  mean %10s  max %10s\n",
+			Phase(p).String(), h.Count, h.Mean(), time.Duration(h.MaxNS))
 	}
 	if s.Total.Count > 0 {
-		fmt.Fprintf(&b, "  %-9s runs  %5d  p50 %10s  p95 %10s  p99 %10s  max %10s\n",
-			"total", s.Total.Count, s.Total.Quantile(0.50), s.Total.Quantile(0.95), s.Total.Quantile(0.99), time.Duration(s.Total.MaxNS))
+		fmt.Fprintf(&b, "  %-9s runs  %5d  mean %10s  max %10s\n",
+			"total", s.Total.Count, s.Total.Mean(), time.Duration(s.Total.MaxNS))
 	}
 	units := make([]string, 0, len(s.UnitRuns))
 	for u := range s.UnitRuns {

@@ -124,56 +124,14 @@ func (s *TextSink) Emit(e Event) {
 	fmt.Fprintf(s.w, "[%s pass=%d] %s %s\n", e.Unit, e.Pass, e.Kind, detail)
 }
 
-// histBuckets are decade upper bounds for phase-duration histograms,
-// from 1µs to 1s; a final implicit bucket catches the rest.
-var histBuckets = [...]time.Duration{
-	time.Microsecond,
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
-// Histogram aggregates durations into decade buckets.
-type Histogram struct {
-	Count   int64
-	Sum     time.Duration
-	Max     time.Duration
-	Buckets [len(histBuckets) + 1]int64 // Buckets[i]: d <= histBuckets[i]; last: larger
-}
-
-func (h *Histogram) observe(d time.Duration) {
-	h.Count++
-	h.Sum += d
-	if d > h.Max {
-		h.Max = d
-	}
-	for i, ub := range histBuckets {
-		if d <= ub {
-			h.Buckets[i]++
-			return
-		}
-	}
-	h.Buckets[len(histBuckets)]++
-}
-
-// Mean returns the average observed duration.
-func (h Histogram) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.Count)
-}
-
 // MetricsSink aggregates the event stream in process: counter totals
-// keyed "phase/name", per-phase duration histograms, spill-decision
-// totals, and color-reuse totals. It is safe for concurrent use.
+// keyed "phase/name", per-phase duration histograms on the shared
+// LatencyBuckets ladder, spill-decision totals, and color-reuse
+// totals. It is safe for concurrent use.
 type MetricsSink struct {
 	mu        sync.Mutex
 	counters  map[string]int64
-	durations [NumPhases]Histogram
+	durations [NumPhases]LatencyHistogram
 	spills    int64
 	spillCost float64
 	reuses    int64
@@ -191,7 +149,7 @@ func (s *MetricsSink) Emit(e Event) {
 	switch e.Kind {
 	case KindSpanEnd:
 		if int(e.Phase) < NumPhases {
-			s.durations[e.Phase].observe(e.Dur)
+			s.durations[e.Phase].Observe(e.Dur)
 		}
 	case KindCounter:
 		s.counters[e.Phase.String()+"/"+e.Name] += e.Value
@@ -205,11 +163,11 @@ func (s *MetricsSink) Emit(e Event) {
 
 // Metrics is a point-in-time copy of a MetricsSink's aggregates.
 type Metrics struct {
-	Counters       map[string]int64     // "phase/name" -> summed value
-	Durations      map[string]Histogram // phase name -> histogram
-	SpillDecisions int64                // simplify stuck-choices observed
-	SpillCost      float64              // summed cost of those choices
-	ColorReuses    int64                // optimistic wins observed
+	Counters       map[string]int64            // "phase/name" -> summed value
+	Durations      map[string]LatencyHistogram // phase name -> histogram
+	SpillDecisions int64                       // simplify stuck-choices observed
+	SpillCost      float64                     // summed cost of those choices
+	ColorReuses    int64                       // optimistic wins observed
 }
 
 // Snapshot returns a consistent copy of the current aggregates.
@@ -218,7 +176,7 @@ func (s *MetricsSink) Snapshot() Metrics {
 	defer s.mu.Unlock()
 	m := Metrics{
 		Counters:       make(map[string]int64, len(s.counters)),
-		Durations:      make(map[string]Histogram, NumPhases),
+		Durations:      make(map[string]LatencyHistogram, NumPhases),
 		SpillDecisions: s.spills,
 		SpillCost:      s.spillCost,
 		ColorReuses:    s.reuses,
@@ -245,7 +203,7 @@ func (m Metrics) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  %-9s spans %5d  total %12s  mean %10s  max %10s\n",
-			name, h.Count, h.Sum, h.Mean(), h.Max)
+			name, h.Count, time.Duration(h.SumNS), h.Mean(), time.Duration(h.MaxNS))
 	}
 	keys := make([]string, 0, len(m.Counters))
 	for k := range m.Counters {

@@ -33,17 +33,17 @@ func emitRun(sink obs.Sink) {
 		t := base.Add(time.Duration(u) * 10 * time.Millisecond)
 		clock := func() time.Time { t = t.Add(time.Millisecond); return t }
 		tr := obs.NewWithClock(sink, unit, clock)
-		tr.BeginPhase(obs.PhaseBuild)
-		tr.BeginPhase(obs.PhaseCoalesce)
+		build := tr.Begin(obs.PhaseBuild)
+		coalesce := tr.Begin(obs.PhaseCoalesce)
 		tr.Counter(obs.PhaseCoalesce, "coalesce.moves", 3)
-		tr.EndPhase(obs.PhaseCoalesce, 2*time.Millisecond)
-		tr.EndPhase(obs.PhaseBuild, 5*time.Millisecond)
-		tr.BeginPhase(obs.PhaseSimplify)
+		tr.End(obs.PhaseCoalesce, coalesce)
+		tr.End(obs.PhaseBuild, build)
+		simplify := tr.Begin(obs.PhaseSimplify)
 		tr.SpillDecision(7, 9, 40, 4.4)
-		tr.EndPhase(obs.PhaseSimplify, time.Millisecond)
-		tr.BeginPhase(obs.PhaseColor)
+		tr.End(obs.PhaseSimplify, simplify)
+		col := tr.Begin(obs.PhaseColor)
 		tr.ColorReuse(7, 9, 2, 1)
-		tr.EndPhase(obs.PhaseColor, time.Millisecond)
+		tr.End(obs.PhaseColor, col)
 	}
 }
 

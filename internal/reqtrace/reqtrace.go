@@ -12,18 +12,24 @@
 // rebuilt from Parent links by consumers.
 //
 // Timing convention: spans carry start offsets relative to the trace
-// start and durations, both in nanoseconds. Phase spans recorded from
-// PassStats durations (alloc.RunContext) therefore reconcile exactly
-// with the registry and /metrics — the same integer nanoseconds
-// appear in all three places.
+// start and durations, both in nanoseconds. Allocator phase spans
+// come from the obs span events as each phase ends (PhaseSpans): a
+// span starts at its phase's begin event and lasts the event's Dur,
+// the same reading the allocator stores in PassStats. They therefore
+// reconcile exactly with the registry and /metrics — the same integer
+// nanoseconds appear in all three places — and their start times are
+// the phases' real ones.
 package reqtrace
 
 import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
+
+	"regalloc/internal/obs"
 )
 
 // TraceID is the 16-byte W3C trace identity.
@@ -246,6 +252,39 @@ func (t *Trace) Record(parent uint32, name string, start time.Time, d time.Durat
 	})
 	t.mu.Unlock()
 	return id
+}
+
+// PhaseSpans returns an obs.Sink that records each build, simplify,
+// color and spill span-end it receives as a "phase:NAME" child of
+// parent, with a "pass" attribute. The span starts at the phase's
+// begin event (the end event's Time less its Dur) and lasts exactly
+// Dur. Coalesce spans are skipped: coalescing runs inside the build
+// span. A nil Trace returns a nil Sink, which obs.Multi drops.
+func (t *Trace) PhaseSpans(parent uint32) obs.Sink {
+	if t == nil {
+		return nil
+	}
+	return phaseSpans{t: t, parent: parent}
+}
+
+type phaseSpans struct {
+	t      *Trace
+	parent uint32
+}
+
+var phaseSpanNames = [obs.NumPhases]string{
+	obs.PhaseBuild:    "phase:build",
+	obs.PhaseSimplify: "phase:simplify",
+	obs.PhaseColor:    "phase:color",
+	obs.PhaseSpill:    "phase:spill",
+}
+
+func (s phaseSpans) Emit(e obs.Event) {
+	if e.Kind != obs.KindSpanEnd || int(e.Phase) >= obs.NumPhases || phaseSpanNames[e.Phase] == "" {
+		return
+	}
+	s.t.Record(s.parent, phaseSpanNames[e.Phase], e.Time.Add(-e.Dur), e.Dur,
+		Attr{Key: "pass", Value: strconv.Itoa(e.Pass)})
 }
 
 // AddAttr appends an attribute to an already-recorded span (the

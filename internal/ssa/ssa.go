@@ -154,11 +154,10 @@ const maxPreSpillRounds = 64
 // Allocate runs the full SSA pipeline on f, which it rewrites in
 // place (pass a clone to keep the original). k gives the per-class
 // color budgets, params the spill-cost estimator settings, and tr an
-// optional tracer (obs.New(nil, ...) is a valid no-op). The context
+// optional tracer (a nil tracer still times the phases). The context
 // is checked between pre-spill rounds.
 func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParams, tr *obs.Tracer) (*Result, error) {
-	t0 := time.Now()
-	tr.BeginPhase(obs.PhaseBuild)
+	t0 := tr.Begin(obs.PhaseBuild)
 	s, err := Construct(f)
 	if err != nil {
 		return nil, err
@@ -167,46 +166,39 @@ func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParam
 	res.Stats.ZeroDefs = s.ZeroDefs
 	res.Stats.SplitEdges = s.SplitEdges
 	res.Stats.CopyProps = s.CopyProps
-	res.Stats.Build = time.Since(t0)
-	tr.EndPhase(obs.PhaseBuild, res.Stats.Build)
+	res.Stats.Build = tr.End(obs.PhaseBuild, t0)
 
-	t0 = time.Now()
-	tr.BeginPhase(obs.PhaseSpill)
+	t0 = tr.Begin(obs.PhaseSpill)
 	a, rounds, err := PreSpill(ctx, s, k, params)
 	res.Stats.Rounds = rounds
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Spill = time.Since(t0)
-	tr.EndPhase(obs.PhaseSpill, res.Stats.Spill)
+	res.Stats.Spill = tr.End(obs.PhaseSpill, t0)
 	res.Stats.Phis = s.NumPhis()
 	res.Stats.LiveRanges = f.NumRegs()
 	res.Stats.Edges = a.G.NumEdges()
 	res.Stats.MaxLiveInt = a.MaxLive[ir.ClassInt]
 	res.Stats.MaxLiveFloat = a.MaxLive[ir.ClassFloat]
 
-	t0 = time.Now()
-	tr.BeginPhase(obs.PhaseColor)
+	t0 = tr.Begin(obs.PhaseColor)
 	colors, err := Color(s, a, k)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Color = time.Since(t0)
-	tr.EndPhase(obs.PhaseColor, res.Stats.Color)
+	res.Stats.Color = tr.End(obs.PhaseColor, t0)
 
 	// Lowering is its own span: it shares the Color phase bucket (the
 	// registry's PhaseNS[Color] stays Color+Lower, matching what the
 	// Figure 4 mapping reports as the pass's Color time) but a trace
 	// reader sees out-of-SSA copy insertion separately from the greedy
 	// coloring walk.
-	t1 := time.Now()
-	tr.BeginPhase(obs.PhaseColor)
+	t0 = tr.Begin(obs.PhaseColor)
 	colors, low, err := Lower(s, a, colors, k)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Lower = time.Since(t1)
-	tr.EndPhase(obs.PhaseColor, res.Stats.Lower)
+	res.Stats.Lower = tr.End(obs.PhaseColor, t0)
 	res.Stats.Copies = low.Copies
 	res.Stats.CycleBreaks = low.CycleBreaks
 	res.Stats.SlotBounces = low.SlotBounces

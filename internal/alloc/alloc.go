@@ -130,10 +130,12 @@ var colorScratchPool = sync.Pool{New: func() any { return new(color.Scratch) }}
 
 // RunContext is Run with cancellation: the context is checked at
 // every pass boundary (the natural preemption point of the Figure 4
-// cycle — phases within a pass run to completion), so a cancelled
-// service request or an expired portfolio budget stops a multi-pass
-// allocation between passes instead of running it to the end. The
-// error wraps ctx.Err(), matchable with errors.Is.
+// cycle) and before every round of the coalescing pre-pass, which can
+// run hundreds of rounds in one pass; the other phases run to
+// completion. So a cancelled service request or an expired portfolio
+// budget stops an allocation between passes or coalescing rounds
+// instead of running it to the end. The error wraps ctx.Err(),
+// matchable with errors.Is.
 //
 // When ctx carries a request trace, the run is one "alloc:UNIT" span,
 // opened as the run starts, whichever allocator family runs it. Each
@@ -220,8 +222,12 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 				ck = kf
 			}
 			tc := tr.Begin(obs.PhaseCoalesce)
-			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, 0, tr)
+			cs, cg, err := coalesce.RunContext(ctx, work, pc.lv, ck, tr)
 			tr.End(obs.PhaseCoalesce, tc)
+			if err != nil {
+				tr.End(obs.PhaseBuild, t0)
+				return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
+			}
 			ps.CoalescedMoves = cs.Moves
 			pc.livenessRuns += cs.LivenessRuns
 			g = cg // non-nil exactly when no move merged

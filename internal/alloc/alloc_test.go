@@ -1,6 +1,8 @@
 package alloc_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"regalloc/internal/color"
 	"regalloc/internal/ir"
 	"regalloc/internal/irgen"
+	"regalloc/internal/obs"
 	"regalloc/internal/parser"
 	"regalloc/internal/sem"
 )
@@ -314,4 +317,51 @@ func TestVerifyAssignment(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cancelOnMerge is an Observer that cancels its context at the first
+// coalesce.merged counter.
+type cancelOnMerge struct {
+	cancel context.CancelFunc
+	merged int64
+	seen   bool
+}
+
+func (c *cancelOnMerge) Emit(e obs.Event) {
+	if e.Kind == obs.KindCounter && e.Name == "coalesce.merged" && !c.seen {
+		c.seen = true
+		c.merged = e.Value
+		c.cancel()
+	}
+}
+
+// TestCancelStopsCoalescingRounds: a context cancelled while the
+// coalescing pre-pass runs stops the allocation at the next round,
+// even in a unit that needs only one pass, where no pass boundary
+// follows.
+func TestCancelStopsCoalescingRounds(t *testing.T) {
+	f := compile(t, pressureSrc).Func("HOT")
+	opt := alloc.DefaultOptions()
+	opt.KInt, opt.KFloat = 16, 16
+	res, err := alloc.Run(f, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Passes) != 1 || res.Passes[0].CoalescedMoves == 0 {
+		t.Fatalf("test premise broken: HOT at (16,16) took %d passes and merged %d moves in the first; want one pass that merges",
+			len(res.Passes), res.Passes[0].CoalescedMoves)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obsv := &cancelOnMerge{cancel: cancel}
+	opt.Observer = obsv
+	_, err = alloc.RunContext(ctx, f, opt)
+	if obsv.merged == 0 {
+		t.Fatalf("test premise broken: the first round merged nothing")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled after the first coalescing round: err = %v, want context.Canceled", err)
+	}
+	t.Log(err)
 }

@@ -12,10 +12,19 @@
 // lives in internal/irc, the George–Appel iterated-register-coalescing
 // worklist machine that the irc heuristic runs as a terminal round on
 // top of this pre-pass.
+//
+// An aggressive round needs only one answer per candidate move, so it
+// never builds the graph, re-solves liveness or rewrites the function.
+// It answers from each register's list of the instructions that read
+// or define it, updates only the merged registers' lists and liveness,
+// and the function is rewritten once, at the fixpoint. The result is
+// the same, merge for merge, as rebuilding everything every round.
 package coalesce
 
 import (
-	"regalloc/internal/bitset"
+	"context"
+	"fmt"
+
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -29,13 +38,15 @@ type Stats struct {
 	// Rounds is the number of build/coalesce rounds run (always at
 	// least one; the last round merges nothing).
 	Rounds int
-	// LivenessRuns counts the liveness recomputations, one after
-	// each merging round, each into the caller's sets in place: the
-	// round that reaches fixpoint computes none, so a function with
-	// no coalescable moves costs zero. An allocator pass that
-	// computed liveness once to renumber, and renumbers again with
-	// the coalescer's final liveness, therefore runs liveness exactly
-	// Rounds times.
+	// LivenessRuns counts the full liveness solves, each into the
+	// caller's sets in place. Aggressive rounds run none: a merge
+	// recomputes the merged register's liveness alone. A conservative
+	// run solves once after each merging round, and the round that
+	// reaches fixpoint solves nothing. An allocator pass that computed
+	// liveness once to renumber, and renumbers again with the
+	// coalescer's final liveness, therefore runs liveness exactly
+	// once under aggressive coalescing and Rounds times under
+	// conservative coalescing.
 	LivenessRuns int
 }
 
@@ -79,39 +90,59 @@ func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 	return st.Moves, finalGraph(f, g, lv)
 }
 
-// RunWithLiveness is the allocator's cache-aware entry point: lv must
-// be a current liveness for f, which the first build/coalesce round
-// reuses instead of recomputing. Liveness is recomputed, into lv's
-// own sets (see Liveness.Recompute), only when a round actually
-// merged moves (the rewrite renames registers, so the sets go stale);
-// the common converged round costs no dataflow at all. On return lv
-// is the liveness of f as rewritten. conservativeK, when non-nil,
-// switches to the Briggs conservative test. The int argument is
-// ignored; it stays only because perfbench's probe still passes a
-// worker count.
+// RunWithLiveness is RunContext without cancellation. The int
+// argument is ignored; it stays only because perfbench's probe still
+// passes a worker count.
+func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, _ int, tr *obs.Tracer) (Stats, *ig.Graph) {
+	st, g, _ := RunContext(context.Background(), f, lv, conservativeK, tr)
+	return st, g
+}
+
+// RunContext is the allocator's cache-aware entry point: lv must be a
+// current liveness for f, which the rounds keep current instead of
+// recomputing. On return lv is the liveness of f as rewritten.
+// conservativeK, when non-nil, switches to the Briggs conservative
+// test. ctx is checked before every round; once it is done, RunContext
+// returns an error wrapping ctx.Err(), and f and lv are left in no
+// particular state.
 //
 // The returned graph is non-nil only when no move was merged: f and
 // lv are then unchanged, so the caller can color on it directly.
 // After any merge, f has been rewritten and the caller must renumber
 // (liverange.RenumberWithLiveness takes lv as it stands) before
 // building the graph it will color on — returning one here would
-// only be thrown away, so none is built. Aggressive rounds build
-// no graph: each asks only whether its candidate moves' two ends
-// interfere, which interferingMoves answers by walking just the blocks
-// that define a candidate register. Conservative rounds build a full
-// graph every round, since the Briggs test reads neighbor lists.
-func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, _ int, tr *obs.Tracer) (Stats, *ig.Graph) {
+// only be thrown away, so none is built.
+//
+// Aggressive rounds build no graph and compute no liveness. Once per
+// call, every register gets the position-sorted list of instructions
+// that read or define it. A round asks only whether its candidate
+// moves' two ends interfere, and answers from those lists and lv; a
+// candidate neither of whose ends was merged in the round before keeps
+// its answer. A merge folds one list into the other and recomputes the
+// merged register's liveness alone, and f is rewritten once, at the
+// fixpoint. Conservative rounds build a full graph, rewrite f and
+// recompute liveness every round, since the Briggs test reads
+// neighbor lists.
+func RunContext(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
+	if conservativeK != nil {
+		return runConservative(ctx, f, lv, conservativeK, tr)
+	}
+	if runObserver == nil {
+		return runAggressive(ctx, f, lv, tr)
+	}
+	end := runObserver(f, lv)
+	st, g, err := runAggressive(ctx, f, lv, tr)
+	end(st)
+	return st, g, err
+}
+
+// runConservative is the conservative build/coalesce fixpoint.
+func runConservative(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
 	var st Stats
 	// Rewrites rename registers but never add any, so scratch sized
 	// once serves every round.
 	n := f.NumRegs()
-	var bs *briggsScratch
-	var as *aggressiveScratch
-	if conservativeK != nil {
-		bs = &briggsScratch{mark: make([]uint32, n)}
-	} else {
-		as = &aggressiveScratch{start: make([]int32, n+1)}
-	}
+	bs := &briggsScratch{mark: make([]uint32, n)}
 	parent := make([]ir.Reg, n)
 	find := func(x ir.Reg) ir.Reg {
 		for parent[x] != x {
@@ -123,57 +154,37 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 	touched := make([]bool, n)
 	var cands []move
 	for {
+		if err := ctx.Err(); err != nil {
+			return st, nil, fmt.Errorf("coalesce: cancelled before round %d: %w", st.Rounds+1, err)
+		}
 		var examined int
 		cands, examined = candidates(f, cands[:0])
-		var g *ig.Graph
-		var check func(dst, src ir.Reg, hit bool)
-		if conservativeK != nil {
-			g = ig.BuildWithLiveness(f, lv, 0, tr)
-		} else {
-			as.interferingMoves(f, lv, cands)
-			if interferenceObserver != nil {
-				check = interferenceObserver(f, lv)
-			}
-		}
+		g := ig.BuildWithLiveness(f, lv, 0, tr)
 		for i := range parent {
 			parent[i] = ir.Reg(i)
 		}
 		clear(touched)
 
 		merged := 0
-		for ci, c := range cands {
+		for _, c := range cands {
 			dst, src := c.dst, c.src
-			// Only coalesce pairs untouched in this round: the round's
-			// interference answers cannot speak for a range merged
-			// moments ago (its true neighbor set is already larger).
-			// Chained copies are picked up by the next build/coalesce
-			// round.
+			// The touched rule, as in runAggressive.
 			if touched[dst] || touched[src] {
 				continue
 			}
-			if conservativeK != nil {
-				if g.Interfere(int32(dst), int32(src)) {
-					continue
-				}
-				k := conservativeK(f.RegClass(dst))
-				ok := bs.briggsTest(g, dst, src, k)
-				if briggsObserver != nil {
-					briggsObserver(g, dst, src, k, ok)
-				}
-				if !ok {
-					continue
-				}
-			} else {
-				if check != nil {
-					check(dst, src, as.hit[ci])
-				}
-				if as.hit[ci] {
-					continue
-				}
+			if g.Interfere(int32(dst), int32(src)) {
+				continue
+			}
+			k := conservativeK(f.RegClass(dst))
+			ok := bs.briggsTest(g, dst, src, k)
+			if briggsObserver != nil {
+				briggsObserver(g, dst, src, k, ok)
+			}
+			if !ok {
+				continue
 			}
 			touched[dst] = true
 			touched[src] = true
-			// Merge into the smaller id for determinism.
 			if src < dst {
 				dst, src = src, dst
 			}
@@ -190,12 +201,9 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				return st, nil // f was rewritten; see the contract above
+				return st, nil, nil // f was rewritten; see the contract above
 			}
-			if g == nil {
-				g = ig.BuildWithLiveness(f, lv, 0, tr)
-			}
-			return st, g
+			return st, g, nil
 		}
 		st.Moves += merged
 		rewrite(f, find)
@@ -222,96 +230,36 @@ func candidates(f *ir.Func, buf []move) ([]move, int) {
 				continue
 			}
 			examined++
-			dst, src := in.Dst, in.A
-			if f.RegClass(dst) != f.RegClass(src) {
-				continue
+			if coalescible(f, in.Dst, in.A) {
+				buf = append(buf, move{in.Dst, in.A})
 			}
-			if f.RegFlags(dst)&ir.FlagSpillTemp != 0 || f.RegFlags(src)&ir.FlagSpillTemp != 0 {
-				continue
-			}
-			buf = append(buf, move{dst, src})
 		}
 	}
 	return buf, examined
 }
 
-// interferenceObserver, when non-nil, is called at the start of each
-// aggressive round with the (f, lv) the round answers on, and returns
-// the function that sees each of the round's queries and its answer.
-// Tests install it to check the walk against the full graph.
-var interferenceObserver func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit bool)
-
-// aggressiveScratch holds an aggressive round's interference answers:
-// hit[c] reports whether candidate c's two ends interfere. byReg lists
-// candidate indices grouped by register, register r's group being
-// byReg[start[r]:start[r+1]].
-type aggressiveScratch struct {
-	start []int32
-	byReg []int32
-	hit   []bool
+// coalescible reports whether a copy between the distinct registers
+// dst and src may merge them: they share a class and neither is a
+// spill temporary. Merging keeps both properties, so a copy that is
+// not coalescible never becomes so.
+func coalescible(f *ir.Func, dst, src ir.Reg) bool {
+	return f.RegClass(dst) == f.RegClass(src) &&
+		f.RegFlags(dst)&ir.FlagSpillTemp == 0 && f.RegFlags(src)&ir.FlagSpillTemp == 0
 }
 
-// interferingMoves sets hit[c] exactly when ig.BuildWithLiveness(f,
-// lv) would report cands[c]'s ends as interfering. The graph holds
-// (a, b) iff some instruction defines a while b is live after it and
-// b is not that instruction's move source, or the same with a and b
-// swapped. Both ends of a candidate share a class, so only the
-// instructions defining a candidate register matter, and at each only
-// that register's move partners need checking. A block defining no
-// candidate register is skipped, and the walk of any other block
-// stops at its first such definition.
-func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, cands []move) {
-	s.hit = append(s.hit[:0], make([]bool, len(cands))...)
-	if len(cands) == 0 {
-		return
-	}
-	// Counting sort of candidate ends by register: count into start[r],
-	// prefix-sum to each group's end, then fill every group from its
-	// end down, which leaves start[r] at the group's beginning.
-	start := s.start
-	clear(start)
-	for _, c := range cands {
-		start[c.dst]++
-		start[c.src]++
-	}
-	for r := 1; r < len(start); r++ {
-		start[r] += start[r-1]
-	}
-	s.byReg = append(s.byReg[:0], make([]int32, 2*len(cands))...)
-	for ci := len(cands) - 1; ci >= 0; ci-- {
-		for _, r := range [2]ir.Reg{cands[ci].dst, cands[ci].src} {
-			start[r]--
-			s.byReg[start[r]] = int32(ci)
-		}
-	}
-	visit := func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-		d := in.Def()
-		if d == ir.NoReg {
-			return
-		}
-		moveSrc := ir.NoReg
-		if in.IsMove() {
-			moveSrc = in.A
-		}
-		for _, ci := range s.byReg[start[d]:start[d+1]] {
-			p := cands[ci].src
-			if p == d {
-				p = cands[ci].dst
-			}
-			if p != moveSrc && liveAfter.Has(int(p)) {
-				s.hit[ci] = true
-			}
-		}
-	}
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg && start[d] != start[d+1] {
-				lv.LiveAcrossRange(f, b, i, visit)
-				break
-			}
-		}
-	}
-}
+// roundObserver, when non-nil, is called at the start of each
+// aggressive round with f as rewritten so far and the liveness the
+// round answers on, and returns the function that sees each
+// interference answer the round uses, asked afresh or kept from an
+// earlier round. Tests install it to check the answers and the
+// liveness against a full solve.
+var roundObserver func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit, fresh bool)
+
+// runObserver, when non-nil, is called as each aggressive run starts,
+// with the f and lv it was handed, and the function it returns is
+// called with the run's Stats when the run returns. Tests install it
+// to hold each run to the reference round loop.
+var runObserver func(f *ir.Func, lv *dataflow.Liveness) func(Stats)
 
 // briggsObserver, when non-nil, sees every conservative-test query
 // and its answer. Tests install it to check the test against a

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"regalloc/internal/coalesce"
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
 	"regalloc/internal/irinterp"
 )
@@ -268,5 +269,91 @@ func TestConservativeRefusesRiskyMerge(t *testing.T) {
 	}()
 	if nCons >= nAgg {
 		t.Fatalf("conservative (%d) should merge fewer than aggressive (%d) here", nCons, nAgg)
+	}
+}
+
+// TestChangedAnswersAskedAgain covers the two ways a merge can turn an
+// interfering candidate into a mergeable one, which the corpus never
+// shows: the interference rested on a copy the merge deletes. Each
+// unit must match the reference round loop.
+//
+// SELF: a = move a is a self-copy on entry and the only definition of
+// a with x live after it. The first merging round (b = move c)
+// deletes it, as rewriting the function would, so x = move a merges
+// one round later.
+//
+// DEAD: the dead copy d = move b keeps b live across x's definition,
+// so b and x interfere when first asked. d merges with e in round 1,
+// which keeps d = move b from merging until round 2. That merge
+// deletes the copy, and b = move x merges in round 3.
+func TestChangedAnswersAskedAgain(t *testing.T) {
+	op := func(o ir.Op, dst, a ir.Reg, imm int64) ir.Instr {
+		return ir.Instr{Op: o, Dst: dst, A: a, B: ir.NoReg, C: ir.NoReg, Imm: imm}
+	}
+	self := func() *ir.Func {
+		f := &ir.Func{Name: "SELF"}
+		a, b, c, x := f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt)
+		b0, b1, b2 := f.NewBlock(), f.NewBlock(), f.NewBlock()
+		b0.Instrs = []ir.Instr{
+			op(ir.OpConst, a, ir.NoReg, 1),
+			op(ir.OpConst, c, ir.NoReg, 2),
+			op(ir.OpMove, x, a, 0),
+			op(ir.OpBr, ir.NoReg, ir.NoReg, 0),
+		}
+		b0.Succs = []int{b1.ID}
+		b1.Instrs = []ir.Instr{
+			op(ir.OpMove, a, a, 0),
+			op(ir.OpMove, b, c, 0),
+			{Op: ir.OpBrIf, Dst: ir.NoReg, A: b, B: x, C: ir.NoReg, Cmp: ir.CmpLT, Cls: ir.ClassInt},
+		}
+		b1.Succs = []int{b1.ID, b2.ID}
+		b2.Instrs = []ir.Instr{op(ir.OpRet, ir.NoReg, b, 0)}
+		return f
+	}
+	dead := func() *ir.Func {
+		f := &ir.Func{Name: "DEAD"}
+		b, d, e, x := f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt), f.NewReg(ir.ClassInt)
+		b0 := f.NewBlock()
+		b0.Instrs = []ir.Instr{
+			op(ir.OpConst, e, ir.NoReg, 9),
+			op(ir.OpMove, d, e, 0),
+			op(ir.OpConst, b, ir.NoReg, 1),
+			op(ir.OpConst, x, ir.NoReg, 2),
+			op(ir.OpMove, d, b, 0),
+			op(ir.OpMove, b, x, 0),
+			op(ir.OpRet, ir.NoReg, b, 0),
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		build         func() *ir.Func
+		moves, rounds int
+	}{
+		{self, 2, 3},
+		{dead, 3, 4},
+	} {
+		f, ref := tc.build(), tc.build()
+		for _, g := range []*ir.Func{f, ref} {
+			g.RecomputePreds()
+			if err := ir.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lv := dataflow.ComputeLiveness(f)
+		st, _ := coalesce.RunWithLiveness(f, lv, nil, 0, nil)
+		refSt, _ := coalesce.RunAggressiveRef(ref, dataflow.ComputeLiveness(ref), nil)
+		if refSt.Moves != tc.moves || refSt.Rounds != tc.rounds {
+			t.Fatalf("%s: test premise broken: the reference merged %d moves in %d rounds, want %d in %d",
+				f.Name, refSt.Moves, refSt.Rounds, tc.moves, tc.rounds)
+		}
+		if st.Moves != refSt.Moves || st.Rounds != refSt.Rounds {
+			t.Errorf("%s: %d moves in %d rounds, reference %d in %d", f.Name, st.Moves, st.Rounds, refSt.Moves, refSt.Rounds)
+		}
+		if listing(f) != listing(ref) {
+			t.Errorf("%s: listing differs from the reference:\n%s\nreference:\n%s", f.Name, listing(f), listing(ref))
+		}
+		if err := diffLiveness(f, lv, dataflow.ComputeLiveness(f)); err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+		}
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"regalloc/internal/ir"
 )
 
+// RunAggressiveRef is the reference aggressive round loop.
+var RunAggressiveRef = runAggressiveRef
+
 // CheckBriggsQueries hands check the fast answer and the reference
 // answer of every conservative-test query run until restore is called.
 // Queries must come from one goroutine at a time.
@@ -16,22 +19,23 @@ func CheckBriggsQueries(check func(got, want bool)) (restore func()) {
 	return func() { briggsObserver = nil }
 }
 
-// CheckInterferenceQueries hands check the walk's answer and the full
-// interference graph's answer, built on the same function and
-// liveness, of every aggressive query run until restore is called.
-// Queries must come from one goroutine at a time.
-func CheckInterferenceQueries(check func(got, want bool)) (restore func()) {
-	interferenceObserver = func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit bool) {
-		// One graph per round, built at its first query: f and lv
-		// keep their pointers across rounds (lv is recomputed in
-		// place), so only the round says when they changed.
-		var g *ig.Graph
-		return func(dst, src ir.Reg, hit bool) {
-			if g == nil {
-				g = ig.BuildWithLiveness(f, lv, 0, nil)
-			}
-			check(hit, g.Interfere(int32(dst), int32(src)))
-		}
-	}
-	return func() { interferenceObserver = nil }
+// CheckRounds calls start at the beginning of every aggressive round
+// run until restore is called, with f as rewritten so far and the
+// liveness the round answers on. The function start returns sees each
+// interference answer the round uses, and whether the round asked it
+// afresh or kept it from an earlier round. f may be a copy: it stays valid
+// until the round ends, and start must not change it or lv. Rounds
+// must come from one goroutine at a time.
+func CheckRounds(start func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit, fresh bool)) (restore func()) {
+	roundObserver = start
+	return func() { roundObserver = nil }
+}
+
+// CheckRuns calls start as every aggressive run until restore is
+// called begins, with the f and lv it was handed, and the function
+// start returns when the run returns, with its Stats. Runs must come
+// from one goroutine at a time.
+func CheckRuns(start func(f *ir.Func, lv *dataflow.Liveness) func(Stats)) (restore func()) {
+	runObserver = start
+	return func() { runObserver = nil }
 }

@@ -16,7 +16,9 @@ type Liveness struct {
 	Out []*bitset.Set
 
 	// use and def are each block's upward-exposed uses and its
-	// definitions; Recompute reuses them along with In and Out.
+	// definitions as Recompute last found them; Recompute reuses them
+	// along with In and Out. Nothing else reads them, so a caller that
+	// keeps In and Out current itself may leave them stale.
 	use, def []*bitset.Set
 }
 
@@ -99,17 +101,9 @@ func (lv *Liveness) Recompute(f *ir.Func) {
 // callback must not retain the set. This is the traversal the
 // interference-graph builder uses.
 func (lv *Liveness) LiveAcross(f *ir.Func, b *ir.Block, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	lv.LiveAcrossRange(f, b, 0, visit)
-}
-
-// LiveAcrossRange is LiveAcross stopped at instruction lo: it starts
-// from the block's live-out, as LiveAcross does, and visits
-// instructions len(b.Instrs)-1 down to lo. The coalescer uses it to
-// skip the head of a block that defines no register it asks about.
-func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo int, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
 	live := lv.Out[b.ID].Copy()
 	var ubuf []ir.Reg
-	for i := len(b.Instrs) - 1; i >= lo; i-- {
+	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		in := &b.Instrs[i]
 		visit(i, in, live)
 		if dst := in.Def(); dst != ir.NoReg {

@@ -424,8 +424,9 @@ func (p *Program) Allocate(name string, opt Options) (*Result, error) {
 }
 
 // AllocateContext is Allocate with cancellation and request-trace
-// propagation: ctx is checked at every pass boundary, and a reqtrace
-// scope carried by ctx receives the run's per-phase spans.
+// propagation: ctx is checked at every pass boundary and before every
+// coalescing round, and a reqtrace scope carried by ctx receives the
+// run's per-phase spans.
 func (p *Program) AllocateContext(ctx context.Context, name string, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -452,9 +453,10 @@ func (p *Program) AllocateContext(ctx context.Context, name string, opt Options)
 // any work starts; misuse returns a typed error.
 //
 // Cancelling ctx stops the run: units not yet started are skipped,
-// units in flight stop at their next pass boundary (alloc.RunContext
-// checks the context between Figure 4 passes; there is no preemption
-// point inside a pass), and the context's error is returned.
+// units in flight stop at their next pass boundary or coalescing round
+// (alloc.RunContext checks the context between Figure 4 passes and
+// between the coalescing rounds inside a pass), and the context's
+// error is returned.
 func (p *Program) AssembleContext(ctx context.Context, m Machine, opt Options) (*asm.Program, map[string]*Result, error) {
 	opt.KInt = m.NumGPR
 	opt.KFloat = m.NumFPR

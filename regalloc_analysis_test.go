@@ -79,44 +79,54 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheUnderCoalescing: a coalescing pass computes
-// liveness once to renumber and once after each round that merged
-// moves (each merge rewrites registers) — so exactly once per
-// coalesce round, the post-coalesce renumbering reusing the
-// coalescer's final sets — and runs the CFG analysis exactly once,
-// since merges never touch blocks. This pins the fix for the double
-// cfg.Analyze in split mode.
+// TestAnalysisCacheUnderCoalescing: a coalescing pass runs the CFG
+// analysis exactly once, since merges never touch blocks, which pins
+// the fix for the double cfg.Analyze in split mode. Aggressive
+// coalescing keeps the liveness it is handed current by recomputing
+// only each merged register, so its passes compute liveness exactly
+// once, to renumber; the post-coalesce renumbering reuses the
+// coalescer's final sets. Conservative coalescing re-solves liveness
+// after each round that merged moves, so its passes compute it once
+// per coalesce round.
 func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 	prog, err := regalloc.Compile(pressure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	opt := regalloc.DefaultOptions()
-	opt.Split = true
-	opt.KInt = 4
-	opt.Observer = regalloc.NewJSONSink(&buf)
-	res, err := prog.Allocate("PRESS", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values, _ := decodeCounters(t, &buf)
-	merged := false
-	for pass := range res.Passes {
-		if got := values[pass]["analysis.cfg_runs"]; got != 1 {
-			t.Errorf("pass %d: analysis.cfg_runs = %d, want exactly 1", pass, got)
+	for _, conservative := range []bool{false, true} {
+		var buf bytes.Buffer
+		opt := regalloc.DefaultOptions()
+		opt.Split = true
+		opt.KInt = 4
+		opt.ConservativeCoalesce = conservative
+		opt.Observer = regalloc.NewJSONSink(&buf)
+		res, err := prog.Allocate("PRESS", opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rounds := values[pass]["coalesce.rounds"]
-		if rounds < 1 {
-			t.Fatalf("pass %d: coalesce.rounds = %d; every pass coalesces", pass, rounds)
+		values, _ := decodeCounters(t, &buf)
+		merged := false
+		for pass := range res.Passes {
+			if got := values[pass]["analysis.cfg_runs"]; got != 1 {
+				t.Errorf("conservative=%v pass %d: analysis.cfg_runs = %d, want exactly 1", conservative, pass, got)
+			}
+			rounds := values[pass]["coalesce.rounds"]
+			if rounds < 1 {
+				t.Fatalf("conservative=%v pass %d: coalesce.rounds = %d; every pass coalesces", conservative, pass, rounds)
+			}
+			want := int64(1)
+			if conservative {
+				want = rounds
+			}
+			if got := values[pass]["analysis.liveness_runs"]; got != want {
+				t.Errorf("conservative=%v pass %d: analysis.liveness_runs = %d, want %d (coalesce.rounds = %d)",
+					conservative, pass, got, want, rounds)
+			}
+			merged = merged || rounds > 1
 		}
-		if got := values[pass]["analysis.liveness_runs"]; got != rounds {
-			t.Errorf("pass %d: analysis.liveness_runs = %d, want coalesce.rounds = %d", pass, got, rounds)
+		if !merged {
+			t.Fatalf("test premise broken: no pass of PRESS merged a move (conservative=%v)", conservative)
 		}
-		merged = merged || rounds > 1
-	}
-	if !merged {
-		t.Fatal("test premise broken: no pass of PRESS merged a move")
 	}
 }
 

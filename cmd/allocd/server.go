@@ -547,23 +547,25 @@ func machineEcho(m *regalloc.MachineModel) *machineResponse {
 func (s *server) sourceBody(ctx context.Context, prog *regalloc.Program, opt regalloc.Options, req *AllocRequest) ([]byte, error) {
 	opt.Observer = s.metrics
 	var results map[string]*regalloc.Result
+	var err error
+	unit, what := "(program)", "allocate"
 	if req.Unit != "" {
-		res, err := prog.AllocateContext(ctx, req.Unit, opt)
-		if err != nil {
-			s.reg.Record(obs.RunSummary{Unit: req.Unit, Error: true})
-			return nil, failErr(http.StatusBadRequest, codeBadRequest, "allocate "+req.Unit, err)
-		}
+		unit, what = req.Unit, "allocate "+req.Unit
+		var res *regalloc.Result
+		res, err = prog.AllocateContext(ctx, req.Unit, opt)
 		results = map[string]*regalloc.Result{req.Unit: res}
 	} else {
-		var err error
 		results, err = prog.AllocateAllContext(ctx, opt)
-		if err != nil {
-			s.reg.Record(obs.RunSummary{Unit: "(program)", Error: true})
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, s.ctxFailure(ctx, "allocate", codeDeadlineExceeded)
-			}
-			return nil, failErr(http.StatusBadRequest, codeBadRequest, "allocate", err)
+	}
+	if err != nil {
+		s.reg.Record(obs.RunSummary{Unit: unit, Error: true})
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// The allocator's error says where the deadline landed.
+			fail := s.ctxFailure(ctx, what, codeDeadlineExceeded)
+			fail.Detail = err.Error()
+			return nil, fail
 		}
+		return nil, failErr(http.StatusBadRequest, codeBadRequest, what, err)
 	}
 
 	resp := allocResponse{Input: "src", Machine: machineEcho(opt.Machine)}

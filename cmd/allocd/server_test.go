@@ -13,7 +13,9 @@ import (
 	"testing/iotest"
 	"time"
 
+	"regalloc"
 	"regalloc/internal/obs/promtext"
+	"regalloc/internal/workloads"
 )
 
 const testSource = `
@@ -354,6 +356,42 @@ func TestAllocTimeout(t *testing.T) {
 	s.handleAlloc(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ample -alloc-timeout: status %d, want 200\n%s", rec.Code, rec.Body)
+	}
+}
+
+// TestUnitAllocTimeout: a single-unit request that outlives
+// -alloc-timeout answers 429 deadline_exceeded, as a whole-program one
+// does, and within 2 s of the deadline. Under briggs the deadline
+// lands in the aggressive coalescing rounds, under irc in the
+// conservative rounds of its spill baseline, and both check it every
+// round. Compiling the source is not cancellable, so the timeout is
+// set past twice the time the test takes to compile the same source.
+func TestUnitAllocTimeout(t *testing.T) {
+	src := workloads.Loops(1600).Source
+	start := time.Now()
+	if _, err := regalloc.Compile(src); err != nil {
+		t.Fatal(err)
+	}
+	timeout := 2*time.Since(start) + 100*time.Millisecond
+	s := newServer(4)
+	s.allocTimeout = timeout
+	for _, h := range []string{"briggs", "irc"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/alloc?unit=LOOPS&heuristic="+h, strings.NewReader(src))
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		s.handleAlloc(rec, req)
+		took := time.Since(start)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d after %v, want 429\n%s", h, rec.Code, took, rec.Body)
+		}
+		e := errorEnvelope(t, rec.Body.Bytes())
+		if e.Code != codeDeadlineExceeded {
+			t.Fatalf("%s: error code %q, want %q", h, e.Code, codeDeadlineExceeded)
+		}
+		if took > timeout+2*time.Second {
+			t.Fatalf("%s: answered after %v, want within %v", h, took, timeout+2*time.Second)
+		}
+		t.Logf("%s: 429 after %v (timeout %v): %s", h, took, timeout, e.Detail)
 	}
 }
 

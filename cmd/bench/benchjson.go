@@ -74,65 +74,6 @@ import (
 	"regalloc/internal/workloads"
 )
 
-// benchScale is one cell of the scale tier (new in regalloc-bench/7):
-// parallel coloring wall time on a 10^5-node graph, per topology,
-// engine, and worker count.
-type benchScale struct {
-	Topology  string `json:"topology"`
-	Nodes     int    `json:"nodes"`
-	Edges     int    `json:"edges"`
-	Algo      string `json:"algo"`
-	Workers   int    `json:"workers"`
-	GenNS     int64  `json:"gen_ns"`
-	ColorNS   int64  `json:"color_ns"`
-	Rounds    int    `json:"rounds"`
-	Conflicts int    `json:"conflicts"`
-	Colors    int    `json:"colors"`
-}
-
-// benchSSA is one routine under one register-file size in the
-// SSA-form chordal allocator study (new in regalloc-bench/8). The
-// spill/cost columns are deterministic — they diff cleanly across
-// PRs; only durations elsewhere in the report carry machine noise.
-type benchSSA struct {
-	Program string `json:"program"`
-	Routine string `json:"routine"`
-	KInt    int    `json:"k_int"`
-	KFloat  int    `json:"k_float"`
-	// Irreducible marks units whose operand pressure no spilling can
-	// fit at this K; all other columns are zero for such rows.
-	Irreducible  bool  `json:"irreducible,omitempty"`
-	Phis         int   `json:"phis"`
-	CopyProps    int   `json:"copy_props"`
-	SplitEdges   int   `json:"split_edges"`
-	MaxLiveInt   int   `json:"maxlive_int"`
-	MaxLiveFloat int   `json:"maxlive_float"`
-	Rounds       int   `json:"rounds"`
-	Spilled      int   `json:"spilled"`
-	CostMilli    int64 `json:"cost_milli"`
-	Copies       int   `json:"phi_copies"`
-	CycleBreaks  int   `json:"cycle_breaks"`
-	SlotBounces  int   `json:"slot_bounces"`
-	ChaitinCost  int64 `json:"chaitin_cost_milli"`
-	BriggsCost   int64 `json:"briggs_cost_milli"`
-}
-
-// benchIRC is one routine of the iterated-register-coalescing study
-// (new in regalloc-bench/10): surviving register copies under Briggs
-// conservative coalescing versus George-Appel IRC, with both total
-// spill costs. They are equal by construction of the decoupled IRC
-// design, whose spill rounds are Briggs with ConservativeCoalesce;
-// IRC is not bounded by the portfolio's aggressive `briggs` candidate.
-// Fully deterministic, so it diffs cleanly across PRs.
-type benchIRC struct {
-	Program     string `json:"program"`
-	Routine     string `json:"routine"`
-	BriggsMoves int    `json:"briggs_moves"`
-	IRCMoves    int    `json:"irc_moves"`
-	BriggsCost  int64  `json:"briggs_cost_milli"`
-	IRCCost     int64  `json:"irc_cost_milli"`
-}
-
 // benchPortfolioCandidate is one strategy's outcome in one routine's
 // portfolio race.
 type benchPortfolioCandidate struct {
@@ -167,17 +108,18 @@ type benchReport struct {
 	// Scale is the 10^5-node tier: CSR-backed graphs at the size
 	// where per-node adjacency vectors used to dominate build time.
 	// New in regalloc-bench/7.
-	Scale []benchScale `json:"scale"`
+	Scale []experiments.ScaleRow `json:"scale"`
 	// SSA is the SSA-form chordal allocator study: every figure-5
 	// routine at (16,8) and (8,4), with the Figure 4 allocators'
-	// costs on the same units for comparison. New in
-	// regalloc-bench/8.
-	SSA []benchSSA `json:"ssa"`
+	// costs on the same units for comparison. The spill and cost
+	// columns are deterministic, so they diff cleanly across PRs. New
+	// in regalloc-bench/8.
+	SSA []experiments.SSARow `json:"ssa"`
 	// IRC is the iterated-register-coalescing study: per-routine
 	// surviving copies under the Briggs conservative pre-pass versus
-	// IRC's retested worklist, plus the move-heavy aggregate. New in
-	// regalloc-bench/10.
-	IRC []benchIRC `json:"irc"`
+	// IRC's retested worklist, with both spill costs, which are equal
+	// by construction. New in regalloc-bench/10.
+	IRC []experiments.IRCRow `json:"irc"`
 	// IRCEliminatedPct is the share of copies IRC removed from the
 	// move-heavy units (>= 4 surviving the pre-pass), in percent.
 	IRCEliminatedPct float64 `json:"irc_eliminated_pct"`
@@ -273,20 +215,7 @@ func runBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range scale.Rows {
-		report.Scale = append(report.Scale, benchScale{
-			Topology:  row.Topology,
-			Nodes:     row.Nodes,
-			Edges:     row.Edges,
-			Algo:      row.Algo,
-			Workers:   row.Workers,
-			GenNS:     row.GenNS,
-			ColorNS:   row.ColorNS,
-			Rounds:    row.Rounds,
-			Conflicts: row.Conflicts,
-			Colors:    row.Colors,
-		})
-	}
+	report.Scale = scale.Rows
 
 	// SSA-form chordal allocator study (new in /8). Deterministic
 	// like the portfolio section: spill and cost columns diff cleanly
@@ -295,28 +224,7 @@ func runBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range ssaStudy.Rows {
-		report.SSA = append(report.SSA, benchSSA{
-			Program:      row.Program,
-			Routine:      row.Routine,
-			KInt:         row.KInt,
-			KFloat:       row.KFloat,
-			Irreducible:  row.Irreducible,
-			Phis:         row.Phis,
-			CopyProps:    row.CopyProps,
-			SplitEdges:   row.SplitEdges,
-			MaxLiveInt:   row.MaxLiveInt,
-			MaxLiveFloat: row.MaxLiveFloat,
-			Rounds:       row.Rounds,
-			Spilled:      row.Spilled,
-			CostMilli:    row.CostMilli,
-			Copies:       row.Copies,
-			CycleBreaks:  row.CycleBreaks,
-			SlotBounces:  row.SlotBounces,
-			ChaitinCost:  row.ChaitinCostMilli,
-			BriggsCost:   row.BriggsCostMilli,
-		})
-	}
+	report.SSA = ssaStudy.Rows
 
 	// Iterated-register-coalescing study (new in /10). Deterministic:
 	// move and cost columns diff cleanly across PRs.
@@ -324,16 +232,7 @@ func runBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range ircStudy.Rows {
-		report.IRC = append(report.IRC, benchIRC{
-			Program:     row.Program,
-			Routine:     row.Routine,
-			BriggsMoves: row.BriggsMoves,
-			IRCMoves:    row.IRCMoves,
-			BriggsCost:  row.BriggsCostMilli,
-			IRCCost:     row.IRCCostMilli,
-		})
-	}
+	report.IRC = ircStudy.Rows
 	report.IRCEliminatedPct = ircStudy.EliminatedPct()
 
 	f, err := os.Create(path)

@@ -229,7 +229,6 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 				return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
 			}
 			ps.CoalescedMoves = cs.Moves
-			pc.livenessRuns += cs.LivenessRuns
 			g = cg // non-nil exactly when no move merged
 			if cs.Moves > 0 {
 				// Coalescing rewrote the code (and so returned no

@@ -89,8 +89,11 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resu
 	t0 = tr.Begin(obs.PhaseSimplify)
 	// Terminal round: spill-temp moves are fair game — no further
 	// spill round can be forced to spill a widened temporary web.
-	rr := irc.ColorWith(work, mg, costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
+	rr, err := irc.ColorWith(ctx, work, mg, costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
 	ps.Simplify = tr.End(obs.PhaseSimplify, t0)
+	if err != nil {
+		return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, len(res.Passes), err)
+	}
 
 	if len(rr.Spilled) > 0 {
 		// The baseline coloring leaned on optimism this round's

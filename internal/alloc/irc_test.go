@@ -1,13 +1,16 @@
 package alloc_test
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"regalloc/internal/alloc"
 	"regalloc/internal/color"
 	"regalloc/internal/ir"
 	"regalloc/internal/machine"
+	"regalloc/internal/obs"
 )
 
 // callSrc has a value (S) live across every call to G, so allocating
@@ -72,6 +75,48 @@ func TestIRCConvergesUnderPressure(t *testing.T) {
 	if err := alloc.VerifyAssignment(res.Func, res.Colors); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cancelOnSimplify is an Observer that cancels its context when the
+// simplify span of pass begins.
+type cancelOnSimplify struct {
+	cancel context.CancelFunc
+	pass   int
+	seen   bool
+}
+
+func (c *cancelOnSimplify) Emit(e obs.Event) {
+	if e.Kind == obs.KindSpanBegin && e.Phase == obs.PhaseSimplify && e.Pass == c.pass {
+		c.seen = true
+		c.cancel()
+	}
+}
+
+// TestIRCWorklistStopsOnCancel: a context cancelled as the worklist
+// round starts stops the round itself, after its spill rounds have
+// finished, so no pass boundary or coalescing round follows to check.
+func TestIRCWorklistStopsOnCancel(t *testing.T) {
+	f := compile(t, pressureSrc).Func("HOT")
+	opt := alloc.DefaultOptions()
+	opt.Heuristic = color.IRC
+	res, err := alloc.Run(f, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The worklist round is the last pass.
+	obsv := &cancelOnSimplify{cancel: cancel, pass: len(res.Passes) - 1}
+	opt.Observer = obsv
+	_, err = alloc.RunContext(ctx, f, opt)
+	if !obsv.seen {
+		t.Fatalf("test premise broken: pass %d began no simplify span", obsv.pass)
+	}
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "worklist steps") {
+		t.Fatalf("cancelled as the worklist round began: err = %v, want the round's context.Canceled", err)
+	}
+	t.Log(err)
 }
 
 // TestMachineConstrainedHeuristics runs every Figure 4 family plus

@@ -12,10 +12,9 @@ import (
 // 4 cycle needs live-variable analysis (renumbering, coalescing,
 // graph build) and CFG/loop analysis (spill-cost depths, split
 // insertion). passCtx computes liveness once when the pass starts,
-// before renumbering, and from then on never computes it from
-// scratch except after a coalescing round that merged moves: the
-// renumbering renames the sets it was given to the new webs, the
-// coalescer recomputes into the same sets, and the post-coalesce
+// before renumbering, and never from scratch again: the renumbering
+// renames the sets it was given to the new webs, the coalescer keeps
+// them current across its merges in either mode, and the post-coalesce
 // renumbering renames the coalescer's final sets. cfg.Analyze runs
 // once per pass, split mode included. The run counts are published
 // as build-phase counters so tests — and trace consumers — can hold
@@ -42,10 +41,9 @@ func newPassCtx(work *ir.Func) *passCtx {
 	return pc
 }
 
-// emitCounters publishes the pass's analysis-run totals. Without
-// coalescing both must be exactly 1; coalescing adds one liveness run
-// per merging round, so a coalescing pass runs liveness once per
-// coalesce round.
+// emitCounters publishes the pass's analysis-run totals, each exactly
+// 1 in every pass, with or without coalescing, aggressive or
+// conservative.
 func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 	if !tr.Enabled() {
 		return

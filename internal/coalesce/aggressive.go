@@ -26,22 +26,22 @@ func mentionAt(pos int32, kind mention) mention { return mention(pos)<<2 | kind 
 
 func (m mention) pos() int32 { return int32(m >> 2) }
 
-// candidate is a copy an aggressive round may merge, with its
-// interference answer. dst and src are the operands as written; find
-// gives their current names. hit answers for the state at the start of
-// round asked, and stays valid until a merge changes either end.
+// candidate is a copy a round may merge, with its interference
+// answer. dst and src are the operands as the run found them; find
+// gives their current names. hit answers for the state at the start of round
+// asked, and stays valid until a merge changes either end.
 type candidate struct {
 	dst, src ir.Reg
 	asked    int32
 	hit      bool
 }
 
-// sparse is an aggressive run's view of f as rewritten so far, kept
-// without rewriting f: each register's mentions in position order, a
-// union-find over registers whose roots are the current names, and the
-// liveness lv of that rewritten function. Positions never move, since
-// the rounds delete a copy by leaving it out of the merged register's
-// mentions rather than by editing f.
+// sparse is a run's view of f as rewritten so far: each register's
+// mentions in position order, a union-find over registers whose roots
+// are the current names, and the liveness lv of that rewritten
+// function. A round deletes a copy by leaving it out of the merged
+// register's mentions rather than by editing f, so f and the positions
+// change only when apply writes the merges into f.
 type sparse struct {
 	f  *ir.Func
 	lv *dataflow.Liveness
@@ -65,6 +65,7 @@ type sparse struct {
 	regs  []ir.Reg  // scratch for mentionsOf
 	named []regKind // mentionsOf's result
 	work  []int32   // scratch worklist of blocks
+	to    []int32   // scratch for apply
 	stamp []int32   // stamp[b] == epoch: b mentions the register being revived
 	epoch int32
 }
@@ -323,10 +324,42 @@ func (s *sparse) revive(r ir.Reg) {
 	s.work = work
 }
 
-// current returns f as rewritten so far: f itself before any merge,
-// otherwise a rewritten copy. Only the test observers call it.
-func (s *sparse) current(merged bool) *ir.Func {
-	if !merged {
+// apply rewrites f with the merges s holds, deleting the copies they
+// made self-copies, and moves every mention to its instruction's new
+// position, so that s describes f as it now stands.
+func (s *sparse) apply() {
+	// to[p] is where the instruction at p moves. No list mentions a
+	// deleted copy, so its entry is never read.
+	to := s.to[:0]
+	next := int32(0)
+	for p := range s.blockOf {
+		to = append(to, next)
+		if in := s.instr(int32(p)); !in.IsMove() || rename(s.find, in.Dst) != rename(s.find, in.A) {
+			next++
+		}
+	}
+	s.to = to
+	rewrite(s.f, s.find)
+	for _, ms := range s.mentions {
+		for i, m := range ms {
+			ms[i] = mentionAt(to[m.pos()], m&(mRead|mDef))
+		}
+	}
+	s.blockOf = s.blockOf[:0]
+	for _, b := range s.f.Blocks {
+		s.start[b.ID] = int32(len(s.blockOf))
+		for range b.Instrs {
+			s.blockOf = append(s.blockOf, int32(b.ID))
+		}
+	}
+	s.start[len(s.f.Blocks)] = int32(len(s.blockOf))
+}
+
+// current returns f as rewritten so far: f itself when s holds no
+// merges f does not show, otherwise a rewritten copy. Only the test
+// observers call it.
+func (s *sparse) current(pending bool) *ir.Func {
+	if !pending {
 		return s.f
 	}
 	c := s.f.Clone()
@@ -334,11 +367,12 @@ func (s *sparse) current(merged bool) *ir.Func {
 	return c
 }
 
-// runAggressive is RunContext's aggressive fixpoint. Each round tries
-// the candidates in program order and merges every one whose ends do
-// not interfere and were not merged earlier in the round, exactly as
-// the rounds did when each one rewrote f and re-solved lv.
-func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *obs.Tracer) (Stats, *ig.Graph, error) {
+// run is RunContext's build/coalesce fixpoint, in both modes. Each
+// round tries the candidates in program order and merges every one
+// whose ends do not interfere, were not merged earlier in the round
+// and, under conservativeK, pass the Briggs test on the round's graph,
+// exactly as the rounds did when each one rewrote f and re-solved lv.
+func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
 	var st Stats
 	s := newSparse(f, lv)
 	n := f.NumRegs()
@@ -346,6 +380,11 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 	// changed[r] is the last round whose merges changed r's mentions
 	// and liveness; an answer asked in a round after it still holds.
 	changed := make([]int32, n)
+	conservative := conservativeK != nil
+	var bs briggsScratch
+	if conservative {
+		bs.mark = make([]uint32, n)
+	}
 	var merges [][2]ir.Reg
 	var gone []ir.Reg
 	for {
@@ -355,7 +394,14 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 		round := int32(st.Rounds + 1)
 		var check func(dst, src ir.Reg, hit, fresh bool)
 		if roundObserver != nil {
-			check = roundObserver(s.current(st.Moves > 0), lv)
+			// Only an aggressive run holds merges f does not show yet.
+			check = roundObserver(s.current(!conservative && st.Moves > 0), lv)
+		}
+		// A conservative round's f is current: the last merging round
+		// rewrote it.
+		var g *ig.Graph
+		if conservative {
+			g = ig.BuildWithLiveness(f, lv, 0, tr)
 		}
 		merges = merges[:0]
 		for i := range s.cands {
@@ -379,6 +425,16 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 			if c.hit {
 				continue
 			}
+			if conservative {
+				k := conservativeK(f.RegClass(dst))
+				ok := bs.briggsTest(g, dst, src, k)
+				if briggsObserver != nil {
+					briggsObserver(g, dst, src, k, ok)
+				}
+				if !ok {
+					continue
+				}
+			}
 			touched[dst] = true
 			touched[src] = true
 			// Merge into the smaller id for determinism.
@@ -397,10 +453,15 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				rewrite(f, s.find)
+				if !conservative {
+					rewrite(f, s.find) // the only rewrite of an aggressive run
+				}
 				return st, nil, nil // see RunContext's contract
 			}
-			return st, ig.BuildWithLiveness(f, lv, 0, tr), nil
+			if g == nil {
+				g = ig.BuildWithLiveness(f, lv, 0, tr)
+			}
+			return st, g, nil
 		}
 		// gone lists the registers whose liveness is now stale: the
 		// merged-away ones, which f no longer mentions, and from
@@ -424,15 +485,14 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 			s.fold(dst, src)
 			mark(dst)
 		}
-		if st.Moves == 0 {
-			// The first merging round also deletes the copies that
-			// were self-copies on entry, as a rewrite of f would.
-			for _, pos := range s.selfCopies {
-				r := s.find(s.instr(pos).Dst)
-				s.drop(r, pos)
-				mark(r)
-			}
+		// The first merging round also deletes the copies that were
+		// self-copies on entry, as a rewrite of f would.
+		for _, pos := range s.selfCopies {
+			r := s.find(s.instr(pos).Dst)
+			s.drop(r, pos)
+			mark(r)
 		}
+		s.selfCopies = nil
 		st.Moves += len(merges)
 		s.forget(gone)
 		for _, r := range gone[revive:] {
@@ -445,5 +505,9 @@ func runAggressive(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, tr *o
 			}
 		}
 		s.cands = live
+		if conservative {
+			// The next round's graph must describe the merged f.
+			s.apply()
+		}
 	}
 }

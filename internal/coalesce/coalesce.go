@@ -13,17 +13,20 @@
 // worklist machine that the irc heuristic runs as a terminal round on
 // top of this pre-pass.
 //
-// An aggressive round needs only one answer per candidate move, so it
-// never builds the graph, re-solves liveness or rewrites the function.
-// It answers from each register's list of the instructions that read
-// or define it, updates only the merged registers' lists and liveness,
-// and the function is rewritten once, at the fixpoint. The result is
-// the same, merge for merge, as rebuilding everything every round.
+// Both modes run one round loop. It answers each candidate's
+// interference question from every register's list of the instructions
+// that read or define it, and a merge updates only the merged
+// registers' lists and liveness, so no round re-solves liveness. An
+// aggressive round needs nothing more, and the function is rewritten
+// once, at the fixpoint. A conservative round also builds the full
+// graph for the Briggs test, so each merging round rewrites the
+// function for the next round's graph, and moves every mention to its
+// instruction's new position. The result is the same, merge for merge,
+// as rebuilding everything every round.
 package coalesce
 
 import (
 	"context"
-	"fmt"
 
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
@@ -38,16 +41,6 @@ type Stats struct {
 	// Rounds is the number of build/coalesce rounds run (always at
 	// least one; the last round merges nothing).
 	Rounds int
-	// LivenessRuns counts the full liveness solves, each into the
-	// caller's sets in place. Aggressive rounds run none: a merge
-	// recomputes the merged register's liveness alone. A conservative
-	// run solves once after each merging round, and the round that
-	// reaches fixpoint solves nothing. An allocator pass that computed
-	// liveness once to renumber, and renumbers again with the
-	// coalescer's final liveness, therefore runs liveness exactly
-	// once under aggressive coalescing and Rounds times under
-	// conservative coalescing.
-	LivenessRuns int
 }
 
 // Run coalesces moves in f until fixpoint, rewriting registers and
@@ -113,129 +106,25 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 // building the graph it will color on — returning one here would
 // only be thrown away, so none is built.
 //
-// Aggressive rounds build no graph and compute no liveness. Once per
-// call, every register gets the position-sorted list of instructions
-// that read or define it. A round asks only whether its candidate
-// moves' two ends interfere, and answers from those lists and lv; a
-// candidate neither of whose ends was merged in the round before keeps
-// its answer. A merge folds one list into the other and recomputes the
-// merged register's liveness alone, and f is rewritten once, at the
-// fixpoint. Conservative rounds build a full graph, rewrite f and
-// recompute liveness every round, since the Briggs test reads
-// neighbor lists.
+// No round computes liveness. Once per call, every register gets the
+// position-sorted list of instructions that read or define it. A round
+// asks only whether its candidate moves' two ends interfere, and
+// answers from those lists and lv; a candidate neither of whose ends
+// was merged in the round before keeps its answer. A merge folds one
+// list into the other and recomputes the merged register's liveness
+// alone. Aggressive rounds rewrite f once, at the fixpoint. Since the
+// Briggs test reads neighbor lists, each conservative round also
+// builds the full graph, so a conservative round that merged rewrites
+// f for the next round's graph and moves every mention to its
+// instruction's new position.
 func RunContext(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
-	if conservativeK != nil {
-		return runConservative(ctx, f, lv, conservativeK, tr)
-	}
 	if runObserver == nil {
-		return runAggressive(ctx, f, lv, tr)
+		return run(ctx, f, lv, conservativeK, tr)
 	}
-	end := runObserver(f, lv)
-	st, g, err := runAggressive(ctx, f, lv, tr)
+	end := runObserver(f, lv, conservativeK)
+	st, g, err := run(ctx, f, lv, conservativeK, tr)
 	end(st)
 	return st, g, err
-}
-
-// runConservative is the conservative build/coalesce fixpoint.
-func runConservative(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
-	var st Stats
-	// Rewrites rename registers but never add any, so scratch sized
-	// once serves every round.
-	n := f.NumRegs()
-	bs := &briggsScratch{mark: make([]uint32, n)}
-	parent := make([]ir.Reg, n)
-	find := func(x ir.Reg) ir.Reg {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	touched := make([]bool, n)
-	var cands []move
-	for {
-		if err := ctx.Err(); err != nil {
-			return st, nil, fmt.Errorf("coalesce: cancelled before round %d: %w", st.Rounds+1, err)
-		}
-		var examined int
-		cands, examined = candidates(f, cands[:0])
-		g := ig.BuildWithLiveness(f, lv, 0, tr)
-		for i := range parent {
-			parent[i] = ir.Reg(i)
-		}
-		clear(touched)
-
-		merged := 0
-		for _, c := range cands {
-			dst, src := c.dst, c.src
-			// The touched rule, as in runAggressive.
-			if touched[dst] || touched[src] {
-				continue
-			}
-			if g.Interfere(int32(dst), int32(src)) {
-				continue
-			}
-			k := conservativeK(f.RegClass(dst))
-			ok := bs.briggsTest(g, dst, src, k)
-			if briggsObserver != nil {
-				briggsObserver(g, dst, src, k, ok)
-			}
-			if !ok {
-				continue
-			}
-			touched[dst] = true
-			touched[src] = true
-			if src < dst {
-				dst, src = src, dst
-			}
-			parent[src] = dst
-			merged++
-		}
-		if tr.Enabled() {
-			tr.Counter(obs.PhaseCoalesce, "coalesce.examined", int64(examined))
-			tr.Counter(obs.PhaseCoalesce, "coalesce.merged", int64(merged))
-		}
-		st.Rounds++
-		if merged == 0 {
-			if tr.Enabled() {
-				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
-			}
-			if st.Moves > 0 {
-				return st, nil, nil // f was rewritten; see the contract above
-			}
-			return st, g, nil
-		}
-		st.Moves += merged
-		rewrite(f, find)
-		// The rewrite renamed registers, invalidating lv; the next
-		// round needs fresh sets.
-		lv.Recompute(f)
-		st.LivenessRuns++
-	}
-}
-
-// move is a candidate copy dst = src.
-type move struct{ dst, src ir.Reg }
-
-// candidates appends to buf, in program order, every move a round may
-// merge: distinct same-class registers, neither a spill temporary. It
-// also returns the number of moves examined: every copy between
-// distinct registers.
-func candidates(f *ir.Func, buf []move) ([]move, int) {
-	examined := 0
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if !in.IsMove() || in.A == ir.NoReg || in.Dst == in.A {
-				continue
-			}
-			examined++
-			if coalescible(f, in.Dst, in.A) {
-				buf = append(buf, move{in.Dst, in.A})
-			}
-		}
-	}
-	return buf, examined
 }
 
 // coalescible reports whether a copy between the distinct registers
@@ -248,18 +137,18 @@ func coalescible(f *ir.Func, dst, src ir.Reg) bool {
 }
 
 // roundObserver, when non-nil, is called at the start of each
-// aggressive round with f as rewritten so far and the liveness the
+// round with f as rewritten so far and the liveness the
 // round answers on, and returns the function that sees each
 // interference answer the round uses, asked afresh or kept from an
 // earlier round. Tests install it to check the answers and the
 // liveness against a full solve.
 var roundObserver func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit, fresh bool)
 
-// runObserver, when non-nil, is called as each aggressive run starts,
-// with the f and lv it was handed, and the function it returns is
-// called with the run's Stats when the run returns. Tests install it
-// to hold each run to the reference round loop.
-var runObserver func(f *ir.Func, lv *dataflow.Liveness) func(Stats)
+// runObserver, when non-nil, is called as each run starts, with the
+// f, lv and conservativeK it was handed, and the function it returns
+// is called with the run's Stats when the run returns. Tests install
+// it to hold each run to the reference round loops.
+var runObserver func(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int) func(Stats)
 
 // briggsObserver, when non-nil, sees every conservative-test query
 // and its answer. Tests install it to check the test against a
@@ -325,12 +214,7 @@ func (s *briggsScratch) briggsTest(g *ig.Graph, dst, src ir.Reg, k int) bool {
 // rewrite renames every operand to its representative and deletes
 // moves that became self-copies.
 func rewrite(f *ir.Func, find func(ir.Reg) ir.Reg) {
-	ren := func(r ir.Reg) ir.Reg {
-		if r == ir.NoReg {
-			return ir.NoReg
-		}
-		return find(r)
-	}
+	ren := func(r ir.Reg) ir.Reg { return rename(find, r) }
 	for _, b := range f.Blocks {
 		out := b.Instrs[:0]
 		for i := range b.Instrs {
@@ -352,4 +236,12 @@ func rewrite(f *ir.Func, find func(ir.Reg) ir.Reg) {
 	for i, p := range f.Params {
 		f.Params[i] = ren(p)
 	}
+}
+
+// rename is r's representative under find; NoReg stays NoReg.
+func rename(find func(ir.Reg) ir.Reg, r ir.Reg) ir.Reg {
+	if r == ir.NoReg {
+		return ir.NoReg
+	}
+	return find(r)
 }

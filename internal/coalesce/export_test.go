@@ -6,8 +6,12 @@ import (
 	"regalloc/internal/ir"
 )
 
-// RunAggressiveRef is the reference aggressive round loop.
-var RunAggressiveRef = runAggressiveRef
+// RunAggressiveRef and RunConservativeRef are the reference round
+// loops.
+var (
+	RunAggressiveRef   = runAggressiveRef
+	RunConservativeRef = runConservativeRef
+)
 
 // CheckBriggsQueries hands check the fast answer and the reference
 // answer of every conservative-test query run until restore is called.
@@ -19,23 +23,23 @@ func CheckBriggsQueries(check func(got, want bool)) (restore func()) {
 	return func() { briggsObserver = nil }
 }
 
-// CheckRounds calls start at the beginning of every aggressive round
-// run until restore is called, with f as rewritten so far and the
-// liveness the round answers on. The function start returns sees each
-// interference answer the round uses, and whether the round asked it
-// afresh or kept it from an earlier round. f may be a copy: it stays valid
-// until the round ends, and start must not change it or lv. Rounds
-// must come from one goroutine at a time.
+// CheckRounds calls start at the beginning of every round run until
+// restore is called, with f as rewritten so far and the liveness the
+// round answers on. The function start returns sees each interference
+// answer the round uses, and whether the round asked it afresh or kept
+// it from an earlier round. f may be a copy: it stays valid until the
+// round ends, and start must not change it or lv. Rounds must come
+// from one goroutine at a time.
 func CheckRounds(start func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, hit, fresh bool)) (restore func()) {
 	roundObserver = start
 	return func() { roundObserver = nil }
 }
 
-// CheckRuns calls start as every aggressive run until restore is
-// called begins, with the f and lv it was handed, and the function
+// CheckRuns calls start as every run until restore is called begins,
+// with the f, lv and conservativeK it was handed, and the function
 // start returns when the run returns, with its Stats. Runs must come
 // from one goroutine at a time.
-func CheckRuns(start func(f *ir.Func, lv *dataflow.Liveness) func(Stats)) (restore func()) {
+func CheckRuns(start func(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int) func(Stats)) (restore func()) {
 	runObserver = start
 	return func() { runObserver = nil }
 }

@@ -2,8 +2,10 @@ package coalesce_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"regalloc"
@@ -91,9 +93,8 @@ func TestBriggsTestMatchesReferenceOnCorpus(t *testing.T) {
 	}
 }
 
-// oracleUnits is what the aggressive-round oracles allocate: the
-// corpus, 100 generated CFGs and a 60-loop unit, which needs 61
-// rounds.
+// oracleUnits is what the round oracles allocate: the corpus, 100
+// generated CFGs and a 60-loop unit, which needs 61 rounds.
 func oracleUnits(tb testing.TB) []unit {
 	units := append(corpus(tb), fuzzCorpus(tb, 100)...)
 	w := workloads.Loops(60)
@@ -104,17 +105,18 @@ func oracleUnits(tb testing.TB) []unit {
 	return append(units, unit{"loops/60", "LOOPS", prog})
 }
 
-// allocateAggressive allocates every unit under Briggs and Chaitin at
-// (16,8) and (8,4), with the pre-pass coalescing aggressively, and
+// allocateAll allocates every unit under each heuristic at each
+// register-file size, with conservative set as the pre-pass's mode and
 // obsv, if not nil, as the observer. Before each allocation it sets
 // *label to name it.
-func allocateAggressive(t *testing.T, units []unit, obsv obs.Sink, label *string) {
+func allocateAll(t *testing.T, units []unit, hs []regalloc.Heuristic, ks [][2]int, conservative bool, obsv obs.Sink, label *string) {
 	t.Helper()
-	for _, h := range []regalloc.Heuristic{regalloc.Briggs, regalloc.Chaitin} {
+	for _, h := range hs {
 		opt := regalloc.DefaultOptions()
 		opt.Heuristic = h
+		opt.ConservativeCoalesce = conservative
 		opt.Observer = obsv
-		for _, k := range [][2]int{{16, 8}, {8, 4}} {
+		for _, k := range ks {
 			opt.KInt, opt.KFloat = k[0], k[1]
 			for _, u := range units {
 				*label = fmt.Sprintf("%s under %v at %v", u.name, h, k)
@@ -124,6 +126,24 @@ func allocateAggressive(t *testing.T, units []unit, obsv obs.Sink, label *string
 			}
 		}
 	}
+}
+
+// allocateAggressive makes every aggressive run the oracles check:
+// Briggs and Chaitin at (16,8) and (8,4).
+func allocateAggressive(t *testing.T, units []unit, obsv obs.Sink, label *string) {
+	t.Helper()
+	allocateAll(t, units, []regalloc.Heuristic{regalloc.Briggs, regalloc.Chaitin}, [][2]int{{16, 8}, {8, 4}}, false, obsv, label)
+}
+
+// allocateConservative makes every conservative run the oracles check:
+// Briggs and Chaitin under ConservativeCoalesce, and irc, whose spill
+// rounds are Briggs under ConservativeCoalesce, at (16,8), (8,4) and
+// (6,4).
+func allocateConservative(t *testing.T, units []unit, obsv obs.Sink, label *string) {
+	t.Helper()
+	ks := [][2]int{{16, 8}, {8, 4}, {6, 4}}
+	allocateAll(t, units, []regalloc.Heuristic{regalloc.Briggs, regalloc.Chaitin}, ks, true, obsv, label)
+	allocateAll(t, units, []regalloc.Heuristic{regalloc.IRC}, ks, false, obsv, label)
 }
 
 // TestInterferenceWalkMatchesGraphOnCorpus checks every interference
@@ -165,40 +185,140 @@ func TestInterferenceWalkMatchesGraphOnCorpus(t *testing.T) {
 	}
 }
 
-// TestRoundLivenessMatchesRecompute checks the liveness every
-// aggressive round answers on against a full solve on the function as
-// rewritten so far. After a merging round the coalescer has updated
-// only the merged registers' liveness, so this holds each update
-// exact, including where a merge deletes a copy that was the only read
-// keeping a register live around a loop (fuzzgen seed 18 has one).
-func TestRoundLivenessMatchesRecompute(t *testing.T) {
-	var label string
-	round, afterMerge, wrong := 0, 0, 0
-	restoreRuns := coalesce.CheckRuns(func(*ir.Func, *dataflow.Liveness) func(coalesce.Stats) {
-		round = 0
-		return func(coalesce.Stats) {}
+// roundOracle is what the round oracles find in a sweep of
+// allocations. Held to the reference round loop of its mode, run on a
+// copy of the same f and liveness, each run must leave the same
+// listing and the same liveness, merge the same number of moves in the
+// same number of rounds, and emit the same coalesce.* counters. The
+// liveness each round answers on must equal a full solve on the
+// function as rewritten so far.
+type roundOracle struct {
+	label string
+	got   counters // the sweep's observer
+
+	runs, merging int
+	refWrong      []string // the first five; refBad counts them all
+	refBad        int
+
+	round, afterMerge int
+	liveWrong         []string
+	liveBad           int
+}
+
+// watch, until restore is called, holds every run to the reference
+// loop of its mode when ref is set, and checks every round's liveness
+// when live is set. Runs must come from one goroutine at a time.
+func (o *roundOracle) watch(ref, live bool) (restore func()) {
+	restoreRuns := coalesce.CheckRuns(func(f *ir.Func, lv *dataflow.Liveness, k func(ir.Class) int) func(coalesce.Stats) {
+		o.round = 0
+		if !ref {
+			return func(coalesce.Stats) {}
+		}
+		refF := f.Clone()
+		refLv := dataflow.NewLiveness(len(f.Blocks), f.NumRegs())
+		for i := range f.Blocks {
+			refLv.In[i].CopyFrom(lv.In[i])
+			refLv.Out[i].CopyFrom(lv.Out[i])
+		}
+		mark := len(o.got)
+		return func(st coalesce.Stats) {
+			o.runs++
+			if st.Moves > 0 {
+				o.merging++
+			}
+			var want counters
+			var refSt coalesce.Stats
+			if k != nil {
+				refSt, _ = coalesce.RunConservativeRef(refF, refLv, k, obs.New(&want, refF.Name))
+			} else {
+				refSt, _ = coalesce.RunAggressiveRef(refF, refLv, obs.New(&want, refF.Name))
+			}
+			var err error
+			switch {
+			case st.Moves != refSt.Moves || st.Rounds != refSt.Rounds:
+				err = fmt.Errorf("%d moves in %d rounds, reference %d in %d", st.Moves, st.Rounds, refSt.Moves, refSt.Rounds)
+			case !sameCode(f, refF):
+				err = fmt.Errorf("listing differs from the reference:\n%s\nreference:\n%s", listing(f), listing(refF))
+			case !slices.Equal(o.got[mark:], want):
+				err = fmt.Errorf("counters %v, reference %v", o.got[mark:], want)
+			default:
+				err = diffLiveness(f, lv, refLv)
+			}
+			if err != nil {
+				if o.refBad++; o.refBad <= 5 {
+					o.refWrong = append(o.refWrong, fmt.Sprintf("%s: %v", o.label, err))
+				}
+			}
+		}
 	})
-	defer restoreRuns()
-	restore := coalesce.CheckRounds(func(f *ir.Func, lv *dataflow.Liveness) func(ir.Reg, ir.Reg, bool, bool) {
-		if round++; round > 1 {
-			afterMerge++
+	if !live {
+		return restoreRuns
+	}
+	restoreRounds := coalesce.CheckRounds(func(f *ir.Func, lv *dataflow.Liveness) func(ir.Reg, ir.Reg, bool, bool) {
+		if o.round++; o.round > 1 {
+			o.afterMerge++
 		}
 		if err := diffLiveness(f, lv, dataflow.ComputeLiveness(f)); err != nil {
-			if wrong++; wrong <= 5 {
-				t.Errorf("%s, round %d: %v", label, round, err)
+			if o.liveBad++; o.liveBad <= 5 {
+				o.liveWrong = append(o.liveWrong, fmt.Sprintf("%s, round %d: %v", o.label, o.round, err))
 			}
 		}
 		return nil
 	})
-	defer restore()
-
-	allocateAggressive(t, oracleUnits(t), nil, &label)
-	t.Logf("liveness checked after %d merging rounds", afterMerge)
-	if wrong > 0 {
-		t.Fatalf("%d rounds answered on stale liveness", wrong)
+	return func() {
+		restoreRounds()
+		restoreRuns()
 	}
-	if afterMerge == 0 {
-		t.Fatal("no round followed a merge; the oracle checked nothing")
+}
+
+// conservativeSweep is the one sweep of conservative runs that both
+// oracles read. Each conservative round builds the full graph, so the
+// sweep is most of what the oracles cost, minutes under the race
+// detector, and one sweep that runs both checks halves it.
+var conservativeSweep struct {
+	once sync.Once
+	o    *roundOracle
+}
+
+// conservativeOracle returns what the oracles found over every
+// conservative run, sweeping the first time it is called.
+func conservativeOracle(t *testing.T) *roundOracle {
+	conservativeSweep.once.Do(func() {
+		o := new(roundOracle)
+		defer o.watch(true, true)()
+		allocateConservative(t, oracleUnits(t), &o.got, &o.label)
+		conservativeSweep.o = o
+	})
+	if conservativeSweep.o == nil {
+		t.Fatal("the conservative sweep failed in an earlier test")
+	}
+	return conservativeSweep.o
+}
+
+// TestRoundLivenessMatchesRecompute checks the liveness every round,
+// aggressive and conservative, answers on against a full solve on the
+// function as rewritten so far. After a merging round the coalescer
+// has updated only the merged registers' liveness, so this holds each
+// update exact, including where a merge deletes a copy that was the
+// only read keeping a register live around a loop (fuzzgen seed 18
+// has one).
+func TestRoundLivenessMatchesRecompute(t *testing.T) {
+	agg := new(roundOracle)
+	restore := agg.watch(false, true)
+	allocateAggressive(t, oracleUnits(t), nil, &agg.label)
+	restore()
+	cons := conservativeOracle(t)
+	for _, o := range []*roundOracle{agg, cons} {
+		for _, e := range o.liveWrong {
+			t.Error(e)
+		}
+	}
+	t.Logf("liveness checked after %d aggressive and %d conservative merging rounds", agg.afterMerge, cons.afterMerge)
+	if bad := agg.liveBad + cons.liveBad; bad > 0 {
+		t.Fatalf("%d rounds answered on stale liveness", bad)
+	}
+	if agg.afterMerge == 0 || cons.afterMerge == 0 {
+		t.Fatal("no round followed a merge in one of the modes; the oracle checked nothing there")
 	}
 }
 
@@ -224,59 +344,59 @@ func (c *counters) Emit(e obs.Event) {
 	}
 }
 
-// TestAggressiveRoundsMatchReference holds every aggressive run the
-// allocator makes to the reference round loop, which rescans, rewrites
-// and recomputes everything every round. Run on a copy of the same f
-// and liveness, the reference must leave the same listing and the same
-// liveness, merge the same number of moves in the same number of
-// rounds, and emit the same coalesce.* counters.
-func TestAggressiveRoundsMatchReference(t *testing.T) {
-	var label string
-	var got counters
-	runs, merging, wrong := 0, 0, 0
-	restore := coalesce.CheckRuns(func(f *ir.Func, lv *dataflow.Liveness) func(coalesce.Stats) {
-		ref := f.Clone()
-		refLv := dataflow.NewLiveness(len(f.Blocks), f.NumRegs())
-		for i := range f.Blocks {
-			refLv.In[i].CopyFrom(lv.In[i])
-			refLv.Out[i].CopyFrom(lv.Out[i])
-		}
-		mark := len(got)
-		return func(st coalesce.Stats) {
-			runs++
-			if st.Moves > 0 {
-				merging++
-			}
-			var want counters
-			refSt, _ := coalesce.RunAggressiveRef(ref, refLv, obs.New(&want, ref.Name))
-			var err error
-			switch {
-			case st.Moves != refSt.Moves || st.Rounds != refSt.Rounds:
-				err = fmt.Errorf("%d moves in %d rounds, reference %d in %d", st.Moves, st.Rounds, refSt.Moves, refSt.Rounds)
-			case listing(f) != listing(ref):
-				err = fmt.Errorf("listing differs from the reference:\n%s\nreference:\n%s", listing(f), listing(ref))
-			case !slices.Equal(got[mark:], want):
-				err = fmt.Errorf("counters %v, reference %v", got[mark:], want)
-			default:
-				err = diffLiveness(f, lv, refLv)
-			}
-			if err != nil {
-				if wrong++; wrong <= 5 {
-					t.Errorf("%s: %v", label, err)
-				}
-			}
-		}
-	})
-	defer restore()
+// report fails t if any run o held to the reference differed, or if
+// the runs did not include both merging and non-merging ones.
+func (o *roundOracle) report(t *testing.T, mode string) {
+	t.Helper()
+	for _, e := range o.refWrong {
+		t.Error(e)
+	}
+	t.Logf("%d %s runs, %d merging", o.runs, mode, o.merging)
+	if o.refBad > 0 {
+		t.Fatalf("%d of %d runs differ from the reference", o.refBad, o.runs)
+	}
+	if o.merging == 0 || o.merging == o.runs {
+		t.Fatalf("%d of %d runs merged; the oracle needs both kinds", o.merging, o.runs)
+	}
+}
 
-	allocateAggressive(t, oracleUnits(t), &got, &label)
-	t.Logf("%d aggressive runs, %d merging", runs, merging)
-	if wrong > 0 {
-		t.Fatalf("%d of %d runs differ from the reference", wrong, runs)
+// TestAggressiveRoundsMatchReference holds every aggressive run the
+// allocator makes to the reference aggressive round loop, which
+// rescans, rewrites and recomputes everything every round.
+func TestAggressiveRoundsMatchReference(t *testing.T) {
+	o := new(roundOracle)
+	restore := o.watch(true, false)
+	allocateAggressive(t, oracleUnits(t), &o.got, &o.label)
+	restore()
+	o.report(t, "aggressive")
+}
+
+// TestConservativeRoundsMatchReference holds every conservative run the
+// allocator makes, irc's spill rounds included, to the reference
+// conservative round loop, which builds the graph, rewrites f and
+// re-solves liveness every round.
+func TestConservativeRoundsMatchReference(t *testing.T) {
+	conservativeOracle(t).report(t, "conservative")
+}
+
+// sameCode reports whether a and b have the same parameters and the
+// same instructions in every block: the parts of a function that
+// coalescing rewrites. It is what comparing listings checks, without
+// printing them.
+func sameCode(a, b *ir.Func) bool {
+	if !slices.Equal(a.Params, b.Params) || len(a.Blocks) != len(b.Blocks) {
+		return false
 	}
-	if merging == 0 || merging == runs {
-		t.Fatalf("%d of %d runs merged; the oracle needs both kinds", merging, runs)
+	for i, blk := range a.Blocks {
+		if !slices.EqualFunc(blk.Instrs, b.Blocks[i].Instrs, func(x, y ir.Instr) bool {
+			return x.Op == y.Op && x.Dst == y.Dst && x.A == y.A && x.B == y.B && x.C == y.C &&
+				x.Imm == y.Imm && math.Float64bits(x.FImm) == math.Float64bits(y.FImm) &&
+				x.Cmp == y.Cmp && x.Cls == y.Cls && x.Callee == y.Callee && slices.Equal(x.Args, y.Args)
+		}) {
+			return false
+		}
 	}
+	return true
 }
 
 func listing(f *ir.Func) string {

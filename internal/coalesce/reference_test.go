@@ -70,9 +70,100 @@ func runAggressiveRef(f *ir.Func, lv *dataflow.Liveness, tr *obs.Tracer) (Stats,
 		}
 		st.Moves += merged
 		rewrite(f, find)
-		lv.Recompute(f)
-		st.LivenessRuns++
+		*lv = *dataflow.ComputeLiveness(f)
 	}
+}
+
+// runConservativeRef is the conservative round loop as it was before
+// it shared the aggressive rounds' mention lists, kept as the
+// reference conservative runs are checked against. Every round
+// rescans f for candidates, builds the full graph and asks it both
+// questions, rewrites the whole of f and recomputes all of lv.
+func runConservativeRef(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph) {
+	var st Stats
+	n := f.NumRegs()
+	bs := &briggsScratch{mark: make([]uint32, n)}
+	parent := make([]ir.Reg, n)
+	find := func(x ir.Reg) ir.Reg {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	touched := make([]bool, n)
+	var cands []move
+	for {
+		var examined int
+		cands, examined = candidates(f, cands[:0])
+		g := ig.BuildWithLiveness(f, lv, 0, tr)
+		for i := range parent {
+			parent[i] = ir.Reg(i)
+		}
+		clear(touched)
+
+		merged := 0
+		for _, c := range cands {
+			dst, src := c.dst, c.src
+			if touched[dst] || touched[src] {
+				continue
+			}
+			if g.Interfere(int32(dst), int32(src)) {
+				continue
+			}
+			if !bs.briggsTest(g, dst, src, conservativeK(f.RegClass(dst))) {
+				continue
+			}
+			touched[dst] = true
+			touched[src] = true
+			if src < dst {
+				dst, src = src, dst
+			}
+			parent[src] = dst
+			merged++
+		}
+		if tr.Enabled() {
+			tr.Counter(obs.PhaseCoalesce, "coalesce.examined", int64(examined))
+			tr.Counter(obs.PhaseCoalesce, "coalesce.merged", int64(merged))
+		}
+		st.Rounds++
+		if merged == 0 {
+			if tr.Enabled() {
+				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
+			}
+			if st.Moves > 0 {
+				return st, nil
+			}
+			return st, g
+		}
+		st.Moves += merged
+		rewrite(f, find)
+		*lv = *dataflow.ComputeLiveness(f)
+	}
+}
+
+// move is a candidate copy dst = src.
+type move struct{ dst, src ir.Reg }
+
+// candidates appends to buf, in program order, every move a reference
+// round may merge: distinct same-class registers, neither a spill
+// temporary. It also returns the number of moves examined: every copy
+// between distinct registers.
+func candidates(f *ir.Func, buf []move) ([]move, int) {
+	examined := 0
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if !in.IsMove() || in.A == ir.NoReg || in.Dst == in.A {
+				continue
+			}
+			examined++
+			if coalescible(f, in.Dst, in.A) {
+				buf = append(buf, move{in.Dst, in.A})
+			}
+		}
+	}
+	return buf, examined
 }
 
 // aggressiveScratch holds a reference round's interference answers:

@@ -99,67 +99,3 @@ func TestLiveAcross(t *testing.T) {
 		}
 	})
 }
-
-// sameLiveness fails t unless a and b hold equal sets in every block.
-func sameLiveness(t *testing.T, what string, a, b *dataflow.Liveness) {
-	t.Helper()
-	if len(a.In) != len(b.In) || len(a.Out) != len(b.Out) {
-		t.Fatalf("%s: %d/%d blocks, want %d/%d", what, len(a.In), len(a.Out), len(b.In), len(b.Out))
-	}
-	for i := range a.In {
-		if !a.In[i].Equal(b.In[i]) || !a.Out[i].Equal(b.Out[i]) {
-			t.Fatalf("%s: b%d in %v out %v, want in %v out %v", what, i, a.In[i], a.Out[i], b.In[i], b.Out[i])
-		}
-	}
-}
-
-// TestRecompute: recomputing after a rewrite that renames registers
-// reuses the existing sets and matches a fresh analysis; a changed
-// register or block count gets fresh sets of the new shape.
-func TestRecompute(t *testing.T) {
-	f, x, _ := loopFunc()
-	z := f.NewReg(ir.ClassInt) // unused until x is renamed to it
-	lv := dataflow.ComputeLiveness(f)
-	in1, out1 := lv.In[1], lv.Out[1]
-
-	// Rename x to z: same counts, different sets.
-	for _, b := range f.Blocks {
-		for j := range b.Instrs {
-			in := &b.Instrs[j]
-			for _, r := range []*ir.Reg{&in.Dst, &in.A, &in.B, &in.C} {
-				if *r == x {
-					*r = z
-				}
-			}
-		}
-	}
-	lv.Recompute(f)
-	if lv.In[1] != in1 || lv.Out[1] != out1 {
-		t.Fatal("recomputing with unchanged counts allocated new sets")
-	}
-	sameLiveness(t, "after renaming", lv, dataflow.ComputeLiveness(f))
-
-	// One more register: every set must widen.
-	y := f.NewReg(ir.ClassInt)
-	f.Blocks[2].Instrs = []ir.Instr{
-		{Op: ir.OpConst, Dst: y, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg},
-		{Op: ir.OpRet, Dst: ir.NoReg, A: y, B: ir.NoReg, C: ir.NoReg},
-	}
-	lv.Recompute(f)
-	if lv.In[1] == in1 || lv.In[1].Cap() != f.NumRegs() {
-		t.Fatalf("a new register kept sets of capacity %d", lv.In[1].Cap())
-	}
-	sameLiveness(t, "after adding a register", lv, dataflow.ComputeLiveness(f))
-
-	// One more block: the slices must grow.
-	f.Blocks[2].Instrs[1] = ir.Instr{Op: ir.OpBr, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg}
-	f.Blocks[2].Succs = []int{3}
-	b3 := f.NewBlock()
-	b3.Instrs = []ir.Instr{{Op: ir.OpRet, Dst: ir.NoReg, A: y, B: ir.NoReg, C: ir.NoReg}}
-	f.RecomputePreds()
-	lv.Recompute(f)
-	if len(lv.In) != 4 || len(lv.Out) != 4 || !lv.In[3].Has(int(y)) {
-		t.Fatalf("after adding a block: %d/%d sets, b3 in %v", len(lv.In), len(lv.Out), lv.In[3])
-	}
-	sameLiveness(t, "after adding a block", lv, dataflow.ComputeLiveness(f))
-}

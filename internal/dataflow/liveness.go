@@ -1,7 +1,10 @@
 // Package dataflow implements the bit-vector live-variable analysis
-// the allocator depends on: it builds the interference graph, answers
-// the coalescer's interference queries, and is all the renumbering
-// pass needs to build webs (see package liverange).
+// the allocator depends on. The interference-graph builder walks it
+// backward through each block (LiveAcross). The coalescer reads the
+// live-out sets directly to answer its interference queries, and keeps
+// the sets current across its merges itself (see package coalesce). It
+// is all the renumbering pass needs to build webs (see package
+// liverange).
 package dataflow
 
 import (
@@ -14,52 +17,20 @@ import (
 type Liveness struct {
 	In  []*bitset.Set // indexed by block ID
 	Out []*bitset.Set
-
-	// use and def are each block's upward-exposed uses and its
-	// definitions as Recompute last found them; Recompute reuses them
-	// along with In and Out. Nothing else reads them, so a caller that
-	// keeps In and Out current itself may leave them stale.
-	use, def []*bitset.Set
 }
 
 // ComputeLiveness runs backward iterative live-variable analysis.
-// All of its sets come from one backing array.
+// All of its sets, and each block's upward-exposed uses and
+// definitions it solves with, come from one backing array.
 func ComputeLiveness(f *ir.Func) *Liveness {
-	lv := new(Liveness)
-	lv.Recompute(f)
-	return lv
-}
-
-// NewLiveness returns empty sets for the given numbers of blocks and
-// registers, all from one backing array, for a caller that fills In
-// and Out itself and may later Recompute into them.
-func NewLiveness(blocks, regs int) *Liveness {
-	n := blocks
-	sets := bitset.NewMany(4*n, regs)
-	return &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n], use: sets[2*n : 3*n : 3*n], def: sets[3*n:]}
-}
-
-// Recompute overwrites lv with the liveness of f. When f has the
-// block and register counts lv's sets were sized for — as after a
-// rewrite that renames registers without adding any — those sets are
-// cleared and reused; otherwise fresh ones are allocated. Either way,
-// a set taken from lv before the call is stale after it.
-func (lv *Liveness) Recompute(f *ir.Func) {
-	n, nr := len(f.Blocks), f.NumRegs()
-	if len(lv.In) == n && len(lv.use) == n && (n == 0 || lv.In[0].Cap() == nr && lv.use[0].Cap() == nr) {
-		for i := 0; i < n; i++ {
-			lv.In[i].Clear()
-			lv.Out[i].Clear()
-			lv.use[i].Clear()
-			lv.def[i].Clear()
-		}
-	} else {
-		*lv = *NewLiveness(n, nr)
-	}
+	n := len(f.Blocks)
+	sets := bitset.NewMany(4*n, f.NumRegs())
+	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
+	use, def := sets[2*n:3*n], sets[3*n:]
 
 	var ubuf []ir.Reg
 	for _, b := range f.Blocks {
-		u, d := lv.use[b.ID], lv.def[b.ID]
+		u, d := use[b.ID], def[b.ID]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			ubuf = in.AppendUses(ubuf[:0])
@@ -88,11 +59,21 @@ func (lv *Liveness) Recompute(f *ir.Func) {
 				}
 			}
 			// in = use ∪ (out − def)
-			if lv.In[b.ID].SetUnionMinus(lv.use[b.ID], out, lv.def[b.ID]) {
+			if lv.In[b.ID].SetUnionMinus(use[b.ID], out, def[b.ID]) {
 				changed = true
 			}
 		}
 	}
+	return lv
+}
+
+// NewLiveness returns empty sets for the given numbers of blocks and
+// registers, all from one backing array, for a caller that fills In
+// and Out itself.
+func NewLiveness(blocks, regs int) *Liveness {
+	n := blocks
+	sets := bitset.NewMany(2*n, regs)
+	return &Liveness{In: sets[:n:n], Out: sets[n:]}
 }
 
 // LiveAcross walks block b backward from its last instruction,

@@ -20,15 +20,18 @@ import (
 // the aggressively coalescing default Briggs, which at (16,8) spills
 // less on seven of the 29 suite units, DQRDC, SVD, GRADNT and QSORT
 // among them, and more on three).
+//
+// The JSON tags are bench -bench-json's irc section
+// (regalloc-bench/10).
 type IRCRow struct {
-	Program string
-	Routine string
+	Program string `json:"program"`
+	Routine string `json:"routine"`
 
-	BriggsMoves int
-	IRCMoves    int
+	BriggsMoves int `json:"briggs_moves"`
+	IRCMoves    int `json:"irc_moves"`
 
-	BriggsCostMilli int64
-	IRCCostMilli    int64
+	BriggsCostMilli int64 `json:"briggs_cost_milli"`
+	IRCCostMilli    int64 `json:"irc_cost_milli"`
 }
 
 // IRCStudyResult is the iterated-register-coalescing study: per-unit

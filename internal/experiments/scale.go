@@ -16,18 +16,19 @@ import (
 
 // ScaleRow is one (topology, algorithm, workers) cell of the scale
 // study: generation and coloring wall time on a 10^5..10^7-node
-// graph.
+// graph. The JSON tags are bench -bench-json's scale section
+// (regalloc-bench/7).
 type ScaleRow struct {
-	Topology  string // "powerlaw" or "mesh"
-	Nodes     int
-	Edges     int
-	Algo      string // "speculative" or "jp"
-	Workers   int
-	GenNS     int64
-	ColorNS   int64
-	Rounds    int
-	Conflicts int
-	Colors    int // int-class palette (the scale graphs are single-class)
+	Topology  string `json:"topology"` // "powerlaw" or "mesh"
+	Nodes     int    `json:"nodes"`
+	Edges     int    `json:"edges"`
+	Algo      string `json:"algo"` // "speculative" or "jp"
+	Workers   int    `json:"workers"`
+	GenNS     int64  `json:"gen_ns"`
+	ColorNS   int64  `json:"color_ns"`
+	Rounds    int    `json:"rounds"`
+	Conflicts int    `json:"conflicts"`
+	Colors    int    `json:"colors"` // int-class palette (the scale graphs are single-class)
 }
 
 // ScaleStudyResult is the full table.

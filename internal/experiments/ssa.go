@@ -15,38 +15,40 @@ import (
 
 // SSARow is one routine under one register-file size: the SSA
 // allocator's construction and spill figures next to the Chaitin and
-// Briggs results on the same unit.
+// Briggs results on the same unit. The JSON tags are bench -bench-json's
+// ssa section (regalloc-bench/8).
 type SSARow struct {
-	Program string
-	Routine string
-	KInt    int
-	KFloat  int
+	Program string `json:"program"`
+	Routine string `json:"routine"`
+	KInt    int    `json:"k_int"`
+	KFloat  int    `json:"k_float"`
 
 	// SSA construction shape.
-	Phis       int
-	CopyProps  int
-	SplitEdges int
+	Phis       int `json:"phis"`
+	CopyProps  int `json:"copy_props"`
+	SplitEdges int `json:"split_edges"`
 
 	// Pressure after pre-spilling (the exact color count used).
-	MaxLiveInt   int
-	MaxLiveFloat int
+	MaxLiveInt   int `json:"maxlive_int"`
+	MaxLiveFloat int `json:"maxlive_float"`
 
-	Rounds      int // pre-spill rounds
-	Spilled     int
-	CostMilli   int64
-	Copies      int // phi-lowering moves
-	CycleBreaks int
-	SlotBounces int
+	Rounds      int   `json:"rounds"` // pre-spill rounds
+	Spilled     int   `json:"spilled"`
+	CostMilli   int64 `json:"cost_milli"`
+	Copies      int   `json:"phi_copies"` // phi-lowering moves
+	CycleBreaks int   `json:"cycle_breaks"`
+	SlotBounces int   `json:"slot_bounces"`
 
-	ChaitinSpilled   int
-	ChaitinCostMilli int64
-	BriggsSpilled    int
-	BriggsCostMilli  int64
+	ChaitinSpilled   int   `json:"-"`
+	ChaitinCostMilli int64 `json:"chaitin_cost_milli"`
+	BriggsSpilled    int   `json:"-"`
+	BriggsCostMilli  int64 `json:"briggs_cost_milli"`
 
 	// Irreducible marks units whose operand pressure no spilling can
 	// fit (a call reading more distinct values of one class than K);
-	// the Figure 4 allocators fail these units the same way.
-	Irreducible bool
+	// the Figure 4 allocators fail these units the same way. All other
+	// columns are zero for such rows.
+	Irreducible bool `json:"irreducible,omitempty"`
 }
 
 // SSAStudyResult is the SSA-form chordal allocator study.

@@ -34,6 +34,8 @@
 package irc
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"regalloc/internal/color"
@@ -164,22 +166,33 @@ type Opts struct {
 // merit shared with the simplify-family heuristics. The graph may be
 // a plain one wrapped by ig.WrapPlain, in which case no precolored
 // constraints or convention bindings exist and the round is pure
-// iterated coalescing.
-func Color(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer) *Result {
-	return ColorWith(f, mg, cost, kf, metric, tr, Opts{})
+// iterated coalescing. ctx is checked before the first worklist step
+// and every checkEvery steps after it; once it is done, Color returns
+// an error wrapping ctx.Err().
+func Color(ctx context.Context, f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer) (*Result, error) {
+	return ColorWith(ctx, f, mg, cost, kf, metric, tr, Opts{})
 }
 
+// checkEvery is how many simplify, coalesce, freeze and spill steps
+// the worklist machine takes between context checks.
+const checkEvery = 256
+
 // ColorWith is Color with explicit round options.
-func ColorWith(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) *Result {
+func ColorWith(ctx context.Context, f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) (*Result, error) {
 	s := newState(f, mg, cost, kf, metric, tr, o)
-	for {
+	for steps := 0; ; steps++ {
+		if steps%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("irc: cancelled after %d worklist steps: %w", steps, err)
+			}
+		}
 		switch {
 		case s.popSimplify():
 		case s.popCoalesce():
 		case s.popFreeze():
 		case s.popSpill():
 		default:
-			return s.assignColors()
+			return s.assignColors(), nil
 		}
 	}
 }

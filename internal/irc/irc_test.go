@@ -1,6 +1,7 @@
 package irc_test
 
 import (
+	"context"
 	"testing"
 
 	"regalloc/internal/color"
@@ -10,6 +11,15 @@ import (
 	"regalloc/internal/irc"
 	"regalloc/internal/machine"
 )
+
+// must unwraps a round run under context.Background, which is never
+// cancelled.
+func must(r *irc.Result, err error) *irc.Result {
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 func kRTPC(c ir.Class) int {
 	if c == ir.ClassInt {
@@ -32,7 +42,7 @@ func runPlain(t *testing.T, f *ir.Func, kf func(ir.Class) int) *irc.Result {
 	t.Helper()
 	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	mg := ig.WrapPlain(g)
-	res := irc.Color(f, mg, flatCost(mg.NumVRegs), kf, color.CostOverDegree, nil)
+	res := must(irc.Color(context.Background(), f, mg, flatCost(mg.NumVRegs), kf, color.CostOverDegree, nil))
 	checkColors(t, mg, res, kf)
 	return res
 }
@@ -170,7 +180,7 @@ func TestSpillUnderPressure(t *testing.T) {
 	k2 := func(ir.Class) int { return 2 }
 	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	mg := ig.WrapPlain(g)
-	res := irc.Color(f, mg, flatCost(mg.NumVRegs), k2, color.CostOverDegree, nil)
+	res := must(irc.Color(context.Background(), f, mg, flatCost(mg.NumVRegs), k2, color.CostOverDegree, nil))
 	if len(res.Spilled) == 0 {
 		t.Fatal("4 values live at once with k=2 must spill")
 	}
@@ -204,7 +214,7 @@ func TestMachineBindingsPinColors(t *testing.T) {
 	f, p, r := paramRetFunc()
 	m := machine.RTPC()
 	mg := ig.BuildWithMachine(f, dataflow.ComputeLiveness(f), m, nil)
-	res := irc.Color(f, mg, flatCost(mg.NumVRegs), m.K, color.CostOverDegree, nil)
+	res := must(irc.Color(context.Background(), f, mg, flatCost(mg.NumVRegs), m.K, color.CostOverDegree, nil))
 	checkColors(t, mg, res, m.K)
 	if len(res.Spilled) != 0 {
 		t.Fatalf("spilled %v", res.Spilled)
@@ -242,7 +252,7 @@ func TestCallCrossingPrefersCalleeSaved(t *testing.T) {
 	f.RecomputePreds()
 	m := machine.RTPC()
 	mg := ig.BuildWithMachine(f, dataflow.ComputeLiveness(f), m, nil)
-	res := irc.Color(f, mg, flatCost(mg.NumVRegs), m.K, color.CostOverDegree, nil)
+	res := must(irc.Color(context.Background(), f, mg, flatCost(mg.NumVRegs), m.K, color.CostOverDegree, nil))
 	checkColors(t, mg, res, m.K)
 	if len(res.Spilled) != 0 {
 		t.Fatalf("spilled %v", res.Spilled)
@@ -286,7 +296,7 @@ func TestSpillTempCoalescePolicy(t *testing.T) {
 	f, _, _ = mk()
 	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	mg := ig.WrapPlain(g)
-	res = irc.ColorWith(f, mg, flatCost(mg.NumVRegs), kRTPC, color.CostOverDegree, nil, irc.Opts{CoalesceSpillTemps: true})
+	res = must(irc.ColorWith(context.Background(), f, mg, flatCost(mg.NumVRegs), kRTPC, color.CostOverDegree, nil, irc.Opts{CoalesceSpillTemps: true}))
 	checkColors(t, mg, res, kRTPC)
 	if res.CoalescedIR != 1 {
 		t.Fatalf("terminal round left the spill-temp move uncoalesced (CoalescedIR=%d)", res.CoalescedIR)
@@ -302,8 +312,8 @@ func TestDeterministic(t *testing.T) {
 	f := chainFunc()
 	g1 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	g2 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
-	r1 := irc.Color(f, ig.WrapPlain(g1), flatCost(3), kRTPC, color.CostOverDegree, nil)
-	r2 := irc.Color(f, ig.WrapPlain(g2), flatCost(3), kRTPC, color.CostOverDegree, nil)
+	r1 := must(irc.Color(context.Background(), f, ig.WrapPlain(g1), flatCost(3), kRTPC, color.CostOverDegree, nil))
+	r2 := must(irc.Color(context.Background(), f, ig.WrapPlain(g2), flatCost(3), kRTPC, color.CostOverDegree, nil))
 	if len(r1.Colors) != len(r2.Colors) {
 		t.Fatal("color slices differ in length")
 	}

@@ -1,6 +1,7 @@
 package irc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -114,7 +115,7 @@ func BenchmarkIRCRound(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				irc.ColorWith(f, mg, costs, opt.K(), opt.Metric, nil, irc.Opts{CoalesceSpillTemps: true})
+				irc.ColorWith(context.Background(), f, mg, costs, opt.K(), opt.Metric, nil, irc.Opts{CoalesceSpillTemps: true})
 			}
 		})
 	}

@@ -81,13 +81,11 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 
 // TestAnalysisCacheUnderCoalescing: a coalescing pass runs the CFG
 // analysis exactly once, since merges never touch blocks, which pins
-// the fix for the double cfg.Analyze in split mode. Aggressive
-// coalescing keeps the liveness it is handed current by recomputing
-// only each merged register, so its passes compute liveness exactly
+// the fix for the double cfg.Analyze in split mode. Coalescing, in
+// either mode, keeps the liveness it is handed current by recomputing
+// only each merged register, so every pass computes liveness exactly
 // once, to renumber; the post-coalesce renumbering reuses the
-// coalescer's final sets. Conservative coalescing re-solves liveness
-// after each round that merged moves, so its passes compute it once
-// per coalesce round.
+// coalescer's final sets.
 func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 	prog, err := regalloc.Compile(pressure)
 	if err != nil {
@@ -114,13 +112,9 @@ func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 			if rounds < 1 {
 				t.Fatalf("conservative=%v pass %d: coalesce.rounds = %d; every pass coalesces", conservative, pass, rounds)
 			}
-			want := int64(1)
-			if conservative {
-				want = rounds
-			}
-			if got := values[pass]["analysis.liveness_runs"]; got != want {
-				t.Errorf("conservative=%v pass %d: analysis.liveness_runs = %d, want %d (coalesce.rounds = %d)",
-					conservative, pass, got, want, rounds)
+			if got := values[pass]["analysis.liveness_runs"]; got != 1 {
+				t.Errorf("conservative=%v pass %d: analysis.liveness_runs = %d, want exactly 1 (coalesce.rounds = %d)",
+					conservative, pass, got, rounds)
 			}
 			merged = merged || rounds > 1
 		}

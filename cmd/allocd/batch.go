@@ -12,6 +12,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"time"
+
+	"regalloc/internal/reqtrace"
 )
 
 // maxBatchItems caps one batch. The body size cap already bounds the
@@ -44,12 +47,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, failf(http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a JSON array or NDJSON stream of allocation requests"))
 		return
 	}
-	body, fail := readBody(w, r)
-	if fail != nil {
-		writeError(w, fail)
-		return
-	}
-	items, ndjson, fail := decodeBatchItems(body)
+	rt, root := reqtrace.FromContext(r.Context())
+	td := time.Now()
+	items, ndjson, fail := readBatchItems(w, r)
+	recordStep(rt, root, "decode", td, fail)
 	if fail != nil {
 		writeError(w, fail)
 		return
@@ -116,14 +117,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the batch's own status.
 func (s *server) batchOne(ctx context.Context, index int, raw json.RawMessage) batchItem {
 	item := batchItem{Index: index}
-	req := &AllocRequest{}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return item.fail(failErr(http.StatusBadRequest, codeBadBody, "decoding batch item", err))
-	}
-	if strings.TrimSpace(req.Source) == "" {
-		return item.fail(failf(http.StatusBadRequest, codeEmptyBody, "empty source"))
+	rt, parent := reqtrace.FromContext(ctx)
+	td := time.Now()
+	req, fail := decodeBatchItem(raw)
+	recordStep(rt, parent, "decode", td, fail)
+	if fail != nil {
+		return item.fail(fail)
 	}
 	// The batch holds exactly one admission slot, and a portfolio
 	// race needs to re-admit each candidate individually — under the
@@ -152,10 +151,28 @@ func (it batchItem) fail(e *apiError) batchItem {
 	return it
 }
 
-// decodeBatchItems splits the payload into raw per-item messages,
-// reporting whether the NDJSON form was used (the reply mirrors the
-// request's form).
-func decodeBatchItems(body []byte) ([]json.RawMessage, bool, *apiError) {
+// decodeBatchItem decodes one batch row and rejects an empty payload.
+func decodeBatchItem(raw json.RawMessage) (*AllocRequest, *apiError) {
+	req := &AllocRequest{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, failErr(http.StatusBadRequest, codeBadBody, "decoding batch item", err)
+	}
+	if strings.TrimSpace(req.Source) == "" {
+		return nil, failf(http.StatusBadRequest, codeEmptyBody, "empty source")
+	}
+	return req, nil
+}
+
+// readBatchItems reads the batch body and splits it into raw per-item
+// messages, reporting whether the NDJSON form was used (the reply
+// mirrors the request's form).
+func readBatchItems(w http.ResponseWriter, r *http.Request) ([]json.RawMessage, bool, *apiError) {
+	body, fail := readBody(w, r)
+	if fail != nil {
+		return nil, false, fail
+	}
 	trimmed := bytes.TrimSpace(body)
 	if len(trimmed) == 0 {
 		return nil, false, failf(http.StatusBadRequest, codeEmptyBody, "empty batch: POST a JSON array or NDJSON stream of allocation requests")

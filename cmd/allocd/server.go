@@ -169,6 +169,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
 	return body, nil
 }
 
+// readAllocRequest reads and decodes one /v1/alloc request and
+// rejects an empty payload.
+func readAllocRequest(w http.ResponseWriter, r *http.Request) (*AllocRequest, *apiError) {
+	body, fail := readBody(w, r)
+	if fail != nil {
+		return nil, fail
+	}
+	req, fail := decodeAllocRequest(r, body)
+	if fail != nil {
+		return nil, fail
+	}
+	if strings.TrimSpace(req.Source) == "" {
+		return nil, failf(http.StatusBadRequest, codeEmptyBody, "empty source: POST a mini-FORTRAN source or .ig graph")
+	}
+	return req, nil
+}
+
 // requestContext layers the per-request -alloc-timeout deadline under
 // the client's own context, so whichever expires first cancels the
 // work.
@@ -183,7 +200,10 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 // deadline that fires while the service is healthy is backpressure
 // (429 Retry-After — the same request succeeds on a quieter
 // instant), drain and client cancellation are 503.
-func (s *server) admit(ctx context.Context) (func(), *apiError) {
+func (s *server) admit(ctx context.Context) (release func(), fail *apiError) {
+	rt, parent := reqtrace.FromContext(ctx)
+	t0 := time.Now()
+	defer func() { recordStep(rt, parent, "admit", t0, fail) }()
 	// Check the deadline before the select: with an already-expired
 	// context both select arms are ready and the choice would be
 	// random, turning the -alloc-timeout answer into a coin flip.
@@ -220,18 +240,12 @@ func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
 		writeError(w, failf(http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a mini-FORTRAN source, .ig graph, or JSON request"))
 		return
 	}
-	body, fail := readBody(w, r)
+	rt, root := reqtrace.FromContext(r.Context())
+	td := time.Now()
+	req, fail := readAllocRequest(w, r)
+	recordStep(rt, root, "decode", td, fail)
 	if fail != nil {
 		writeError(w, fail)
-		return
-	}
-	req, fail := decodeAllocRequest(r, body)
-	if fail != nil {
-		writeError(w, fail)
-		return
-	}
-	if strings.TrimSpace(req.Source) == "" {
-		writeError(w, failf(http.StatusBadRequest, codeEmptyBody, "empty source: POST a mini-FORTRAN source or .ig graph"))
 		return
 	}
 
@@ -276,13 +290,16 @@ func (s *server) handleAlloc(w http.ResponseWriter, r *http.Request) {
 	w.Write(resp)
 }
 
-// allocCached parses the payload, derives the content-addressed key,
-// and serves the rendered response through the result cache (the
-// singleflight layer collapses concurrent identical requests onto one
-// allocation). Parsing happens before the lookup because the key is a
-// digest of the canonical form — the parsed IR or graph — not of the
-// request text, so formatting-only variants of the same input collide
-// on purpose.
+// allocCached serves one request through the result cache, under two
+// keys. The raw key digests the payload as decoded and the resolved
+// configuration; it is computed before anything compiles or parses,
+// and when it names a resident entry that entry is the reply. Otherwise
+// the payload is compiled or parsed and the canonical key derived from
+// that form — the compiled IR or the graph — so formatting-only
+// variants of one input collide on purpose; the singleflight layer
+// collapses concurrent identical requests onto one allocation. Once
+// the canonical lookup succeeds, the raw key becomes an alias of its
+// entry for the next identical request.
 func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string) ([]byte, rescache.Outcome, *apiError) {
 	opt, fail := req.options()
 	if fail != nil {
@@ -291,6 +308,18 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	rt, parent := reqtrace.FromContext(ctx)
 	rt.Annotate("unit", requestUnit(req, kind))
 	rt.Annotate("heuristic", requestHeuristic(req, opt))
+
+	cached := s.cache != nil && !req.NoCache
+	var raw cachekey.Key
+	if cached {
+		tr := time.Now()
+		raw = rawKey(kind, opt, req)
+		rt.Record(parent, "rawkey", tr, time.Since(tr))
+		if b, ok := s.cache.Lookup(ctx, raw); ok {
+			rt.Annotate("cache", rescache.Hit.String())
+			return b, rescache.Hit, nil
+		}
+	}
 
 	var key cachekey.Key
 	var fill func() ([]byte, error)
@@ -323,7 +352,7 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 		return nil, rescache.Miss, failf(http.StatusBadRequest, codeBadRequest, "unknown input kind %q", kind)
 	}
 
-	if s.cache == nil || req.NoCache {
+	if !cached {
 		b, err := fill()
 		rt.Annotate("cache", "bypass")
 		if err != nil {
@@ -336,13 +365,13 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	if err != nil {
 		return nil, out, s.asAPIError(ctx, err)
 	}
+	s.cache.Alias(raw, key)
 	return b, out, nil
 }
 
 // compileTraced compiles source, recording a compile span under the
-// request's span: the front end and optimizer run on every source
-// request, cache hits included, since the cache key is a digest of
-// the compiled IR.
+// request's span. Every source request that misses the raw key
+// compiles, since the canonical key is a digest of the compiled IR.
 func compileTraced(ctx context.Context, source string) (*regalloc.Program, error) {
 	rt, parent := reqtrace.FromContext(ctx)
 	t0 := time.Now()
@@ -393,12 +422,12 @@ func (s *server) asAPIError(ctx context.Context, err error) *apiError {
 	return failErr(http.StatusInternalServerError, codeInternal, "allocation", err)
 }
 
-// srcKey is the cache identity of one source-program request: the
-// digest of the unit set actually allocated (the whole program, or
-// the one selected routine), the full options fingerprint, and the
-// response-shaping fields. Equivalent sources — same IR after the
-// front end normalizes comments, spacing, and names — collide;
-// different configurations never do.
+// srcKey is the canonical cache identity of one source-program
+// request: the digest of the unit set actually allocated (the whole
+// program, or the one selected routine) bound by requestKey.
+// Equivalent sources — same IR after the front end normalizes
+// comments, spacing, and names — collide; different configurations
+// never do.
 func srcKey(prog *regalloc.Program, opt regalloc.Options, req *AllocRequest) cachekey.Key {
 	var pk cachekey.Key
 	if req.Unit != "" {
@@ -406,34 +435,49 @@ func srcKey(prog *regalloc.Program, opt regalloc.Options, req *AllocRequest) cac
 	} else {
 		pk = cachekey.Program(prog.IR.Funcs)
 	}
-	ok := cachekey.Options(opt)
-	h := cachekey.New("allocd/v1/src")
-	h.Bytes(pk[:])
-	h.Bytes(ok[:])
-	h.Str(req.Unit)
-	h.Bool(req.Colors)
-	return h.Key()
+	return requestKey("allocd/v1/src", pk, "src", opt, req)
 }
 
-// graphKey is the cache identity of one .ig request: the canonical
-// graph digest (edge order and formatting do not matter), the options
-// fingerprint — with the pcolor engine's (seed, workers) folded in
-// when that is the requested heuristic — and the response-shaping
-// colors flag. The metrics unit label is deliberately excluded: it
-// names the run for observability and does not change a byte of the
-// response.
+// graphKey is the canonical cache identity of one .ig request: the
+// canonical graph digest (edge order and formatting do not matter)
+// bound by requestKey.
 func graphKey(g *ig.Graph, costs []float64, opt regalloc.Options, req *AllocRequest) cachekey.Key {
-	keyOpt := opt
-	if req.Heuristic == "pcolor" {
-		keyOpt.UsePColor = true
-		keyOpt.PColorSeed = pcolorSeed(req)
-		keyOpt.PColorWorkers = pcolorWorkers(req)
+	return requestKey("allocd/v1/ig", cachekey.Graph(g, costs), "ig", opt, req)
+}
+
+// rawKey is the cache identity of a request as decoded, before
+// anything compiles or parses: a digest of the input kind and the
+// payload text bound by requestKey. Two requests with one raw key
+// carry one payload under one resolved configuration, so they have
+// one canonical key, and the raw key may stand in for it.
+func rawKey(kind string, opt regalloc.Options, req *AllocRequest) cachekey.Key {
+	h := cachekey.New("allocd/v1/raw-payload")
+	h.Str(kind)
+	h.Str(req.Source)
+	return requestKey("allocd/v1/raw", h.Key(), kind, opt, req)
+}
+
+// requestKey binds a payload digest, under tag, to the request fields
+// besides the payload that shape the reply. For source, those are the
+// options fingerprint, unit and colors. For graphs, they are the
+// fingerprint with the pcolor engine's (seed, workers) folded in when
+// that is the requested heuristic, and colors; the unit is left out
+// there, since it names the run for the metrics and changes no byte
+// of the reply. The raw and canonical keys both bind through here, so
+// they cover the same fields.
+func requestKey(tag string, payload cachekey.Key, kind string, opt regalloc.Options, req *AllocRequest) cachekey.Key {
+	if kind == "ig" && req.Heuristic == "pcolor" {
+		opt.UsePColor = true
+		opt.PColorSeed = pcolorSeed(req)
+		opt.PColorWorkers = pcolorWorkers(req)
 	}
-	gk := cachekey.Graph(g, costs)
-	ok := cachekey.Options(keyOpt)
-	h := cachekey.New("allocd/v1/ig")
-	h.Bytes(gk[:])
+	ok := cachekey.Options(opt)
+	h := cachekey.New(tag)
+	h.Bytes(payload[:])
 	h.Bytes(ok[:])
+	if kind == "src" {
+		h.Str(req.Unit)
+	}
 	h.Bool(req.Colors)
 	return h.Key()
 }

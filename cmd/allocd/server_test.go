@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -135,10 +136,29 @@ func TestAllocGraphSniffedAndExplicit(t *testing.T) {
 
 func TestAllocGraphPColor(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, data := postAlloc(t, ts, "/v1/alloc?heuristic=pcolor&workers=2&seed=7&colors=1", testGraph)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, data)
+	// The engine's seed and worker count are part of both cache keys:
+	// each variant misses once, and its repeat is a raw hit with the
+	// first reply's bytes.
+	var data []byte
+	for i, q := range []string{"workers=2&seed=7", "workers=2&seed=8", "workers=1&seed=7"} {
+		reply := requireMissThenRawHit(t, ts, q, "/v1/alloc?heuristic=pcolor&colors=1&"+q, "text/plain", []byte(testGraph), 0x300+2*i)
+		if i == 0 {
+			data = reply
+		}
 	}
+	// The JSON form shares the legacy form's raw key.
+	seed, workers := uint64(7), 2
+	body, err := json.Marshal(&AllocRequest{Source: testGraph, Heuristic: "pcolor", Seed: &seed, Workers: &workers, Colors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jsonTraceID = "000000000000000000000000000003ff"
+	code, jsonData, cache := sendTraced(t, ts, "/v1/alloc", "application/json", body, jsonTraceID)
+	if code != http.StatusOK || cache != "hit" || !bytes.Equal(jsonData, data) {
+		t.Fatalf("JSON form: status %d, X-Cache %q, reply %s; legacy reply %s", code, cache, jsonData, data)
+	}
+	requireRawHit(t, ts, jsonTraceID)
+
 	var resp graphResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)

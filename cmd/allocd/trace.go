@@ -65,6 +65,16 @@ func (s *server) traced(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// recordStep records a span called name under parent, from t0 to
+// now, with the failure as its error attribute when there was one.
+func recordStep(rt *reqtrace.Trace, parent uint32, name string, t0 time.Time, fail *apiError) {
+	if fail != nil {
+		rt.Record(parent, name, t0, time.Since(t0), reqtrace.Attr{Key: "error", Value: fail.Error()})
+		return
+	}
+	rt.Record(parent, name, t0, time.Since(t0))
+}
+
 // statusWriter captures the status code a handler writes; an
 // unwritten header means the implicit 200.
 type statusWriter struct {

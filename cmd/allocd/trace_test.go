@@ -188,39 +188,27 @@ func TestTraceCausalChain(t *testing.T) {
 		t.Errorf("access log outcome = %+v", entry)
 	}
 
-	// The same request again is a cache hit, and the front end and
-	// key derivation that make up nearly all of it are attributed:
-	// one compile and one cachekey span under the request, both over
-	// before the lookup starts.
+	// The same request again is a hit on the raw key: it decodes, is
+	// admitted and digests the request as sent, then the lookup serves
+	// it. Nothing compiles and no canonical key is derived. Each step
+	// is a span under the request, over before the next starts.
 	const hitTraceID = "0af7651916cd43dd8448eb211c80319c"
 	code, data, _ = postTraced(t, ts, "/v1/alloc?heuristic=briggs&kint=4&kfloat=4&unit=SAXPYISH", testSource, "00-"+hitTraceID+"-b7ad6b7169203331-01")
 	if code != http.StatusOK {
 		t.Fatalf("repeat: status %d: %s", code, data)
 	}
-	hit := findRecord(debugRequests(t, ts), hitTraceID)
-	if hit == nil {
-		t.Fatal("/debug/requests has no record for the repeat request")
+	requireRawHit(t, ts, hitTraceID)
+
+	// A comment-only variant misses the raw key and hits the canonical
+	// one: it still compiles and derives the canonical key, both
+	// before the lookup.
+	const variantTraceID = "0af7651916cd43dd8448eb211c80319d"
+	commented := strings.Replace(testSource, "      RETURN", "C     A COMMENT THE LEXER DROPS\n      RETURN", 1)
+	code, data, _ = postTraced(t, ts, "/v1/alloc?heuristic=briggs&kint=4&kfloat=4&unit=SAXPYISH", commented, "00-"+variantTraceID+"-b7ad6b7169203331-01")
+	if code != http.StatusOK {
+		t.Fatalf("comment-only variant: status %d: %s", code, data)
 	}
-	if got := hit.Annotation("cache"); got != "hit" {
-		t.Fatalf("repeat cache annotation = %q, want hit", got)
-	}
-	root := spansNamed(hit, "request")
-	hitLookups := spansNamed(hit, "cache:lookup")
-	if len(root) != 1 || len(hitLookups) != 1 {
-		t.Fatalf("repeat: request spans = %d, cache:lookup spans = %d, want 1 each", len(root), len(hitLookups))
-	}
-	for _, name := range []string{"compile", "cachekey"} {
-		sps := spansNamed(hit, name)
-		if len(sps) != 1 {
-			t.Fatalf("repeat: %s spans = %d, want 1", name, len(sps))
-		}
-		if sps[0].Parent != root[0].ID {
-			t.Errorf("repeat: %s span parented to %d, want the request span %d", name, sps[0].Parent, root[0].ID)
-		}
-		if end := sps[0].StartNS + sps[0].DurNS; end > hitLookups[0].StartNS {
-			t.Errorf("repeat: %s span ends at %dns, after cache:lookup starts at %dns", name, end, hitLookups[0].StartNS)
-		}
-	}
+	requireHitRecord(t, ts, variantTraceID, "decode", "admit", "rawkey", "compile", "cachekey")
 
 	// irc and ssa run drivers of their own, irc around a whole Figure
 	// 4 baseline allocation, and each still records one alloc span.
@@ -236,6 +224,58 @@ func TestTraceCausalChain(t *testing.T) {
 			t.Fatalf("%s: /debug/requests has no record for trace %s", h, traceID)
 		}
 		requireOneAllocSpan(t, rec, h, unit)
+	}
+}
+
+// requireHitRecord fetches the record of traceID, a cache hit, and
+// checks its spans: one request span, one cache:lookup with
+// outcome=hit, and one span for each of steps, each a child of the
+// request span that ends before the next step (and the lookup)
+// starts.
+func requireHitRecord(t *testing.T, ts *httptest.Server, traceID string, steps ...string) *reqtrace.RequestRecord {
+	t.Helper()
+	rec := findRecord(debugRequests(t, ts), traceID)
+	if rec == nil {
+		t.Fatalf("/debug/requests has no record for trace %s", traceID)
+	}
+	if got := rec.Annotation("cache"); got != "hit" {
+		t.Fatalf("trace %s: cache annotation = %q, want hit", traceID, got)
+	}
+	root := spansNamed(rec, "request")
+	lookups := spansNamed(rec, "cache:lookup")
+	if len(root) != 1 || len(lookups) != 1 {
+		t.Fatalf("trace %s: request spans = %d, cache:lookup spans = %d, want 1 each", traceID, len(root), len(lookups))
+	}
+	if got := spanAttr(lookups[0], "outcome"); got != "hit" {
+		t.Errorf("trace %s: cache:lookup outcome = %q, want hit", traceID, got)
+	}
+	var prev reqtrace.Span
+	for i, name := range append(steps, "cache:lookup") {
+		sps := spansNamed(rec, name)
+		if len(sps) != 1 {
+			t.Fatalf("trace %s: %s spans = %d, want 1", traceID, name, len(sps))
+		}
+		if sps[0].Parent != root[0].ID {
+			t.Errorf("trace %s: %s span parented to %d, want the request span %d", traceID, name, sps[0].Parent, root[0].ID)
+		}
+		if i > 0 && prev.StartNS+prev.DurNS > sps[0].StartNS {
+			t.Errorf("trace %s: %s span ends at %dns, after %s starts at %dns", traceID, prev.Name, prev.StartNS+prev.DurNS, name, sps[0].StartNS)
+		}
+		prev = sps[0]
+	}
+	return rec
+}
+
+// requireRawHit checks that the request traced as traceID was served
+// by the raw key: its record has the spans of a hit that neither
+// compiled nor derived a canonical key.
+func requireRawHit(t *testing.T, ts *httptest.Server, traceID string) {
+	t.Helper()
+	rec := requireHitRecord(t, ts, traceID, "decode", "admit", "rawkey")
+	for _, name := range []string{"compile", "cachekey"} {
+		if n := len(spansNamed(rec, name)); n != 0 {
+			t.Errorf("trace %s: %d %s spans, want none on a raw hit", traceID, n, name)
+		}
 	}
 }
 

@@ -226,26 +226,129 @@ func TestV1SingleflightCollapse(t *testing.T) {
 	}
 }
 
+// sendTraced POSTs body with a traceparent naming traceID and returns
+// the status, the reply and the X-Cache header.
+func sendTraced(t *testing.T, ts *httptest.Server, path, contentType string, body []byte, traceID string) (int, []byte, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("traceparent", "00-"+traceID+"-b7ad6b7169203331-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data, resp.Header.Get("X-Cache")
+}
+
+// requireMissThenRawHit sends one request twice: the first must miss,
+// and the second must be a raw hit with the first reply's exact
+// bytes. It returns the reply.
+func requireMissThenRawHit(t *testing.T, ts *httptest.Server, name, path, contentType string, body []byte, traceBase int) []byte {
+	t.Helper()
+	var replies [2][]byte
+	for i, want := range []string{"miss", "hit"} {
+		traceID := fmt.Sprintf("%032x", traceBase+i)
+		code, data, cache := sendTraced(t, ts, path, contentType, body, traceID)
+		if code != http.StatusOK {
+			t.Fatalf("%s, send %d: status %d: %s", name, i, code, data)
+		}
+		if cache != want {
+			t.Fatalf("%s, send %d: X-Cache %q, want %s", name, i, cache, want)
+		}
+		replies[i] = data
+		if want == "hit" {
+			requireRawHit(t, ts, traceID)
+		}
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Fatalf("%s: the repeat's reply differs from the first:\nfirst:  %s\nrepeat: %s", name, replies[0], replies[1])
+	}
+	return replies[0]
+}
+
 // TestV1DifferentConfigsMiss: the options fingerprint keeps requests
-// that differ in any result-relevant knob apart.
+// that differ in any result-relevant knob apart, under the canonical
+// key and under the raw key alike. Each variant misses once, and its
+// byte-identical repeat is a raw hit with the first reply's bytes.
 func TestV1DifferentConfigsMiss(t *testing.T) {
 	_, ts := newTestServer(t)
-	k8, k4 := 8, 4
+	k8, k4, passes, yes := 8, 4, 3, true
 	reqs := []*AllocRequest{
 		{Source: testSource},
 		{Source: testSource, Heuristic: "chaitin"},
 		{Source: testSource, KInt: &k8},
 		{Source: testSource, KInt: &k8, KFloat: &k4},
 		{Source: testSource, Colors: true},
+		{Source: testSource, Metric: "cost"},
+		{Source: testSource, Machine: "rtpc"},
+		{Source: testSource, Conservative: &yes},
+		{Source: testSource, Remat: &yes},
+		{Source: testSource, Split: &yes},
+		{Source: testSource, MaxPasses: &passes},
+		{Source: testSource, Unit: "SAXPYISH"},
 	}
+	var chaitin []byte
 	for i, r := range reqs {
-		code, data, cache := postJSON(t, ts, "/v1/alloc", r)
-		if code != http.StatusOK {
-			t.Fatalf("req %d: status %d: %s", i, code, data)
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cache != "miss" {
-			t.Fatalf("req %d: X-Cache %q, want miss (distinct config)", i, cache)
+		reply := requireMissThenRawHit(t, ts, fmt.Sprintf("req %d", i), "/v1/alloc", "application/json", body, 0x100+2*i)
+		if i == 1 {
+			chaitin = reply
 		}
+	}
+
+	// The legacy query form of a JSON request decodes to the same
+	// request, so it shares the JSON form's raw key and its alias.
+	const legacyTraceID = "000000000000000000000000000001ff"
+	code, data, cache := sendTraced(t, ts, "/v1/alloc?heuristic=chaitin", "text/plain", []byte(testSource), legacyTraceID)
+	if code != http.StatusOK || cache != "hit" {
+		t.Fatalf("legacy form: status %d, X-Cache %q: %s", code, cache, data)
+	}
+	if !bytes.Equal(data, chaitin) {
+		t.Fatalf("legacy form's reply differs from the JSON form's:\nlegacy: %s\njson:   %s", data, chaitin)
+	}
+	requireRawHit(t, ts, legacyTraceID)
+}
+
+// TestV1RawKeyOnlyAfterSuccess: a request that fails gets no raw
+// alias, so its repeat takes the canonical path again and fails the
+// same way, and neither counts as a hit.
+func TestV1RawKeyOnlyAfterSuccess(t *testing.T) {
+	s, ts := newTestServer(t)
+	for i, tc := range []struct {
+		path, body, code string
+		step             string // the canonical-path span the repeat must have
+	}{
+		{"/v1/alloc?unit=MISSING", testSource, "unknown_unit", "compile"},
+		{"/v1/alloc?input=ig&heuristic=ssa&kint=2", testGraph, "bad_heuristic", "cachekey"},
+	} {
+		for j := 0; j < 2; j++ {
+			traceID := fmt.Sprintf("%032x", 0x200+2*i+j)
+			status, data, _ := sendTraced(t, ts, tc.path, "text/plain", []byte(tc.body), traceID)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s, send %d: status %d: %s", tc.path, j, status, data)
+			}
+			if e := errorEnvelope(t, data); e.Code != tc.code {
+				t.Fatalf("%s, send %d: code %q, want %s", tc.path, j, e.Code, tc.code)
+			}
+			rec := findRecord(debugRequests(t, ts), traceID)
+			if rec == nil || len(spansNamed(rec, tc.step)) != 1 {
+				t.Fatalf("%s, send %d: want a record with one %s span", tc.path, j, tc.step)
+			}
+		}
+	}
+	if st := s.cache.Stats(); st.Hits != 0 || st.Entries != 0 {
+		t.Fatalf("failed requests left cache state: %+v", st)
 	}
 }
 

@@ -4,8 +4,8 @@
 // form on both axes:
 //
 //   - Equivalent inputs collide. A mini-FORTRAN source is digested
-//     through its compiled IR listing, so formatting, comments, and
-//     even variable renamings that lower to the same IR share a key.
+//     through its compiled IR, so formatting, comments, and even
+//     variable renamings that lower to the same IR share a key.
 //     A .ig graph is digested through a sorted-edge canonical form,
 //     so the same graph serialized in any edge order shares a key.
 //   - Different configurations do not. The Options fingerprint
@@ -163,19 +163,22 @@ func Options(opt alloc.Options) Key {
 	return h.Key()
 }
 
-// Func digests one unit's IR through its canonical listing
-// (ir.Fprint), the same text a human reads when debugging. Any two
-// sources lowering to that listing collide, which is the point.
+// Func digests one unit's IR: its name, register classes, and every
+// instruction's fields in block order, with each block's branch
+// targets. These cover every field the canonical listing (ir.Fprint)
+// prints, so any two sources lowering to one listing collide, which
+// is the point. The fields are hashed in binary: printing the listing
+// would cost about as much as the compile that produced it.
 func Func(f *ir.Func) Key {
-	h := New("regalloc/ir/1")
+	h := New("regalloc/ir/2")
 	hashFunc(h, f)
 	return h.Key()
 }
 
-// Program digests a whole program as the ordered sequence of its
-// unit listings.
+// Program digests a whole program: its unit count, then each unit's
+// fields as Func hashes them, in order.
 func Program(funcs []*ir.Func) Key {
-	h := New("regalloc/ir-program/1")
+	h := New("regalloc/ir-program/2")
 	h.Int(int64(len(funcs)))
 	for _, f := range funcs {
 		hashFunc(h, f)
@@ -195,7 +198,25 @@ func hashFunc(h *Hasher, f *ir.Func) {
 		h.Int(int64(b.Depth))
 		h.Int(int64(len(b.Instrs)))
 		for i := range b.Instrs {
-			h.Str(ir.SprintInstr(f, &b.Instrs[i], b))
+			in := &b.Instrs[i]
+			h.Int(int64(in.Op))
+			h.Int(int64(in.Dst))
+			h.Int(int64(in.A))
+			h.Int(int64(in.B))
+			h.Int(int64(in.C))
+			h.Int(in.Imm)
+			h.Float(in.FImm)
+			h.Int(int64(in.Cmp))
+			h.Int(int64(in.Cls))
+			h.Str(in.Callee)
+			h.Int(int64(len(in.Args)))
+			for _, a := range in.Args {
+				h.Int(int64(a))
+			}
+		}
+		h.Int(int64(len(b.Succs)))
+		for _, s := range b.Succs {
+			h.Int(int64(s))
 		}
 	}
 }

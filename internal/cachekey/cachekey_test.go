@@ -144,16 +144,11 @@ func TestOptionsFingerprint(t *testing.T) {
 	}
 }
 
-// TestFuncDigestNormalizesSource feeds two textually different but
-// semantically identical sources through the compiler and checks the
-// IR digests collide, while a real change separates them.
-func TestFuncDigestNormalizesSource(t *testing.T) {
-	compile := func(src string) *ir.Func {
-		t.Helper()
-		f := compileOne(t, src)
-		return f
-	}
-	a := compile(`
+// axSource, axRenamed and axChanged are one routine three ways: as
+// written, with a comment, blank lines and renamed variables (the same
+// IR), and with a different constant (different IR).
+const (
+	axSource = `
       SUBROUTINE AX(N,X)
       REAL X(*)
       INTEGER I,N
@@ -162,8 +157,8 @@ func TestFuncDigestNormalizesSource(t *testing.T) {
       ENDDO
       RETURN
       END
-`)
-	b := compile(`
+`
+	axRenamed = `
 C     a comment, extra blank lines, renamed variables
       SUBROUTINE AX(M,Y)
 
@@ -174,11 +169,8 @@ C     a comment, extra blank lines, renamed variables
       ENDDO
       RETURN
       END
-`)
-	if Func(a) != Func(b) {
-		t.Fatal("formatting/renaming changed the IR digest")
-	}
-	c := compile(`
+`
+	axChanged = `
       SUBROUTINE AX(N,X)
       REAL X(*)
       INTEGER I,N
@@ -187,7 +179,17 @@ C     a comment, extra blank lines, renamed variables
       ENDDO
       RETURN
       END
-`)
+`
+)
+
+// TestFuncDigestNormalizesSource feeds two textually different but
+// semantically identical sources through the compiler and checks the
+// IR digests collide, while a real change separates them.
+func TestFuncDigestNormalizesSource(t *testing.T) {
+	a, b, c := compileOne(t, axSource), compileOne(t, axRenamed), compileOne(t, axChanged)
+	if Func(a) != Func(b) {
+		t.Fatal("formatting/renaming changed the IR digest")
+	}
 	if Func(a) == Func(c) {
 		t.Fatal("different constant, same IR digest")
 	}

@@ -26,6 +26,16 @@
 // result still lands in the cache for the next request. If the
 // leader's fill fails, every waiter of that flight receives the
 // leader's error, typed as the fill returned it.
+//
+// Aliases: a caller whose key is costly to derive (allocd's canonical
+// key digests compiled IR) can name a resident entry by a second, cheap
+// key with Alias and serve later requests through Lookup without
+// deriving the costly one. An alias lives inside its entry: each entry
+// holds at most maxAliases of them, and they leave the cache with the
+// entry — on eviction and on an oversized refill. Lookup serves a hit
+// exactly as Do does (the hit counter, the hit-latency histogram and a
+// cache:lookup span); a Lookup that finds nothing counts nothing, so a
+// request that goes on to Do still has exactly one outcome.
 package rescache
 
 import (
@@ -67,9 +77,17 @@ func (o Outcome) String() string {
 	}
 }
 
+// maxAliases bounds the aliases one entry holds. An entry's aliases
+// are differently written requests for the same canonical work
+// (formatting and renaming variants of one program), so a few cover
+// the variants a client mix repeats; a new alias past the bound
+// replaces the entry's oldest.
+const maxAliases = 4
+
 type entry struct {
-	key cachekey.Key
-	val []byte
+	key     cachekey.Key
+	val     []byte
+	aliases []cachekey.Key // oldest first, at most maxAliases
 }
 
 type flight struct {
@@ -88,6 +106,7 @@ type Cache struct {
 	bytes      int64
 	ll         *list.List // front: most recently used; values: *entry
 	items      map[cachekey.Key]*list.Element
+	aliases    map[cachekey.Key]*list.Element // alias -> its entry's element
 	flights    map[cachekey.Key]*flight
 
 	hits, misses, shared, abandoned, evictions int64
@@ -103,6 +122,7 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		items:      make(map[cachekey.Key]*list.Element),
+		aliases:    make(map[cachekey.Key]*list.Element),
 		flights:    make(map[cachekey.Key]*flight),
 	}
 }
@@ -118,14 +138,7 @@ func (c *Cache) Do(ctx context.Context, key cachekey.Key, fill func() ([]byte, e
 	rt, parent := reqtrace.FromContext(ctx)
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*entry).val
-		c.hits++
-		c.hitLat.Observe(time.Since(t0))
-		c.mu.Unlock()
-		rt.Record(parent, "cache:lookup", t0, time.Since(t0),
-			reqtrace.Attr{Key: "outcome", Value: Hit.String()})
-		return val, Hit, nil
+		return c.hit(ctx, el, t0), Hit, nil
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -181,6 +194,58 @@ func (c *Cache) Do(ctx context.Context, key cachekey.Key, fill func() ([]byte, e
 	return val, Miss, err
 }
 
+// Lookup serves the entry alias names, if it is resident, as a hit;
+// otherwise it returns false and counts nothing. The returned bytes are
+// shared and must not be mutated.
+func (c *Cache) Lookup(ctx context.Context, alias cachekey.Key) ([]byte, bool) {
+	t0 := time.Now()
+	c.mu.Lock()
+	el, ok := c.aliases[alias]
+	if !ok {
+		c.mu.Unlock()
+		return nil, false
+	}
+	return c.hit(ctx, el, t0), true
+}
+
+// hit serves el, which the caller found under c.mu, and releases the
+// lock: the entry becomes the most recently used, the hit is counted
+// and timed from t0, and a cache:lookup span records it.
+func (c *Cache) hit(ctx context.Context, el *list.Element, t0 time.Time) []byte {
+	c.ll.MoveToFront(el)
+	val := el.Value.(*entry).val
+	c.hits++
+	c.hitLat.Observe(time.Since(t0))
+	c.mu.Unlock()
+	rt, parent := reqtrace.FromContext(ctx)
+	rt.Record(parent, "cache:lookup", t0, time.Since(t0),
+		reqtrace.Attr{Key: "outcome", Value: Hit.String()})
+	return val
+}
+
+// Alias makes alias a second name for key's entry, so that Lookup(alias)
+// serves it. It does nothing when key is not resident (a fill too large
+// to keep leaves nothing to name) or when alias already names an entry:
+// an alias names one entry until that entry leaves the cache.
+func (c *Cache) Alias(alias, key cachekey.Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, taken := c.aliases[alias]; taken {
+		return
+	}
+	e := el.Value.(*entry)
+	if len(e.aliases) == maxAliases {
+		delete(c.aliases, e.aliases[0])
+		e.aliases = append(e.aliases[:0], e.aliases[1:]...)
+	}
+	e.aliases = append(e.aliases, alias)
+	c.aliases[alias] = el
+}
+
 // Get returns a stored value without filling (for tests and
 // introspection).
 func (c *Cache) Get(key cachekey.Key) ([]byte, bool) {
@@ -206,10 +271,7 @@ func (c *Cache) store(key cachekey.Key, val []byte) {
 		if el, ok := c.items[key]; ok {
 			// An oversized refill of a stored key cannot keep the stale
 			// bytes either.
-			c.ll.Remove(el)
-			delete(c.items, key)
-			c.bytes -= int64(len(el.Value.(*entry).val))
-			c.evictions++
+			c.remove(el)
 		}
 		return
 	}
@@ -231,13 +293,19 @@ func (c *Cache) store(key cachekey.Key, val []byte) {
 }
 
 func (c *Cache) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
-		return
+	if el := c.ll.Back(); el != nil {
+		c.remove(el)
 	}
+}
+
+// remove drops el's entry and its aliases under c.mu.
+func (c *Cache) remove(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.items, e.key)
+	for _, a := range e.aliases {
+		delete(c.aliases, a)
+	}
 	c.bytes -= int64(len(e.val))
 	c.evictions++
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"regalloc/internal/cachekey"
+	"regalloc/internal/reqtrace"
 )
 
 func key(s string) cachekey.Key {
@@ -247,4 +248,170 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	if st := c.Stats(); st.Requests() != 32*50 {
 		t.Fatalf("requests = %d", st.Requests())
 	}
+}
+
+// checkAliases verifies the alias index against the entries: every
+// alias names a resident entry that lists it, every listed alias is
+// indexed, and no entry holds more than maxAliases.
+func checkAliases(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	listed := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		if len(e.aliases) > maxAliases {
+			t.Fatalf("entry holds %d aliases, cap %d", len(e.aliases), maxAliases)
+		}
+		for _, a := range e.aliases {
+			if c.aliases[a] != el {
+				t.Fatal("an entry lists an alias the index does not map to it")
+			}
+		}
+		listed += len(e.aliases)
+	}
+	if listed != len(c.aliases) {
+		t.Fatalf("index holds %d aliases, entries list %d", len(c.aliases), listed)
+	}
+}
+
+// TestAliasHitCountsOneHit: a Lookup through an alias is a hit in
+// every counter and span, like a Do hit, and returns the entry's
+// bytes; a Lookup that finds nothing counts nothing.
+func TestAliasHitCountsOneHit(t *testing.T) {
+	c := New(8, 0)
+	ctx := context.Background()
+	v, _, _ := c.Do(ctx, key("a"), fillWith([]byte("alpha")))
+	if _, ok := c.Lookup(ctx, key("raw-a")); ok {
+		t.Fatal("Lookup served an alias never recorded")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 || st.HitLatency.Count != 0 {
+		t.Fatalf("a failed Lookup counted: %+v", st)
+	}
+	c.Alias(key("raw-a"), key("a"))
+
+	rt := reqtrace.NewTrace(reqtrace.Mint())
+	got, ok := c.Lookup(reqtrace.ContextWith(ctx, rt, 0), key("raw-a"))
+	if !ok || !bytes.Equal(got, v) {
+		t.Fatalf("Lookup = %q, %v; want %q", got, ok, v)
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.HitLatency.Count != 1 || st.FillLatency.Count != 1 {
+		t.Fatalf("stats after an alias hit = %+v", st)
+	}
+	spans, _ := rt.Snapshot()
+	if len(spans) != 1 || spans[0].Name != "cache:lookup" ||
+		len(spans[0].Attrs) != 1 || spans[0].Attrs[0] != (reqtrace.Attr{Key: "outcome", Value: "hit"}) {
+		t.Fatalf("spans = %+v, want one cache:lookup with outcome=hit", spans)
+	}
+	checkAliases(t, c)
+}
+
+// TestAliasDiesWithEntry: an alias leaves the cache with its entry,
+// on LRU eviction and on an oversized refill.
+func TestAliasDiesWithEntry(t *testing.T) {
+	ctx := context.Background()
+	c := New(2, 0)
+	c.Do(ctx, key("a"), fillWith([]byte("a")))
+	c.Alias(key("raw-a"), key("a"))
+	c.Do(ctx, key("b"), fillWith([]byte("b")))
+	c.Do(ctx, key("c"), fillWith([]byte("c"))) // evicts a
+	if _, ok := c.Lookup(ctx, key("raw-a")); ok {
+		t.Fatal("alias outlived its evicted entry")
+	}
+	checkAliases(t, c)
+
+	c2 := New(0, 32)
+	c2.Do(ctx, key("a"), fillWith(make([]byte, 4)))
+	c2.Alias(key("raw-a"), key("a"))
+	c2.store(key("a"), make([]byte, 100))
+	if _, ok := c2.Lookup(ctx, key("raw-a")); ok {
+		t.Fatal("alias outlived its entry's oversized refill")
+	}
+	checkAliases(t, c2)
+}
+
+// TestAliasCap: an entry holds at most maxAliases aliases; a new one
+// past the cap replaces the entry's oldest.
+func TestAliasCap(t *testing.T) {
+	ctx := context.Background()
+	c := New(8, 0)
+	c.Do(ctx, key("a"), fillWith([]byte("a")))
+	const n = maxAliases + 2
+	for i := 0; i < n; i++ {
+		c.Alias(key(fmt.Sprintf("raw-%d", i)), key("a"))
+	}
+	checkAliases(t, c)
+	if len(c.aliases) != maxAliases {
+		t.Fatalf("%d aliases for one entry, cap %d", len(c.aliases), maxAliases)
+	}
+	for i := 0; i < n; i++ {
+		_, ok := c.Lookup(ctx, key(fmt.Sprintf("raw-%d", i)))
+		if want := i >= n-maxAliases; ok != want {
+			t.Fatalf("alias %d served = %v, want %v", i, ok, want)
+		}
+	}
+}
+
+// TestAliasToAbsentKey: Alias names only resident entries — a key
+// never stored, or a value too large to keep, gets no alias.
+func TestAliasToAbsentKey(t *testing.T) {
+	ctx := context.Background()
+	c := New(8, 16)
+	c.Alias(key("raw-x"), key("x"))
+	c.Do(ctx, key("big"), fillWith(make([]byte, 100)))
+	c.Alias(key("raw-big"), key("big"))
+	for _, a := range []string{"raw-x", "raw-big"} {
+		if _, ok := c.Lookup(ctx, key(a)); ok {
+			t.Fatalf("%s served without a resident entry", a)
+		}
+	}
+	if len(c.aliases) != 0 {
+		t.Fatalf("index holds %d aliases", len(c.aliases))
+	}
+}
+
+// TestConcurrentLookupAliasDo drives Lookup, Do and Alias from many
+// goroutines over more keys than the cache holds, so aliases are made
+// and evicted while others read them. Every served value must be its
+// key's, every request has exactly one outcome, and the alias index
+// stays consistent. Run it with -race -count=10.
+func TestConcurrentLookupAliasDo(t *testing.T) {
+	c := New(4, 0)
+	const workers, iters, keys = 8, 200, 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < iters; i++ {
+				k := (w + i) % keys
+				want := []byte{byte(k)}
+				raw := key(fmt.Sprintf("raw-%d-%d", k, i%2))
+				if v, ok := c.Lookup(ctx, raw); ok {
+					if !bytes.Equal(v, want) {
+						t.Errorf("alias of key %d served %v", k, v)
+						return
+					}
+					continue
+				}
+				v, _, err := c.Do(ctx, key(fmt.Sprint(k)), fillWith(want))
+				if err != nil || !bytes.Equal(v, want) {
+					t.Errorf("key %d: %v %v", k, v, err)
+					return
+				}
+				c.Alias(raw, key(fmt.Sprint(k)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Requests() != workers*iters {
+		t.Fatalf("requests = %d, want %d: %+v", st.Requests(), workers*iters, st)
+	}
+	if st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("no evictions or no hits, so aliases were not both used and dropped: %+v", st)
+	}
+	checkAliases(t, c)
 }

@@ -17,7 +17,6 @@ import (
 	"regalloc/internal/color"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
-	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
 	"regalloc/internal/pcolor"
 	"regalloc/internal/reqtrace"
@@ -202,6 +201,10 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 	sc := colorScratchPool.Get().(*color.Scratch)
 	defer colorScratchPool.Put(sc)
 
+	// pc is the analysis the next pass starts from: nil after a spill
+	// that added blocks (split) or is not argued to carry it (remat),
+	// so that pass starts fresh.
+	var pc *passCtx
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("alloc: %s: cancelled before pass %d: %w", f.Name, pass, err)
@@ -209,14 +212,19 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 		var ps PassStats
 		tr.SetPass(pass)
 
-		// Build: renumber into webs, analyze once (liveness + CFG,
-		// cached in the pass context), coalesce copies, rebuild the
-		// graph, compute spill costs from the stamped loop depths.
+		// Build: renumber into webs, from a fresh analysis (liveness +
+		// CFG) or the one the last spill carried, coalesce copies,
+		// rebuild the graph, compute spill costs from the stamped loop
+		// depths.
 		t0 := tr.Begin(obs.PhaseBuild)
-		pc := newPassCtx(work)
+		if pc == nil {
+			pc = newPassCtx(work)
+		} else {
+			pc.carry(work)
+		}
 		var g *ig.Graph
 		var pre []int16 // precolored colors by node; nil without a machine model
-		if opt.Coalesce {
+		if opt.Coalesce && (pc.mayMerge || opt.ConservativeCoalesce) {
 			var ck func(ir.Class) int
 			if opt.ConservativeCoalesce {
 				ck = kf
@@ -230,14 +238,22 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 			}
 			ps.CoalescedMoves = cs.Moves
 			g = cg // non-nil exactly when no move merged
+			pc.mayMerge = false
 			if cs.Moves > 0 {
 				// Coalescing rewrote the code (and so returned no
 				// graph) and left pc.lv its liveness: renumber the
 				// merged webs with it and rebuild. The CFG analysis
 				// stays valid — no block was touched.
-				pc.lv = liverange.RenumberWithLiveness(work, pc.lv)
+				pc.renumber(work)
 				g = nil
 			}
+		} else if opt.Coalesce {
+			// An aggressive round here would merge nothing: the last
+			// round ran to its fixpoint, where every candidate's ends
+			// interfered; no renumbering since has split a register;
+			// and spill code changes only the spilled webs, whose
+			// replacements are never coalescible.
+			coalesce.Skipped(work, pc.lv)
 		}
 		if opt.Machine != nil {
 			// The machine model extends the graph with precolored
@@ -461,10 +477,13 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 			// pass started has added or removed a block. (Recomputing
 			// here was the second cfg.Analyze per split-mode pass.)
 			st = spill.InsertCodeSplit(work, regs, pc.info)
+			pc = nil
 		case opt.Rematerialize:
 			st = spill.InsertCodeRemat(work, regs, rematOK, rematVals)
+			pc = nil
 		default:
 			st = spill.InsertCode(work, regs)
+			spill.CarryLiveness(pc.lv, regs)
 		}
 		ps.Spill = tr.End(obs.PhaseSpill, t0)
 		ps.LoadsInserted = st.Loads

@@ -8,20 +8,27 @@ import (
 	"regalloc/internal/obs"
 )
 
-// passCtx is the per-pass analysis cache. One trip around the Figure
-// 4 cycle needs live-variable analysis (renumbering, coalescing,
+// passCtx is the analysis a Figure 4 pass works from. One trip around
+// the cycle needs live-variable analysis (renumbering, coalescing,
 // graph build) and CFG/loop analysis (spill-cost depths, split
-// insertion). passCtx computes liveness once when the pass starts,
-// before renumbering, and never from scratch again: the renumbering
-// renames the sets it was given to the new webs, the coalescer keeps
-// them current across its merges in either mode, and the post-coalesce
-// renumbering renames the coalescer's final sets. cfg.Analyze runs
-// once per pass, split mode included. The run counts are published
-// as build-phase counters so tests — and trace consumers — can hold
-// the allocator to this contract.
+// insertion). A fresh start computes liveness once, before
+// renumbering, and cfg.Analyze once. From then on nothing solves
+// liveness from scratch: the renumbering renames the sets it was given
+// to the new webs, the coalescer keeps them current across its merges
+// in either mode, and spill.CarryLiveness brings them past plain spill
+// code, so the pass after a plain spill starts from the last pass's
+// analysis and runs none. The run counts are published as build-phase
+// counters so tests, and trace consumers, can hold the allocator to
+// this contract.
 type passCtx struct {
 	lv   *dataflow.Liveness
 	info *cfg.Info
+
+	// mayMerge reports whether an aggressive coalescing round on work
+	// as it stands might merge: true on a fresh start, false once a
+	// round has run to its fixpoint, and true again once a
+	// renumbering splits a register.
+	mayMerge bool
 
 	livenessRuns int
 	cfgRuns      int
@@ -31,19 +38,41 @@ type passCtx struct {
 // liveness computed to renumber, renamed to the webs, serves the
 // pass's coalescing and graph builds, and CFG/loop nesting serves its
 // cost estimates and (in split mode) its spill insertion. Block depths
-// are stamped as a side effect of cfg.Analyze and stay valid for the
-// whole pass: nothing before spill insertion adds or removes blocks.
+// are stamped as a side effect of cfg.Analyze and stay valid until a
+// spill inserter adds a block.
 func newPassCtx(work *ir.Func) *passCtx {
-	pc := &passCtx{lv: liverange.RenumberWithLiveness(work, dataflow.ComputeLiveness(work))}
-	pc.livenessRuns++
-	pc.info = cfg.Analyze(work)
-	pc.cfgRuns++
-	return pc
+	lv, _ := liverange.RenumberWithLiveness(work, dataflow.ComputeLiveness(work))
+	return &passCtx{lv: lv, info: cfg.Analyze(work), mayMerge: true, livenessRuns: 1, cfgRuns: 1}
 }
 
-// emitCounters publishes the pass's analysis-run totals, each exactly
-// 1 in every pass, with or without coalescing, aggressive or
-// conservative.
+// carry starts the pass after a plain spill from the last pass's
+// analysis. spill.CarryLiveness has made pc.lv the liveness of work,
+// and spill.InsertCode adds no block, so pc.info and the stamped depths
+// still hold. carry renumbers work from pc.lv and runs no analysis.
+func (pc *passCtx) carry(work *ir.Func) {
+	var before *ir.Func
+	if carryObserver != nil {
+		before = work.Clone()
+	}
+	pc.renumber(work)
+	pc.livenessRuns, pc.cfgRuns = 0, 0
+	if carryObserver != nil {
+		carryObserver(before, work, pc.lv, pc.info)
+	}
+}
+
+// renumber renumbers work from pc.lv, which must be its liveness. A
+// register that splits may have a part that no longer interferes with
+// a copy's other end, so a round could merge again.
+func (pc *passCtx) renumber(work *ir.Func) {
+	lv, split := liverange.RenumberWithLiveness(work, pc.lv)
+	pc.lv = lv
+	pc.mayMerge = pc.mayMerge || split
+}
+
+// emitCounters publishes the pass's analysis-run totals: 1 each on a
+// fresh start, with or without coalescing, aggressive or
+// conservative, and 0 each on a carried one.
 func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 	if !tr.Enabled() {
 		return
@@ -51,3 +80,9 @@ func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 	tr.Counter(obs.PhaseBuild, "analysis.liveness_runs", int64(pc.livenessRuns))
 	tr.Counter(obs.PhaseBuild, "analysis.cfg_runs", int64(pc.cfgRuns))
 }
+
+// carryObserver, when non-nil, sees every carried pass start: a copy
+// of work before its renumbering, work after it, and the liveness and
+// CFG analysis the pass carries. Tests install it to compare the
+// carried start with a fresh one.
+var carryObserver func(before, after *ir.Func, lv *dataflow.Liveness, info *cfg.Info)

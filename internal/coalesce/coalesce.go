@@ -127,6 +127,16 @@ func RunContext(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conserva
 	return st, g, err
 }
 
+// Skipped marks a round the caller did not run on f and lv because it
+// knows the round would merge nothing. It does nothing unless a test
+// is watching; the test then runs the round on copies of f and lv to
+// hold the caller to that.
+func Skipped(f *ir.Func, lv *dataflow.Liveness) {
+	if skipObserver != nil {
+		skipObserver(f, lv)
+	}
+}
+
 // coalescible reports whether a copy between the distinct registers
 // dst and src may merge them: they share a class and neither is a
 // spill temporary. Merging keeps both properties, so a copy that is
@@ -149,6 +159,10 @@ var roundObserver func(f *ir.Func, lv *dataflow.Liveness) func(dst, src ir.Reg, 
 // is called with the run's Stats when the run returns. Tests install
 // it to hold each run to the reference round loops.
 var runObserver func(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int) func(Stats)
+
+// skipObserver, when non-nil, sees the f and lv of every round a
+// caller marked Skipped.
+var skipObserver func(f *ir.Func, lv *dataflow.Liveness)
 
 // briggsObserver, when non-nil, sees every conservative-test query
 // and its answer. Tests install it to check the test against a

@@ -43,3 +43,11 @@ func CheckRuns(start func(f *ir.Func, lv *dataflow.Liveness, conservativeK func(
 	runObserver = start
 	return func() { runObserver = nil }
 }
+
+// CheckSkippedRounds calls check with the f and lv of every round a
+// caller marks Skipped until restore is called. Rounds must come from
+// one goroutine at a time.
+func CheckSkippedRounds(check func(f *ir.Func, lv *dataflow.Liveness)) (restore func()) {
+	skipObserver = check
+	return func() { skipObserver = nil }
+}

@@ -1,6 +1,7 @@
 package coalesce_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -200,6 +201,11 @@ type roundOracle struct {
 	refWrong      []string // the first five; refBad counts them all
 	refBad        int
 
+	// skipped counts the rounds the allocator skipped, each run here
+	// on copies of its function and liveness; skipMerged counts those
+	// that merged.
+	skipped, skipMerged int
+
 	round, afterMerge int
 	liveWrong         []string
 	liveBad           int
@@ -207,19 +213,30 @@ type roundOracle struct {
 
 // watch, until restore is called, holds every run to the reference
 // loop of its mode when ref is set, and checks every round's liveness
-// when live is set. Runs must come from one goroutine at a time.
+// when live is set. With ref set, every round the allocator skips is
+// also run, on copies, through RunContext, so the reference checks it
+// too, and it must merge nothing. Runs must come from one goroutine at
+// a time.
 func (o *roundOracle) watch(ref, live bool) (restore func()) {
+	restoreSkips := func() {}
+	if ref {
+		restoreSkips = coalesce.CheckSkippedRounds(func(f *ir.Func, lv *dataflow.Liveness) {
+			o.skipped++
+			st, _, err := coalesce.RunContext(context.Background(), f.Clone(), copyLiveness(f, lv), nil, obs.New(&o.got, f.Name))
+			if err != nil || st.Moves > 0 {
+				if o.skipMerged++; o.skipMerged <= 5 {
+					o.refWrong = append(o.refWrong, fmt.Sprintf("%s: a skipped round merged %d moves (%v)", o.label, st.Moves, err))
+				}
+			}
+		})
+	}
 	restoreRuns := coalesce.CheckRuns(func(f *ir.Func, lv *dataflow.Liveness, k func(ir.Class) int) func(coalesce.Stats) {
 		o.round = 0
 		if !ref {
 			return func(coalesce.Stats) {}
 		}
 		refF := f.Clone()
-		refLv := dataflow.NewLiveness(len(f.Blocks), f.NumRegs())
-		for i := range f.Blocks {
-			refLv.In[i].CopyFrom(lv.In[i])
-			refLv.Out[i].CopyFrom(lv.Out[i])
-		}
+		refLv := copyLiveness(f, lv)
 		mark := len(o.got)
 		return func(st coalesce.Stats) {
 			o.runs++
@@ -252,7 +269,10 @@ func (o *roundOracle) watch(ref, live bool) (restore func()) {
 		}
 	})
 	if !live {
-		return restoreRuns
+		return func() {
+			restoreSkips()
+			restoreRuns()
+		}
 	}
 	restoreRounds := coalesce.CheckRounds(func(f *ir.Func, lv *dataflow.Liveness) func(ir.Reg, ir.Reg, bool, bool) {
 		if o.round++; o.round > 1 {
@@ -267,8 +287,19 @@ func (o *roundOracle) watch(ref, live bool) (restore func()) {
 	})
 	return func() {
 		restoreRounds()
+		restoreSkips()
 		restoreRuns()
 	}
+}
+
+// copyLiveness returns a copy of lv, the liveness of f.
+func copyLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness {
+	c := dataflow.NewLiveness(len(f.Blocks), f.NumRegs())
+	for i := range f.Blocks {
+		c.In[i].CopyFrom(lv.In[i])
+		c.Out[i].CopyFrom(lv.Out[i])
+	}
+	return c
 }
 
 // conservativeSweep is the one sweep of conservative runs that both
@@ -351,9 +382,9 @@ func (o *roundOracle) report(t *testing.T, mode string) {
 	for _, e := range o.refWrong {
 		t.Error(e)
 	}
-	t.Logf("%d %s runs, %d merging", o.runs, mode, o.merging)
-	if o.refBad > 0 {
-		t.Fatalf("%d of %d runs differ from the reference", o.refBad, o.runs)
+	t.Logf("%d %s runs, %d merging; %d of them skipped by the allocator", o.runs, mode, o.merging, o.skipped)
+	if o.refBad > 0 || o.skipMerged > 0 {
+		t.Fatalf("%d of %d runs differ from the reference, and %d of %d skipped rounds merged", o.refBad, o.runs, o.skipMerged, o.skipped)
 	}
 	if o.merging == 0 || o.merging == o.runs {
 		t.Fatalf("%d of %d runs merged; the oracle needs both kinds", o.merging, o.runs)

@@ -20,12 +20,16 @@ import (
 // webs. It returns the liveness of the rewritten function, so a
 // caller that needs one computes none.
 func Renumber(f *ir.Func) *dataflow.Liveness {
-	return RenumberWithLiveness(f, dataflow.ComputeLiveness(f))
+	lv, _ := RenumberWithLiveness(f, dataflow.ComputeLiveness(f))
+	return lv
 }
 
 // RenumberWithLiveness is Renumber for a caller holding lv, the
 // current liveness of f; it runs no dataflow analysis. lv is only
-// read, so it still describes f as it was before the rewrite.
+// read, so it still describes f as it was before the rewrite; its
+// sets may be narrower than f's registers, as long as every register
+// they leave out is live at no block boundary. split reports whether
+// some register's references landed in more than one web.
 //
 // A web is a class of definitions under "reach a common use", closed
 // transitively, and a use with no earlier definition in its block is
@@ -35,35 +39,33 @@ func Renumber(f *ir.Func) *dataflow.Liveness {
 // definition of r — or, if it has none, its own entry point for r —
 // joins the entry point for r of every successor that has r live-in.
 // The entry block's entry point for r stands for the fabricated
-// definition of a register read before any write. Webs are numbered
-// in order of their first definition: fabricated ones first, by
-// register (one for each register live into the entry block or
-// never defined), then real ones in program order. An entry point
-// no definition reaches (a read in unreachable code) gets a web of
-// its own, numbered after those.
-func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness {
+// definition of a register read before any write. Only registers some
+// instruction reads or defines get a web: a register live into no
+// block and defined nowhere is dropped. Webs are numbered in order of
+// their first definition: fabricated ones first, by register, then
+// real ones in program order. An entry point no definition reaches (a
+// read in unreachable code) gets a web of its own, numbered after
+// those.
+func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) (out *dataflow.Liveness, split bool) {
 	var before *ir.Func
 	if renumberObserver != nil {
 		before = f.Clone()
 	}
 	nr := f.NumRegs()
 
-	// Union-find elements, in this order: the entry points of blocks
-	// 1..n-1, each block's in register order; one per register for
-	// the entry block, doubling as its fabricated definition; then
-	// the definitions, appended in program order as the first walk
-	// meets them. regOf records each element's register.
-	entryBase := make([]int32, len(f.Blocks))
+	// Union-find elements, in this order: the entry points of every
+	// block, each block's in register order, where the entry block's
+	// double as its fabricated definitions; then the definitions,
+	// appended in program order as the first walk meets them. regOf
+	// records each element's register.
+	entryBase := make([]int32, len(f.Blocks)+1)
 	var regOf []ir.Reg
-	for _, b := range f.Blocks[1:] {
+	for _, b := range f.Blocks {
 		entryBase[b.ID] = int32(len(regOf))
 		lv.In[b.ID].ForEach(func(r int) { regOf = append(regOf, ir.Reg(r)) })
 	}
-	fabricated := int32(len(regOf))
-	for r := 0; r < nr; r++ {
-		regOf = append(regOf, ir.Reg(r))
-	}
 	firstDef := int32(len(regOf))
+	entryBase[len(f.Blocks)] = firstDef
 	parent := make([]int32, len(regOf), len(regOf)+f.NumInstrs())
 	for i := range parent {
 		parent[i] = int32(i)
@@ -88,10 +90,6 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 	enter := func(b int, visit func(r int, e int32)) {
 		e := entryBase[b]
 		lv.In[b].ForEach(func(r int) {
-			if b == 0 {
-				visit(r, fabricated+int32(r))
-				return
-			}
 			visit(r, e)
 			e++
 		})
@@ -106,7 +104,6 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 
 	// First walk: number the definitions and join each block's
 	// outgoing values to its successors' entry points.
-	defined := make([]bool, nr)
 	for _, b := range f.Blocks {
 		stamp++
 		enter(b.ID, setCur)
@@ -115,7 +112,6 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 				setCur(int(d), int32(len(parent)))
 				parent = append(parent, int32(len(parent)))
 				regOf = append(regOf, d)
-				defined[d] = true
 			}
 		}
 		for _, s := range b.Succs {
@@ -123,7 +119,11 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 		}
 	}
 
-	// Number the webs in the order the doc comment gives.
+	// Number the webs in the order the doc comment gives. A register
+	// that already has a web when another of its webs is named has
+	// split. Between the walks at is free, and at[r] == stamp marks
+	// the registers that have a web.
+	stamp++
 	web := make([]ir.Reg, len(parent))
 	for i := range web {
 		web[i] = ir.NoReg
@@ -132,20 +132,21 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 	var flags []ir.Flags
 	name := func(e int32) {
 		if root := find(e); web[root] == ir.NoReg {
+			r := regOf[e]
 			web[root] = ir.Reg(len(cls))
-			cls = append(cls, f.RegClass(regOf[e]))
-			flags = append(flags, f.RegFlags(regOf[e]))
+			cls = append(cls, f.RegClass(r))
+			flags = append(flags, f.RegFlags(r))
+			split = split || at[r] == stamp
+			at[r] = stamp
 		}
 	}
-	for r := 0; r < nr; r++ {
-		if lv.In[0].Has(r) || !defined[r] {
-			name(fabricated + int32(r))
-		}
+	for e := entryBase[0]; e < entryBase[1]; e++ {
+		name(e)
 	}
 	for e := firstDef; e < int32(len(parent)); e++ {
 		name(e)
 	}
-	for e := int32(0); e < fabricated; e++ {
+	for e := entryBase[1]; e < firstDef; e++ {
 		name(e)
 	}
 	for e := range web {
@@ -154,7 +155,7 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 
 	// Second walk: rewrite every operand to its web, and rename the
 	// live-in and live-out sets the same way.
-	out := dataflow.NewLiveness(len(f.Blocks), len(cls))
+	out = dataflow.NewLiveness(len(f.Blocks), len(cls))
 	resolve := func(u ir.Reg) ir.Reg {
 		if u == ir.NoReg {
 			return ir.NoReg
@@ -196,7 +197,7 @@ func RenumberWithLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness 
 	if renumberObserver != nil {
 		renumberObserver(before, f, out)
 	}
-	return out
+	return out, split
 }
 
 // renumberObserver, when non-nil, sees every renumbering: a copy of

@@ -113,3 +113,53 @@ func TestRenumberMatchesReference(t *testing.T) {
 		t.Fatalf("%d of %d renumberings differ from the reference", wrong, checked)
 	}
 }
+
+// TestEveryWebIsReferenced: a web is a register some instruction reads
+// or defines. A register that nothing references, such as either end
+// of a coalesced copy or a spilled range, must not come back from a
+// renumbering as a web, where it would be an isolated node in the next
+// graph. The test checks every renumbering of the suite and 100
+// generated CFGs as compiled, and every renumbering the allocator
+// performs on them under briggs, chaitin, irc and briggs with Split,
+// at (16,8) and (8,4).
+func TestEveryWebIsReferenced(t *testing.T) {
+	checked, wrong := 0, 0
+	restore := liverange.CheckRenumbers(func(_, after *ir.Func, _ *dataflow.Liveness) {
+		checked++
+		defs, uses := liverange.LiveRangeSizes(after)
+		for r := range defs {
+			if defs[r]+uses[r] == 0 {
+				if wrong++; wrong <= 5 {
+					t.Errorf("%s, renumbering %d: v%d of %d is neither read nor defined", after.Name, checked, r, after.NumRegs())
+				}
+				break
+			}
+		}
+	})
+	defer restore()
+
+	us := units(t, 100)
+	for _, u := range us {
+		liverange.Renumber(u.prog.Func(u.routine).Clone())
+	}
+	for _, c := range []struct {
+		h     regalloc.Heuristic
+		split bool
+	}{{regalloc.Briggs, false}, {regalloc.Chaitin, false}, {regalloc.IRC, false}, {regalloc.Briggs, true}} {
+		opt := regalloc.DefaultOptions()
+		opt.Heuristic = c.h
+		opt.Split = c.split
+		for _, k := range [][2]int{{16, 8}, {8, 4}} {
+			opt.KInt, opt.KFloat = k[0], k[1]
+			for _, u := range us {
+				if _, err := u.prog.Allocate(u.routine, opt); err != nil {
+					t.Fatalf("%s under %v (split %v) at %v: %v", u.routine, c.h, c.split, k, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d renumberings checked", checked)
+	if wrong > 0 {
+		t.Fatalf("%d of %d renumberings left a register nothing references", wrong, checked)
+	}
+}

@@ -98,9 +98,9 @@ func renumberRef(f *ir.Func) int {
 						return webOf[si]
 					}
 				}
-				// A use with no reaching def cannot occur: every
-				// upward-exposed or undefined register received a
-				// fabricated entry def site.
+				// A reachable use with no reaching def cannot
+				// occur: every register live into the entry block
+				// received a fabricated entry def site.
 				panic("liverange: use without reaching definition")
 			}
 			in.A = resolve(in.A)
@@ -152,20 +152,13 @@ func computeReaching(f *ir.Func) *reaching {
 	nr := f.NumRegs()
 	r := &reaching{ByReg: make([][]int, nr), numReg: nr}
 
-	// Enumerate def sites. Fabricated entry defs come first so that
-	// uses of never-defined registers (possible for uninitialized
-	// scalars) still resolve.
+	// Enumerate def sites. Fabricated entry defs come first, one for
+	// each register live into the entry block, so that reads before
+	// any write (possible for uninitialized scalars) still resolve. A
+	// register nothing reads or defines gets no site, and so no web.
 	liveIn := dataflow.ComputeLiveness(f).In[0]
-	defined := make([]bool, nr)
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defined[d] = true
-			}
-		}
-	}
 	for reg := 0; reg < nr; reg++ {
-		if liveIn.Has(reg) || !defined[reg] {
+		if liveIn.Has(reg) {
 			r.addSite(defSite{Block: 0, Index: -1, Reg: ir.Reg(reg)})
 		}
 	}

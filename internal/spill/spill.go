@@ -17,6 +17,7 @@ package spill
 import (
 	"math"
 
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
 	"regalloc/internal/obs"
 )
@@ -88,41 +89,64 @@ func (s Stats) Emit(tr *obs.Tracer) {
 
 // InsertCode rewrites f so that every register in spilled lives in
 // memory: each definition is followed by a store to the range's
-// slot, and each use reads a freshly reloaded temporary.
+// slot, and each use reads a freshly reloaded temporary. Slots are
+// numbered in the order of spilled, and temporaries in program order.
+// Only the blocks that mention a spilled register get new
+// instruction slices.
 func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
 	var st Stats
-	slot := make(map[ir.Reg]int64, len(spilled))
+	// slot[r] is r's slot plus one, or 0 when r is not spilled.
+	slot := make([]int64, f.NumRegs())
 	for _, r := range spilled {
-		slot[r] = f.NewSlot()
+		slot[r] = f.NewSlot() + 1
 		st.Slots++
 	}
+	isSpilled := func(r ir.Reg) bool { return r != ir.NoReg && slot[r] != 0 }
 
+	// reloaded pairs each spilled register an instruction reads with
+	// its temporary. An instruction reads at most a few registers, so
+	// a linear scan finds a repeat.
+	var reloaded [][2]ir.Reg
 	for _, b := range f.Blocks {
-		out := make([]ir.Instr, 0, len(b.Instrs))
+		// Each spilled operand adds at most one instruction: a
+		// reload before, or a store after.
+		extra := 0
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, r := range [...]ir.Reg{in.Def(), in.A, in.B, in.C} {
+				if isSpilled(r) {
+					extra++
+				}
+			}
+			for _, a := range in.Args {
+				if isSpilled(a) {
+					extra++
+				}
+			}
+		}
+		if extra == 0 {
+			continue
+		}
+		out := make([]ir.Instr, 0, len(b.Instrs)+extra)
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 
 			// Reload each distinct spilled register the instruction
 			// uses, then rewrite the operands to the temporaries.
-			var reloaded map[ir.Reg]ir.Reg
+			reloaded = reloaded[:0]
 			reload := func(u ir.Reg) ir.Reg {
-				if u == ir.NoReg {
+				if !isSpilled(u) {
 					return u
 				}
-				s, isSpilled := slot[u]
-				if !isSpilled {
-					return u
-				}
-				if t, ok := reloaded[u]; ok {
-					return t
+				for _, p := range reloaded {
+					if p[0] == u {
+						return p[1]
+					}
 				}
 				t := f.NewSpillTemp(f.RegClass(u))
-				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: s})
+				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[u] - 1})
 				st.Loads++
-				if reloaded == nil {
-					reloaded = make(map[ir.Reg]ir.Reg, 2)
-				}
-				reloaded[u] = t
+				reloaded = append(reloaded, [2]ir.Reg{u, t})
 				return t
 			}
 			in.A = reload(in.A)
@@ -134,19 +158,38 @@ func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
 
 			// A spilled definition writes a fresh temporary and
 			// stores it immediately.
-			if d := in.Def(); d != ir.NoReg {
-				if s, isSpilled := slot[d]; isSpilled {
-					t := f.NewSpillTemp(f.RegClass(d))
-					in.Dst = t
-					out = append(out, in)
-					out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: s})
-					st.Stores++
-					continue
-				}
+			if d := in.Def(); isSpilled(d) {
+				t := f.NewSpillTemp(f.RegClass(d))
+				in.Dst = t
+				out = append(out, in)
+				out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: slot[d] - 1})
+				st.Stores++
+				continue
 			}
 			out = append(out, in)
 		}
 		b.Instrs = out
 	}
 	return st
+}
+
+// CarryLiveness brings lv, the liveness of f before InsertCode(f,
+// spilled) rewrote it, up to date with the rewritten f by removing the
+// spilled registers from every set, so the next Figure 4 pass need
+// not solve liveness again. That is exact. Liveness is separable by
+// register, and InsertCode changes the references of no register
+// outside spilled. A spilled register has no reference left, so it is
+// live nowhere. Each temporary is defined and read within one block,
+// by a reload just before its one read or by the definition a store
+// follows at once, so it is live at no block boundary; the sets need
+// not grow to cover the temporaries. InsertCodeSplit and
+// InsertCodeRemat make no such promise.
+func CarryLiveness(lv *dataflow.Liveness, spilled []ir.Reg) {
+	for b := range lv.In {
+		in, out := lv.In[b], lv.Out[b]
+		for _, r := range spilled {
+			in.Remove(int(r))
+			out.Remove(int(r))
+		}
+	}
 }

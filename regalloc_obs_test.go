@@ -163,6 +163,7 @@ func TestJSONTraceReconcilesWithPassStats(t *testing.T) {
 
 	// spans[pass][phase] = duration; counts detect duplicates.
 	spans := map[int]map[string]time.Duration{}
+	rounds := map[int]int64{} // coalesce.rounds by pass
 	var decisions int
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var ev traceLine
@@ -181,6 +182,10 @@ func TestJSONTraceReconcilesWithPassStats(t *testing.T) {
 				t.Fatalf("duplicate %s span in pass %d", ev.Phase, ev.Pass)
 			}
 			spans[ev.Pass][ev.Phase] = time.Duration(ev.DurNS)
+		case "counter":
+			if ev.Name == "coalesce.rounds" {
+				rounds[ev.Pass] += ev.Value
+			}
 		case "spill_decision":
 			if ev.Cost <= 0 || ev.Metric <= 0 {
 				t.Fatalf("spill decision without cost/metric: %q", ln)
@@ -210,11 +215,19 @@ func TestJSONTraceReconcilesWithPassStats(t *testing.T) {
 				t.Errorf("pass %d %s: trace %v, PassStats %v", i, phase, got[phase], want)
 			}
 		}
-		// Coalescing is on by default, so its nested span must exist
-		// and fit inside build.
-		if d, ok := got["coalesce"]; !ok || d > got["build"] {
-			t.Errorf("pass %d: coalesce span missing or larger than build (%v vs %v)", i, d, got["build"])
+		// Coalescing is on by default. A pass that ran a round has a
+		// coalesce span nested in build; a pass that skipped the round
+		// that could not merge has none.
+		d, ok := got["coalesce"]
+		switch {
+		case rounds[i] > 0 && (!ok || d > got["build"]):
+			t.Errorf("pass %d ran %d rounds: coalesce span missing or larger than build (%v vs %v)", i, rounds[i], d, got["build"])
+		case rounds[i] == 0 && ok:
+			t.Errorf("pass %d ran no round but has a coalesce span", i)
 		}
+	}
+	if rounds[0] == 0 || len(rounds) == len(res.Passes) {
+		t.Fatalf("test premise broken: pass 0 must run a round and a later pass skip it (rounds by pass %v)", rounds)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command allocload drives a running allocd with a mixed corpus —
 // the paper's workload programs, generated stress graphs, and fuzzed
 // mini-FORTRAN subroutines — and reports latency percentiles, error
-// rate, and cache hit rate as the `loadtest` section of a bench-json
-// document (schema regalloc-bench/11).
+// rate, and cache hit rate as the `loadtest` section of a JSON report
+// (schema regalloc-bench/12).
 //
 // Every request carries a minted W3C traceparent header, so each one
 // is a named trace in the target's telemetry. The report keeps the
@@ -49,8 +49,8 @@ func main() {
 	conc := flag.Int("conc", 8, "closed-loop workers (each keeps one request in flight)")
 	rate := flag.Float64("rate", 0, "open-loop request rate per second (0: closed loop)")
 	seed := flag.Uint64("seed", 1, "corpus shuffle seed (same seed, same request sequence)")
-	out := flag.String("out", "", "write the bench-json report here (default stdout)")
-	baselinePath := flag.String("baseline", "", "baseline bench-json report to gate against")
+	out := flag.String("out", "", "write the JSON report here (default stdout)")
+	baselinePath := flag.String("baseline", "", "baseline JSON report to gate against")
 	maxP99 := flag.Float64("max-p99-factor", 5, "fail if p99 exceeds baseline p99 by this factor")
 	maxErrRate := flag.Float64("max-error-rate", 0, "fail if the error rate exceeds this fraction")
 	flag.Parse()

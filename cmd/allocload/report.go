@@ -1,4 +1,4 @@
-// report.go is the bench-json document allocload emits: schema
+// report.go is the JSON report allocload emits: schema
 // regalloc-bench/12, which carries the loadtest section added in /6,
 // the /7 error_latency split (transport failures quantified apart
 // from service latency), the /9 trace linkage — the trace IDs of
@@ -114,17 +114,17 @@ type traceSummary struct {
 	Error     bool   `json:"error,omitempty"`
 }
 
-// report is the bench-json envelope. allocload emits only the
-// loadtest section; the shared schema string and history keep it
-// diffable and archivable alongside cmd/bench's reports.
+// report is the JSON envelope: the schema string and its history,
+// which keep archived reports diffable, and the loadtest section.
 type report struct {
 	Schema        string           `json:"schema"`
 	SchemaHistory []string         `json:"schema_history"`
 	Loadtest      *loadtestSection `json:"loadtest"`
 }
 
-// benchSchema and benchSchemaHistory are the shared bench-json
-// lineage; cmd/bench carries the same strings.
+// benchSchema and benchSchemaHistory are the report's lineage. The
+// name is kept from the days cmd/bench wrote reports of the same
+// schema; the history lists those versions too.
 const benchSchema = "regalloc-bench/12"
 
 func benchSchemaHistory() []string {

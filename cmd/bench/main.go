@@ -49,13 +49,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSON-lines allocator event trace to this file (\"-\" for stdout)")
 	perfettoPath := flag.String("trace-perfetto", "", "write a Chrome/Perfetto trace-event JSON file (\"-\" for stdout)")
 	metrics := flag.Bool("metrics", false, "print aggregated allocator metrics after the figures")
-	benchJSON := flag.String("bench-json", "", "write the quality studies (portfolio, scale, ssa, irc) as machine-readable JSON to this file and exit")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		fail(runBenchJSON(*benchJSON))
-		return
-	}
 
 	var traceSink obs.Sink
 	closeTrace := func() error { return nil }

@@ -237,15 +237,14 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 				return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
 			}
 			ps.CoalescedMoves = cs.Moves
-			g = cg // non-nil exactly when no move merged
+			g = cg // non-nil only when a conservative run merged nothing
 			pc.mayMerge = false
 			if cs.Moves > 0 {
-				// Coalescing rewrote the code (and so returned no
-				// graph) and left pc.lv its liveness: renumber the
-				// merged webs with it and rebuild. The CFG analysis
-				// stays valid — no block was touched.
+				// Coalescing rewrote the code and left pc.lv its
+				// liveness: renumber the merged webs with it and
+				// build below. The CFG analysis stays valid — no
+				// block was touched.
 				pc.renumber(work)
-				g = nil
 			}
 		} else if opt.Coalesce {
 			// An aggressive round here would merge nothing: the last
@@ -257,8 +256,8 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 		}
 		if opt.Machine != nil {
 			// The machine model extends the graph with precolored
-			// register nodes and call-clobber edges; any plain graph
-			// the coalescer returned lacks those, so rebuild.
+			// register nodes and call-clobber edges; the plain graph
+			// a conservative run returns lacks those, so rebuild.
 			mg := ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
 			g = mg.Graph
 			pre = mg.Pre

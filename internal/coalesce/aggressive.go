@@ -458,10 +458,7 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 				}
 				return st, nil, nil // see RunContext's contract
 			}
-			if g == nil {
-				g = ig.BuildWithLiveness(f, lv, 0, tr)
-			}
-			return st, g, nil
+			return st, g, nil // the Briggs test's graph; nil when aggressive
 		}
 		// gone lists the registers whose liveness is now stale: the
 		// merged-away ones, which f no longer mentions, and from

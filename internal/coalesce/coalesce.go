@@ -58,10 +58,10 @@ func Run(f *ir.Func) (int, *ig.Graph) {
 }
 
 // finalGraph upholds the convenience entry points' contract of always
-// returning a graph: when RunWithLiveness skipped the final build
-// (because merged moves force the caller to renumber and rebuild
-// anyway), build one for the rewritten function here, on the liveness
-// the run left in lv.
+// returning a graph: when RunWithLiveness returned none (an aggressive
+// run builds none, and after a merge the caller must renumber and
+// build anyway), build one for the rewritten function here, on the
+// liveness the run left in lv.
 func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness) *ig.Graph {
 	if g == nil {
 		g = ig.BuildWithLiveness(f, lv, 0, nil)
@@ -99,12 +99,13 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 // returns an error wrapping ctx.Err(), and f and lv are left in no
 // particular state.
 //
-// The returned graph is non-nil only when no move was merged: f and
-// lv are then unchanged, so the caller can color on it directly.
-// After any merge, f has been rewritten and the caller must renumber
-// (liverange.RenumberWithLiveness takes lv as it stands) before
-// building the graph it will color on — returning one here would
-// only be thrown away, so none is built.
+// The returned graph is non-nil only when a conservative run merged
+// nothing: it is the graph the last round's Briggs test read, and f
+// and lv are unchanged, so the caller can color on it directly. An
+// aggressive run builds no graph; the caller builds the one it colors
+// on. After any merge, f has been rewritten and the caller must
+// renumber (liverange.RenumberWithLiveness takes lv as it stands)
+// before building that graph.
 //
 // No round computes liveness. Once per call, every register gets the
 // position-sorted list of instructions that read or define it. A round

@@ -20,18 +20,15 @@ import (
 // the aggressively coalescing default Briggs, which at (16,8) spills
 // less on seven of the 29 suite units, DQRDC, SVD, GRADNT and QSORT
 // among them, and more on three).
-//
-// The JSON tags are bench -bench-json's irc section
-// (regalloc-bench/10).
 type IRCRow struct {
-	Program string `json:"program"`
-	Routine string `json:"routine"`
+	Program string
+	Routine string
 
-	BriggsMoves int `json:"briggs_moves"`
-	IRCMoves    int `json:"irc_moves"`
+	BriggsMoves int
+	IRCMoves    int
 
-	BriggsCostMilli int64 `json:"briggs_cost_milli"`
-	IRCCostMilli    int64 `json:"irc_cost_milli"`
+	BriggsCostMilli int64
+	IRCCostMilli    int64
 }
 
 // IRCStudyResult is the iterated-register-coalescing study: per-unit

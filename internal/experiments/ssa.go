@@ -15,40 +15,34 @@ import (
 
 // SSARow is one routine under one register-file size: the SSA
 // allocator's construction and spill figures next to the Chaitin and
-// Briggs results on the same unit. The JSON tags are bench -bench-json's
-// ssa section (regalloc-bench/8).
+// Briggs costs on the same unit.
 type SSARow struct {
-	Program string `json:"program"`
-	Routine string `json:"routine"`
-	KInt    int    `json:"k_int"`
-	KFloat  int    `json:"k_float"`
+	Program string
+	Routine string
+	KInt    int
+	KFloat  int
 
 	// SSA construction shape.
-	Phis       int `json:"phis"`
-	CopyProps  int `json:"copy_props"`
-	SplitEdges int `json:"split_edges"`
+	Phis       int
+	CopyProps  int
+	SplitEdges int
 
 	// Pressure after pre-spilling (the exact color count used).
-	MaxLiveInt   int `json:"maxlive_int"`
-	MaxLiveFloat int `json:"maxlive_float"`
+	MaxLiveInt   int
+	MaxLiveFloat int
 
-	Rounds      int   `json:"rounds"` // pre-spill rounds
-	Spilled     int   `json:"spilled"`
-	CostMilli   int64 `json:"cost_milli"`
-	Copies      int   `json:"phi_copies"` // phi-lowering moves
-	CycleBreaks int   `json:"cycle_breaks"`
-	SlotBounces int   `json:"slot_bounces"`
+	Rounds    int // pre-spill rounds
+	Spilled   int
+	CostMilli int64
 
-	ChaitinSpilled   int   `json:"-"`
-	ChaitinCostMilli int64 `json:"chaitin_cost_milli"`
-	BriggsSpilled    int   `json:"-"`
-	BriggsCostMilli  int64 `json:"briggs_cost_milli"`
+	ChaitinCostMilli int64
+	BriggsCostMilli  int64
 
 	// Irreducible marks units whose operand pressure no spilling can
 	// fit (a call reading more distinct values of one class than K);
 	// the Figure 4 allocators fail these units the same way. All other
 	// columns are zero for such rows.
-	Irreducible bool `json:"irreducible,omitempty"`
+	Irreducible bool
 }
 
 // SSAStudyResult is the SSA-form chordal allocator study.
@@ -97,9 +91,6 @@ func SSAStudy() (*SSAStudyResult, error) {
 				row.Rounds = len(st.Rounds)
 				row.Spilled = st.TotalSpilled()
 				row.CostMilli = int64(math.Round(st.TotalSpillCost() * 1000))
-				row.Copies = st.Copies
-				row.CycleBreaks = st.CycleBreaks
-				row.SlotBounces = st.SlotBounces
 				for _, h := range []regalloc.Heuristic{regalloc.Chaitin, regalloc.Briggs} {
 					o := opt
 					o.Heuristic = h
@@ -112,10 +103,8 @@ func SSAStudy() (*SSAStudyResult, error) {
 						continue
 					}
 					if h == regalloc.Chaitin {
-						row.ChaitinSpilled = res.TotalSpilled()
 						row.ChaitinCostMilli = int64(math.Round(res.TotalSpillCost() * 1000))
 					} else {
-						row.BriggsSpilled = res.TotalSpilled()
 						row.BriggsCostMilli = int64(math.Round(res.TotalSpillCost() * 1000))
 					}
 				}

@@ -213,7 +213,8 @@ func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParam
 		tr.Counter(obs.PhaseColor, "ssa.maxlive_int", int64(res.Stats.MaxLiveInt))
 		tr.Counter(obs.PhaseColor, "ssa.maxlive_float", int64(res.Stats.MaxLiveFloat))
 		tr.Counter(obs.PhaseColor, "ssa.copies", int64(res.Stats.Copies))
-		tr.Counter(obs.PhaseColor, "ssa.lower_ns", res.Stats.Lower.Nanoseconds())
+		tr.Counter(obs.PhaseColor, "ssa.cycle_breaks", int64(res.Stats.CycleBreaks))
+		tr.Counter(obs.PhaseColor, "ssa.slot_bounces", int64(res.Stats.SlotBounces))
 	}
 	return res, nil
 }

@@ -17,16 +17,23 @@ import (
 )
 
 // decodeCounters returns counters[pass][name] summed from a JSON
-// trace. Duplicate emissions of a per-pass counter are a bug the
-// caller can catch by checking counts[pass][name].
-func decodeCounters(t *testing.T, buf *bytes.Buffer) (values map[int]map[string]int64, counts map[int]map[string]int) {
+// trace, how many times each was emitted, and how many of those
+// emissions fell inside a coalesce span. Duplicate emissions of a
+// per-pass counter are a bug the caller can catch by checking
+// counts[pass][name].
+func decodeCounters(t *testing.T, buf *bytes.Buffer) (values map[int]map[string]int64, counts, inCoalesce map[int]map[string]int) {
 	t.Helper()
 	values = map[int]map[string]int64{}
 	counts = map[int]map[string]int{}
+	inCoalesce = map[int]map[string]int{}
+	open := false
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var ev traceLine
 		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
 			t.Fatalf("invalid JSON line %q: %v", ln, err)
+		}
+		if ev.Phase == "coalesce" && (ev.Kind == "span_begin" || ev.Kind == "span_end") {
+			open = ev.Kind == "span_begin"
 		}
 		if ev.Kind != "counter" {
 			continue
@@ -34,11 +41,15 @@ func decodeCounters(t *testing.T, buf *bytes.Buffer) (values map[int]map[string]
 		if values[ev.Pass] == nil {
 			values[ev.Pass] = map[string]int64{}
 			counts[ev.Pass] = map[string]int{}
+			inCoalesce[ev.Pass] = map[string]int{}
 		}
 		values[ev.Pass][ev.Name] += ev.Value
 		counts[ev.Pass][ev.Name]++
+		if open {
+			inCoalesce[ev.Pass][ev.Name]++
+		}
 	}
-	return values, counts
+	return values, counts, inCoalesce
 }
 
 // TestAnalysisRunsOncePerPass is the witness for the pass-level
@@ -68,7 +79,7 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 		if len(res.Passes) < 2 {
 			t.Fatal("test premise broken: PRESS at KInt=4 should need several passes")
 		}
-		values, counts := decodeCounters(t, &buf)
+		values, counts, _ := decodeCounters(t, &buf)
 		for pass := range res.Passes {
 			want := int64(0)
 			if pass == 0 || split {
@@ -93,41 +104,58 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 // liveness it is handed current by recomputing only each merged
 // register, so every pass computes liveness exactly once, to
 // renumber; the post-coalesce renumbering reuses the coalescer's final
-// sets.
+// sets. An aggressive run builds no graph, so with or without a
+// machine model, whose graph the coalescer could not build anyway,
+// each of its passes builds one graph, after the coalesce span.
 func TestAnalysisCacheUnderCoalescing(t *testing.T) {
 	prog, err := regalloc.Compile(pressure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, conservative := range []bool{false, true} {
-		var buf bytes.Buffer
-		opt := regalloc.DefaultOptions()
-		opt.Split = true
-		opt.KInt = 4
-		opt.ConservativeCoalesce = conservative
-		opt.Observer = regalloc.NewJSONSink(&buf)
-		res, err := prog.Allocate("PRESS", opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		values, _ := decodeCounters(t, &buf)
-		merged := false
-		for pass := range res.Passes {
-			if got := values[pass]["analysis.cfg_runs"]; got != 1 {
-				t.Errorf("conservative=%v pass %d: analysis.cfg_runs = %d, want exactly 1", conservative, pass, got)
+		for _, machine := range []bool{false, true} {
+			var buf bytes.Buffer
+			opt := regalloc.DefaultOptions()
+			opt.Split = true
+			opt.KInt = 4
+			opt.ConservativeCoalesce = conservative
+			if machine {
+				opt.Machine = regalloc.MachineFor(regalloc.RTPC().WithGPR(opt.KInt))
 			}
-			rounds := values[pass]["coalesce.rounds"]
-			if rounds < 1 {
-				t.Fatalf("conservative=%v pass %d: coalesce.rounds = %d; every pass coalesces", conservative, pass, rounds)
+			opt.Observer = regalloc.NewJSONSink(&buf)
+			res, err := prog.Allocate("PRESS", opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := values[pass]["analysis.liveness_runs"]; got != 1 {
-				t.Errorf("conservative=%v pass %d: analysis.liveness_runs = %d, want exactly 1 (coalesce.rounds = %d)",
-					conservative, pass, got, rounds)
+			values, counts, inCoalesce := decodeCounters(t, &buf)
+			merged, idle := false, false
+			for pass := range res.Passes {
+				if got := values[pass]["analysis.cfg_runs"]; got != 1 {
+					t.Errorf("conservative=%v machine=%v pass %d: analysis.cfg_runs = %d, want exactly 1", conservative, machine, pass, got)
+				}
+				rounds := values[pass]["coalesce.rounds"]
+				if rounds < 1 {
+					t.Fatalf("conservative=%v machine=%v pass %d: coalesce.rounds = %d; every pass coalesces", conservative, machine, pass, rounds)
+				}
+				if got := values[pass]["analysis.liveness_runs"]; got != 1 {
+					t.Errorf("conservative=%v machine=%v pass %d: analysis.liveness_runs = %d, want exactly 1 (coalesce.rounds = %d)",
+						conservative, machine, pass, got, rounds)
+				}
+				if !conservative {
+					if n := counts[pass]["ig.edge_inserts"]; n != 1 {
+						t.Errorf("machine=%v pass %d: %d graph builds, want exactly 1 (coalesce.rounds = %d)", machine, pass, n, rounds)
+					}
+					if n := inCoalesce[pass]["ig.edge_inserts"]; n != 0 {
+						t.Errorf("machine=%v pass %d: %d graph builds inside the coalesce span", machine, pass, n)
+					}
+				}
+				merged = merged || rounds > 1
+				idle = idle || rounds == 1
 			}
-			merged = merged || rounds > 1
-		}
-		if !merged {
-			t.Fatalf("test premise broken: no pass of PRESS merged a move (conservative=%v)", conservative)
+			if !merged || !idle {
+				t.Fatalf("test premise broken: PRESS needs passes that merge and passes that merge nothing (conservative=%v machine=%v, merged=%v, idle=%v)",
+					conservative, machine, merged, idle)
+			}
 		}
 	}
 }

@@ -171,9 +171,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 // run allocates f under a validated opt with MaxPasses resolved,
 // emitting events on tr (nil when nothing observes the run). It
 // dispatches the SSA and IRC heuristics to their drivers and runs the
-// Figure 4 cycle itself for the rest; runIRC calls it again for its
-// Figure 4 baseline, so that baseline is not recorded as a second
-// allocation.
+// Figure 4 cycle for the rest.
 func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	if opt.Heuristic == color.SSA && !opt.UsePColor {
 		// The SSA heuristic replaces the whole Figure 4 cycle, not
@@ -188,6 +186,27 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 		// machine (same UsePColor precedence as above).
 		return runIRC(ctx, f, opt, tr)
 	}
+	res, _, err := cycle(ctx, f, opt, tr)
+	return res, err
+}
+
+// lastPass is the analysis the final pass of a Figure 4 run colored
+// from: the allocated function's liveness and CFG analysis, its
+// interference graph, with the machine model's nodes when the run has
+// one, and its spill costs. Nothing after the pass's build changes
+// them, so irc's worklist round starts from them instead of analyzing
+// the function again.
+type lastPass struct {
+	pc    *passCtx
+	g     *ig.Graph
+	mg    *ig.MachineGraph // nil without a machine model
+	costs []float64
+}
+
+// cycle runs the Figure 4 cycle on a clone of f. On success it also
+// returns the final pass's analysis; runIRC calls it for its Figure 4
+// baseline, so that baseline is not recorded as a second allocation.
+func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, *lastPass, error) {
 	work := f.Clone()
 	res := &Result{Options: opt}
 	kf := opt.K()
@@ -207,7 +226,7 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 	var pc *passCtx
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("alloc: %s: cancelled before pass %d: %w", f.Name, pass, err)
+			return nil, nil, fmt.Errorf("alloc: %s: cancelled before pass %d: %w", f.Name, pass, err)
 		}
 		var ps PassStats
 		tr.SetPass(pass)
@@ -234,7 +253,7 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 			tr.End(obs.PhaseCoalesce, tc)
 			if err != nil {
 				tr.End(obs.PhaseBuild, t0)
-				return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
+				return nil, nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
 			}
 			ps.CoalescedMoves = cs.Moves
 			g = cg // non-nil only when a conservative run merged nothing
@@ -254,11 +273,12 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 			// replacements are never coalescible.
 			coalesce.Skipped(work, pc.lv)
 		}
+		var mg *ig.MachineGraph
 		if opt.Machine != nil {
 			// The machine model extends the graph with precolored
 			// register nodes and call-clobber edges; the plain graph
 			// a conservative run returns lacks those, so rebuild.
-			mg := ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
+			mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
 			g = mg.Graph
 			pre = mg.Pre
 		} else if g == nil {
@@ -413,11 +433,11 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 			if len(over) == 0 {
 				res.Passes = append(res.Passes, ps)
 				if err := color.Verify(g, colors, kf); err != nil {
-					return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+					return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 				}
 				res.Func = work
 				res.Colors = colors
-				return res, nil
+				return res, &lastPass{pc, g, mg, costs}, nil
 			}
 			toSpill = over
 		} else {
@@ -438,7 +458,7 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 				if len(uncolored) == 0 {
 					res.Passes = append(res.Passes, ps)
 					if err := color.Verify(g, colors, kf); err != nil {
-						return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+						return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 					}
 					res.Func = work
 					// colors aliases the pooled scratch; the result
@@ -448,10 +468,10 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 					res.Colors = append([]int16(nil), colors[:work.NumRegs()]...)
 					if opt.Machine != nil {
 						if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
-							return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+							return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 						}
 					}
-					return res, nil
+					return res, &lastPass{pc, g, mg, costs}, nil
 				}
 				toSpill = uncolored
 			}
@@ -461,7 +481,7 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 		regs := make([]ir.Reg, len(toSpill))
 		for i, n := range toSpill {
 			if work.RegFlags(ir.Reg(n))&ir.FlagSpillTemp != 0 {
-				return nil, fmt.Errorf("alloc: %s: a spill temporary must itself spill; %d %s registers cannot hold one instruction",
+				return nil, nil, fmt.Errorf("alloc: %s: a spill temporary must itself spill; %d %s registers cannot hold one instruction",
 					f.Name, kf(g.Class(n)), g.Class(n))
 			}
 			regs[i] = ir.Reg(n)
@@ -501,5 +521,5 @@ func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result,
 		}
 		res.Passes = append(res.Passes, ps)
 	}
-	return nil, fmt.Errorf("alloc: %s: no convergence after %d passes", f.Name, opt.MaxPasses)
+	return nil, nil, fmt.Errorf("alloc: %s: no convergence after %d passes", f.Name, opt.MaxPasses)
 }

@@ -11,10 +11,12 @@ import (
 	"regalloc/internal/color"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/fuzzgen"
+	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 	"regalloc/internal/liverange"
 	"regalloc/internal/machine"
 	"regalloc/internal/obs"
+	"regalloc/internal/spill"
 	"regalloc/internal/target"
 	"regalloc/internal/workloads"
 )
@@ -24,9 +26,8 @@ type unit struct {
 	prog          *regalloc.Program
 }
 
-// carryUnits compiles every Figure 5 unit plus QSORT, 100 generated
-// CFGs and a 60-loop unit.
-func carryUnits(tb testing.TB) []unit {
+// suiteUnits compiles every Figure 5 unit plus QSORT.
+func suiteUnits(tb testing.TB) []unit {
 	var us []unit
 	for _, w := range append(workloads.All(), workloads.Quicksort()) {
 		prog, err := regalloc.Compile(w.Source)
@@ -37,6 +38,13 @@ func carryUnits(tb testing.TB) []unit {
 			us = append(us, unit{w.Program + "/" + r, r, prog})
 		}
 	}
+	return us
+}
+
+// carryUnits compiles the suite, 100 generated CFGs and a 60-loop
+// unit.
+func carryUnits(tb testing.TB) []unit {
+	us := suiteUnits(tb)
 	for seed := uint64(0); seed < 100; seed++ {
 		prog, err := regalloc.Compile(fuzzgen.Generate(seed, fuzzgen.Config{}))
 		if err != nil {
@@ -94,10 +102,11 @@ func diffFresh(before, after *ir.Func, lv *dataflow.Liveness, info *cfg.Info) er
 }
 
 // TestCarriedStartMatchesFresh holds every pass that starts from the
-// last pass's analysis to a fresh start on a copy of the same code: a
-// full liveness solve and renumbering must give the same instructions,
-// registers and In and Out sets, and cfg.Analyze the same analysis and
-// depths. It runs on the suite, 100 generated CFGs and a 60-loop unit,
+// last pass's analysis, irc's worklist round included, to a fresh
+// start on a copy of the same code: a full liveness solve and
+// renumbering must give the same instructions, registers and In and
+// Out sets, and cfg.Analyze the same analysis and depths. It runs on
+// the suite, 100 generated CFGs and a 60-loop unit,
 // under briggs, chaitin, mb, pcolor, briggs on the machine model and
 // irc (whose spill rounds are briggs under ConservativeCoalesce), at
 // (16,8), (8,4), (6,4) and (4,4). Allocations that fail (mb strands a
@@ -152,6 +161,106 @@ func TestCarriedStartMatchesFresh(t *testing.T) {
 	if wrong > 0 {
 		t.Fatalf("%d of %d carried starts differ from a fresh one", wrong, checked)
 	}
+}
+
+// TestIRCStartsFromFinalPass holds the graph and costs irc's worklist
+// round takes over from its baseline's final pass to a fresh start on
+// a copy of the same function: renumbering, a liveness solve,
+// cfg.Analyze, a graph build and the cost estimate must give the same
+// function, the same adjacency rows in the same order, which the
+// worklist machine tie-breaks on, and the same costs. The liveness
+// and CFG analysis the round carries are TestCarriedStartMatchesFresh's
+// to check. It runs on the suite at (16,8) and (8,4), plain, on the
+// machine model and with rematerialization.
+func TestIRCStartsFromFinalPass(t *testing.T) {
+	var label string
+	var opt alloc.Options
+	checked, wrong := 0, 0
+	restore := alloc.CheckIRCStarts(func(work *ir.Func, mg *ig.MachineGraph, costs []float64) {
+		checked++
+		if err := diffFreshStart(work, mg, costs, opt); err != nil {
+			if wrong++; wrong <= 5 {
+				t.Errorf("%s: %v", label, err)
+			}
+		}
+	})
+	defer restore()
+
+	configs := []struct {
+		name string
+		set  func(*alloc.Options)
+	}{
+		{"plain", func(*alloc.Options) {}},
+		{"machine", func(o *alloc.Options) {
+			o.Machine = machine.ForTarget(target.RTPC().WithGPR(o.KInt).WithFPR(o.KFloat))
+		}},
+		{"remat", func(o *alloc.Options) { o.Rematerialize = true }},
+	}
+	us := suiteUnits(t)
+	for _, c := range configs {
+		for _, k := range [][2]int{{16, 8}, {8, 4}} {
+			opt = alloc.DefaultOptions()
+			opt.Heuristic = color.IRC
+			opt.KInt, opt.KFloat = k[0], k[1]
+			c.set(&opt)
+			for _, u := range us {
+				label = fmt.Sprintf("%s under irc/%s at %v", u.name, c.name, k)
+				if _, err := alloc.Run(u.prog.Func(u.routine), opt); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d worklist round starts checked", checked)
+	if wrong > 0 {
+		t.Fatalf("%d of %d worklist round starts differ from a fresh one", wrong, checked)
+	}
+	if checked == 0 {
+		t.Fatal("no worklist round started; the oracle checked nothing")
+	}
+}
+
+// diffFreshStart analyzes a copy of work afresh, as a pass that starts
+// fresh under opt would, and reports the first way the graph mg and
+// the costs differ from that analysis's.
+func diffFreshStart(work *ir.Func, mg *ig.MachineGraph, costs []float64, opt alloc.Options) error {
+	fresh := work.Clone()
+	lv := liverange.Renumber(fresh)
+	cfg.Analyze(fresh)
+	for i, b := range work.Blocks {
+		if !reflect.DeepEqual(b.Instrs, fresh.Blocks[i].Instrs) {
+			return fmt.Errorf("b%d: a fresh renumbering changes the instructions", i)
+		}
+	}
+	var want *ig.MachineGraph
+	if opt.Machine != nil {
+		want = ig.BuildWithMachine(fresh, lv, opt.Machine, nil)
+	} else {
+		want = ig.WrapPlain(ig.BuildWithLiveness(fresh, lv, 0, nil))
+	}
+	if mg.NumNodes() != want.NumNodes() || mg.NumVRegs != want.NumVRegs || mg.NumEdges() != want.NumEdges() {
+		return fmt.Errorf("%d nodes (%d virtual), %d edges; fresh %d (%d), %d",
+			mg.NumNodes(), mg.NumVRegs, mg.NumEdges(), want.NumNodes(), want.NumVRegs, want.NumEdges())
+	}
+	if !reflect.DeepEqual(mg.Pre, want.Pre) {
+		return fmt.Errorf("precolored nodes differ from a fresh build")
+	}
+	for a := int32(0); int(a) < mg.NumNodes(); a++ {
+		if mg.Class(a) != want.Class(a) || !reflect.DeepEqual(mg.Neighbors(a), want.Neighbors(a)) {
+			return fmt.Errorf("node %d: %s row %v, fresh %s %v", a, mg.Class(a), mg.Neighbors(a), want.Class(a), want.Neighbors(a))
+		}
+	}
+	var wantCosts []float64
+	if opt.Rematerialize {
+		rematOK, _ := spill.Remat(fresh)
+		wantCosts = spill.CostsRemat(fresh, opt.CostParams, rematOK)
+	} else {
+		wantCosts = spill.Costs(fresh, opt.CostParams)
+	}
+	if !reflect.DeepEqual(costs, wantCosts) {
+		return fmt.Errorf("costs %v, fresh %v", costs, wantCosts)
+	}
+	return nil
 }
 
 // splitGuardFunc builds a unit whose post-coalesce renumbering splits a

@@ -9,7 +9,6 @@ import (
 	"regalloc/internal/ir"
 	"regalloc/internal/irc"
 	"regalloc/internal/obs"
-	"regalloc/internal/spill"
 )
 
 // runIRC dispatches opt.Heuristic == color.IRC to the iterated
@@ -42,7 +41,12 @@ import (
 //
 // Each phase 1 pass lands in Result.Passes as usual; the worklist
 // round is appended as one more pass, its machine charged to the
-// simplify phase and its rewrite + select to the color phase.
+// simplify phase and its rewrite + select to the color phase. The
+// round starts from the analysis the baseline's final pass colored
+// from (liveness, graph and costs), as a pass after a plain spill
+// starts from the last pass's: the final pass renumbered the function
+// and nothing has changed it since, so a fresh start would renumber it
+// to itself and build the same graph and costs again.
 func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	// Phase 1: decide spills with the Figure 4 baseline. Everything
 	// else about the request (machine model, spill lowering flavor,
@@ -51,7 +55,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resu
 	base.Heuristic = color.Briggs
 	base.Coalesce = true
 	base.ConservativeCoalesce = true
-	res, err := run(ctx, f, base, tr)
+	res, last, err := cycle(ctx, f, base, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -63,19 +67,17 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resu
 	// Phase 2: one worklist-machine round over the colorable program.
 	var ps PassStats
 	t0 := tr.Begin(obs.PhaseBuild)
-	pc := newPassCtx(work)
-	var mg *ig.MachineGraph
-	if opt.Machine != nil {
-		mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
-	} else {
-		mg = ig.WrapPlain(ig.BuildWithLiveness(work, pc.lv, 0, tr))
+	pc := last.pc
+	pc.livenessRuns, pc.cfgRuns = 0, 0
+	if carryObserver != nil {
+		carryObserver(work.Clone(), work, pc.lv, pc.info)
 	}
-	var costs []float64
-	if opt.Rematerialize {
-		rematOK, _ := spill.Remat(work)
-		costs = spill.CostsRemat(work, opt.CostParams, rematOK)
-	} else {
-		costs = spill.Costs(work, opt.CostParams)
+	mg := last.mg
+	if mg == nil {
+		mg = ig.WrapPlain(last.g)
+	}
+	if ircStartObserver != nil {
+		ircStartObserver(work, mg, last.costs)
 	}
 	ps.Build = tr.End(obs.PhaseBuild, t0)
 	ps.LiveRanges = work.NumRegs()
@@ -89,7 +91,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resu
 	t0 = tr.Begin(obs.PhaseSimplify)
 	// Terminal round: spill-temp moves are fair game — no further
 	// spill round can be forced to spill a widened temporary web.
-	rr, err := irc.ColorWith(ctx, work, mg, costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
+	rr, err := irc.ColorWith(ctx, work, mg, last.costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
 	ps.Simplify = tr.End(obs.PhaseSimplify, t0)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, len(res.Passes), err)

@@ -3,6 +3,7 @@ package alloc
 import (
 	"regalloc/internal/cfg"
 	"regalloc/internal/dataflow"
+	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
@@ -83,6 +84,12 @@ func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 
 // carryObserver, when non-nil, sees every carried pass start: a copy
 // of work before its renumbering, work after it, and the liveness and
-// CFG analysis the pass carries. Tests install it to compare the
-// carried start with a fresh one.
+// CFG analysis the pass carries. irc's worklist round is one too; it
+// renumbers nothing, so its before is a copy of its after. Tests
+// install it to compare the carried start with a fresh one.
 var carryObserver func(before, after *ir.Func, lv *dataflow.Liveness, info *cfg.Info)
+
+// ircStartObserver, when non-nil, sees the function, graph and costs
+// every irc worklist round starts from. Tests install it to compare
+// them with a fresh analysis of the function.
+var ircStartObserver func(work *ir.Func, mg *ig.MachineGraph, costs []float64)

@@ -41,7 +41,7 @@ type candidate struct {
 // are the current names, and the liveness lv of that rewritten
 // function. A round deletes a copy by leaving it out of the merged
 // register's mentions rather than by editing f, so f and the positions
-// change only when apply writes the merges into f.
+// stay as the run found them until the fixpoint rewrites f once.
 type sparse struct {
 	f  *ir.Func
 	lv *dataflow.Liveness
@@ -61,13 +61,30 @@ type sparse struct {
 	// others plus its candidates.
 	others int
 
+	// rows is the interference graph a conservative run carries from
+	// round to round: rows[r] lists r's neighbors in no particular
+	// order, so r's degree is len(rows[r]). That is all the Briggs test
+	// reads. Round 1 takes the rows from ig.BuildWithLiveness, and
+	// regraph edits them after each merging round.
+	rows [][]int32
+
 	buf   []mention // scratch for folding two mention lists
 	regs  []ir.Reg  // scratch for mentionsOf
 	named []regKind // mentionsOf's result
 	work  []int32   // scratch worklist of blocks
-	to    []int32   // scratch for apply
 	stamp []int32   // stamp[b] == epoch: b mentions the register being revived
 	epoch int32
+
+	// regraph's scratch: seen[r] == seenEpoch marks r as met during the
+	// current step, defs holds a changed register's definitions, near
+	// its candidate neighbors, and fresh its rebuilt row and those of
+	// the round's other changed registers, fresh[at[i]:at[i+1]] each.
+	seen      []int32
+	seenEpoch int32
+	defs      []int32
+	near      []ir.Reg
+	fresh     []int32
+	at        []int32
 }
 
 func newSparse(f *ir.Func, lv *dataflow.Liveness) *sparse {
@@ -194,42 +211,61 @@ func (s *sparse) interfere(a, b ir.Reg) bool {
 }
 
 // defLiveOver reports whether some definition of a, other than a copy
-// from b, has b live just after it: b's next mention in that block is
-// a read or, when the block does not mention b again, b is live out of
-// it. The definitions come in position order, so each search for b's
-// next mention starts where the last one ended.
+// from b, has b live just after it. The definitions come in position
+// order, so each search for b's next mention starts where the last one
+// ended.
 func (s *sparse) defLiveOver(a, b ir.Reg) bool {
-	mb := s.mentions[b]
 	j := 0
 	for _, m := range s.mentions[a] {
 		if m&mDef == 0 {
 			continue
 		}
-		p := m.pos()
-		if in := s.instr(p); in.IsMove() && s.find(in.A) == b {
-			continue
-		}
-		// Binary search for the first mention of b after p.
-		lo, hi := j, len(mb)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if mb[mid].pos() <= p {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		j = lo
-		blk := s.blockOf[p]
-		if j < len(mb) && mb[j].pos() < s.start[blk+1] {
-			if mb[j]&mRead != 0 {
-				return true
-			}
-		} else if s.lv.Out[blk].Has(int(b)) {
+		var live bool
+		if live, j = s.liveAfter(m.pos(), b, j); live {
 			return true
 		}
 	}
 	return false
+}
+
+// defsLiveOver is defLiveOver with a's definitions already listed, in
+// position order, so that it walks them alone and not every mention.
+func (s *sparse) defsLiveOver(defs []int32, b ir.Reg) bool {
+	j := 0
+	for _, p := range defs {
+		var live bool
+		if live, j = s.liveAfter(p, b, j); live {
+			return true
+		}
+	}
+	return false
+}
+
+// liveAfter reports whether the definition at p puts an edge to b:
+// it is not a copy from b, and b is live just after it, because b's
+// next mention in the block is a read or, when the block does not
+// mention b again, b is live out of it. The search for b's next mention
+// starts at b's j-th mention, and liveAfter returns where it ended.
+func (s *sparse) liveAfter(p int32, b ir.Reg, j int) (bool, int) {
+	if in := s.instr(p); in.IsMove() && s.find(in.A) == b {
+		return false, j
+	}
+	mb := s.mentions[b]
+	// Binary search for the first mention of b after p.
+	lo, hi := j, len(mb)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if mb[mid].pos() <= p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	blk := s.blockOf[p]
+	if lo < len(mb) && mb[lo].pos() < s.start[blk+1] {
+		return mb[lo]&mRead != 0, lo
+	}
+	return s.lv.Out[blk].Has(int(b)), lo
 }
 
 // fold merges src's mentions into dst's. An instruction that mentions
@@ -324,42 +360,10 @@ func (s *sparse) revive(r ir.Reg) {
 	s.work = work
 }
 
-// apply rewrites f with the merges s holds, deleting the copies they
-// made self-copies, and moves every mention to its instruction's new
-// position, so that s describes f as it now stands.
-func (s *sparse) apply() {
-	// to[p] is where the instruction at p moves. No list mentions a
-	// deleted copy, so its entry is never read.
-	to := s.to[:0]
-	next := int32(0)
-	for p := range s.blockOf {
-		to = append(to, next)
-		if in := s.instr(int32(p)); !in.IsMove() || rename(s.find, in.Dst) != rename(s.find, in.A) {
-			next++
-		}
-	}
-	s.to = to
-	rewrite(s.f, s.find)
-	for _, ms := range s.mentions {
-		for i, m := range ms {
-			ms[i] = mentionAt(to[m.pos()], m&(mRead|mDef))
-		}
-	}
-	s.blockOf = s.blockOf[:0]
-	for _, b := range s.f.Blocks {
-		s.start[b.ID] = int32(len(s.blockOf))
-		for range b.Instrs {
-			s.blockOf = append(s.blockOf, int32(b.ID))
-		}
-	}
-	s.start[len(s.f.Blocks)] = int32(len(s.blockOf))
-}
-
-// current returns f as rewritten so far: f itself when s holds no
-// merges f does not show, otherwise a rewritten copy. Only the test
-// observers call it.
-func (s *sparse) current(pending bool) *ir.Func {
-	if !pending {
+// current returns f as rewritten so far: f itself until a round
+// merges, otherwise a rewritten copy. Only the test observers call it.
+func (s *sparse) current(merged bool) *ir.Func {
+	if !merged {
 		return s.f
 	}
 	c := s.f.Clone()
@@ -367,11 +371,128 @@ func (s *sparse) current(pending bool) *ir.Func {
 	return c
 }
 
+// rowsOf returns g's adjacency as rows the carried graph can edit: each
+// row is g's own, capped at its length, so that growing it moves it
+// rather than overwriting the next row.
+func rowsOf(g *ig.Graph) [][]int32 {
+	rows := make([][]int32, g.NumNodes())
+	for a := range rows {
+		nb := g.Neighbors(int32(a))
+		rows[a] = nb[:len(nb):len(nb)]
+	}
+	return rows
+}
+
+// stale reports whether round changed r: r merged into another register
+// (in this round; an earlier merge left r in no row), or r is one of
+// the registers whose mentions the round changed.
+func (s *sparse) stale(r int32, changed []int32, round int32) bool {
+	return s.parent[r] != ir.Reg(r) || changed[r] == round
+}
+
+// regraph edits s.rows, the graph of f as rewritten before the round
+// that just merged, into the graph of f as it now stands. gone lists
+// the registers round merged away, then from gone[revive:] on the ones
+// whose mentions it changed: merges[i]'s survivor is gone[revive+i],
+// and the rest hold the on-entry self-copies the round deleted.
+//
+// Two registers whose mentions did not change interfere exactly as
+// before, so only the changed registers' rows are rebuilt, and every
+// other row only trades its entries for stale registers for the
+// rebuilt rows' entries. A changed register's neighbors are among the
+// old neighbors of its group (itself and the register merged into
+// it), mapped through find, but not all of them are: the deleted copy,
+// or a move out of either end, may have been an edge's only witness.
+// So each candidate stays only when interfere's edge rule says so,
+// walking the changed register's definitions alone; the register a
+// loop's copies all read may have hundreds of reads and one
+// definition.
+func (s *sparse) regraph(merges [][2]ir.Reg, gone []ir.Reg, revive int, changed []int32, round int32) {
+	rows := s.rows
+	if s.seen == nil {
+		s.seen = make([]int32, len(rows))
+	}
+	// Rebuild every changed row from the old rows before any row
+	// changes.
+	fresh, at := s.fresh[:0], s.at[:0]
+	for i, r := range gone[revive:] {
+		s.seenEpoch++
+		s.seen[r] = s.seenEpoch
+		group := [2]ir.Reg{r, ir.NoReg}
+		if i < len(merges) {
+			group[1] = merges[i][1]
+		}
+		near := s.near[:0]
+		for _, x := range group {
+			if x == ir.NoReg {
+				break
+			}
+			for _, t := range rows[x] {
+				if u := s.find(ir.Reg(t)); s.seen[u] != s.seenEpoch {
+					s.seen[u] = s.seenEpoch
+					near = append(near, u)
+				}
+			}
+		}
+		s.near = near
+		defs := s.defs[:0]
+		for _, m := range s.mentions[r] {
+			if m&mDef != 0 {
+				defs = append(defs, m.pos())
+			}
+		}
+		s.defs = defs
+		at = append(at, int32(len(fresh)))
+		for _, u := range near {
+			if s.defsLiveOver(defs, u) || s.defLiveOver(u, r) {
+				fresh = append(fresh, int32(u))
+			}
+		}
+	}
+	at = append(at, int32(len(fresh)))
+	s.fresh, s.at = fresh, at
+	// Every unchanged neighbor of a stale register drops its entries for
+	// stale registers, once.
+	s.seenEpoch++
+	for _, x := range gone {
+		for _, t := range rows[x] {
+			if s.seen[t] == s.seenEpoch || s.stale(t, changed, round) {
+				continue
+			}
+			s.seen[t] = s.seenEpoch
+			kept := rows[t][:0]
+			for _, u := range rows[t] {
+				if !s.stale(u, changed, round) {
+					kept = append(kept, u)
+				}
+			}
+			rows[t] = kept
+		}
+	}
+	// Then the rebuilt rows go in, each entry for an unchanged register
+	// mirrored in that register's row; two changed registers list each
+	// other already.
+	for _, x := range gone[:revive] {
+		rows[x] = nil
+	}
+	for i, r := range gone[revive:] {
+		row := fresh[at[i]:at[i+1]]
+		for _, u := range row {
+			if !s.stale(u, changed, round) {
+				rows[u] = append(rows[u], int32(r))
+			}
+		}
+		rows[r] = append(rows[r][:0], row...)
+	}
+}
+
 // run is RunContext's build/coalesce fixpoint, in both modes. Each
 // round tries the candidates in program order and merges every one
 // whose ends do not interfere, were not merged earlier in the round
 // and, under conservativeK, pass the Briggs test on the round's graph,
-// exactly as the rounds did when each one rewrote f and re-solved lv.
+// exactly as the rounds did when each one rewrote f, re-solved lv and,
+// under conservativeK, rebuilt the graph. A conservative run builds the
+// graph in its first round and carries it from there (regraph).
 func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
 	var st Stats
 	s := newSparse(f, lv)
@@ -381,6 +502,7 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 	// and liveness; an answer asked in a round after it still holds.
 	changed := make([]int32, n)
 	conservative := conservativeK != nil
+	var g *ig.Graph // round 1's graph, returned if the run merges nothing
 	var bs briggsScratch
 	if conservative {
 		bs.mark = make([]uint32, n)
@@ -392,17 +514,11 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 			return st, nil, fmt.Errorf("coalesce: cancelled before round %d: %w", st.Rounds+1, err)
 		}
 		round := int32(st.Rounds + 1)
-		var check func(dst, src ir.Reg, hit, fresh bool)
-		if roundObserver != nil {
-			// Only an aggressive run holds merges f does not show yet.
-			check = roundObserver(s.current(!conservative && st.Moves > 0), lv)
-		}
-		// A conservative round's f is current: the last merging round
-		// rewrote it.
-		var g *ig.Graph
-		if conservative {
+		if conservative && round == 1 {
 			g = ig.BuildWithLiveness(f, lv, 0, tr)
+			s.rows = rowsOf(g)
 		}
+		check, checkBriggs := s.observe(st.Moves > 0, conservative)
 		merges = merges[:0]
 		for i := range s.cands {
 			c := &s.cands[i]
@@ -427,9 +543,9 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 			}
 			if conservative {
 				k := conservativeK(f.RegClass(dst))
-				ok := bs.briggsTest(g, dst, src, k)
-				if briggsObserver != nil {
-					briggsObserver(g, dst, src, k, ok)
+				ok := bs.briggsTest(s.rows, dst, src, k)
+				if checkBriggs != nil {
+					checkBriggs(dst, src, k, ok)
 				}
 				if !ok {
 					continue
@@ -453,9 +569,7 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				if !conservative {
-					rewrite(f, s.find) // the only rewrite of an aggressive run
-				}
+				rewrite(f, s.find)  // the run's only rewrite
 				return st, nil, nil // see RunContext's contract
 			}
 			return st, g, nil // the Briggs test's graph; nil when aggressive
@@ -503,8 +617,29 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 		}
 		s.cands = live
 		if conservative {
-			// The next round's graph must describe the merged f.
-			s.apply()
+			s.regraph(merges, gone, revive, changed, round)
 		}
 	}
+}
+
+// observe hands the test observers installed the round about to start,
+// with f as rewritten so far, made once for all of them, and returns
+// the functions that see its interference answers and Briggs answers;
+// nil when no observer watches. A conservative round after a merge
+// also shows graphObserver the graph it carries.
+func (s *sparse) observe(merged, conservative bool) (check func(dst, src ir.Reg, hit, fresh bool), checkBriggs func(dst, src ir.Reg, k int, ok bool)) {
+	if roundObserver == nil && (!conservative || briggsObserver == nil && graphObserver == nil) {
+		return nil, nil
+	}
+	cur := s.current(merged)
+	if roundObserver != nil {
+		check = roundObserver(cur, s.lv)
+	}
+	if conservative && merged && graphObserver != nil {
+		graphObserver(cur, s.rows)
+	}
+	if conservative && briggsObserver != nil {
+		checkBriggs = briggsObserver(cur)
+	}
+	return check, checkBriggs
 }

@@ -70,9 +70,10 @@ func TestBriggsTestMatchesReference(t *testing.T) {
 	for _, p := range []float64{0.05, 0.2, 0.5, 0.8} {
 		g := randomGraph(rng, 40, p)
 		bs := &briggsScratch{mark: make([]uint32, g.NumNodes())}
+		rows := rowsOf(g)
 		for _, k := range []int{1, 2, 4, 8, 16} {
 			forPairs(g, func(dst, src ir.Reg) {
-				if got, want := bs.briggsTest(g, dst, src, k), briggsTestRef(g, dst, src, k); got != want {
+				if got, want := bs.briggsTest(rows, dst, src, k), briggsTestRef(g, dst, src, k); got != want {
 					t.Fatalf("p=%v k=%d (%d,%d): briggsTest = %v, reference %v", p, k, dst, src, got, want)
 				}
 			})
@@ -86,12 +87,13 @@ func TestBriggsTestMatchesReference(t *testing.T) {
 func TestBriggsTestAllocatesNothing(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(2)), 64, 0.3)
 	bs := &briggsScratch{mark: make([]uint32, g.NumNodes())}
+	rows := rowsOf(g)
 	var dst, src ir.Reg
 	forPairs(g, func(d, s ir.Reg) { dst, src = d, s })
 	seen := map[bool]bool{}
 	for _, k := range []int{2, 64} {
 		seen[briggsTestRef(g, dst, src, k)] = true
-		if allocs := testing.AllocsPerRun(100, func() { bs.briggsTest(g, dst, src, k) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { bs.briggsTest(rows, dst, src, k) }); allocs != 0 {
 			t.Fatalf("k=%d: %.1f allocations per query, want 0", k, allocs)
 		}
 	}
@@ -104,6 +106,7 @@ func TestBriggsTestAllocatesNothing(t *testing.T) {
 // by earlier epochs must not pass for the new epoch's.
 func TestBriggsScratchEpochWrap(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 40, 0.3)
+	rows := rowsOf(g)
 	for _, k := range []int{2, 4, 8} {
 		forPairs(g, func(dst, src ir.Reg) {
 			bs := &briggsScratch{mark: make([]uint32, g.NumNodes())}
@@ -113,7 +116,7 @@ func TestBriggsScratchEpochWrap(t *testing.T) {
 				bs.mark[i] = uint32(2 + i%2)
 			}
 			bs.epoch = ^uint32(0) - 1
-			if got, want := bs.briggsTest(g, dst, src, k), briggsTestRef(g, dst, src, k); got != want {
+			if got, want := bs.briggsTest(rows, dst, src, k), briggsTestRef(g, dst, src, k); got != want {
 				t.Fatalf("k=%d (%d,%d) across the wrap: briggsTest = %v, reference %v", k, dst, src, got, want)
 			}
 		})

@@ -16,13 +16,18 @@
 // Both modes run one round loop. It answers each candidate's
 // interference question from every register's list of the instructions
 // that read or define it, and a merge updates only the merged
-// registers' lists and liveness, so no round re-solves liveness. An
-// aggressive round needs nothing more, and the function is rewritten
-// once, at the fixpoint. A conservative round also builds the full
-// graph for the Briggs test, so each merging round rewrites the
-// function for the next round's graph, and moves every mention to its
-// instruction's new position. The result is the same, merge for merge,
-// as rebuilding everything every round.
+// registers' lists and liveness, so no round re-solves liveness, and
+// the function is rewritten once, at the fixpoint. The Briggs test of
+// a conservative run reads a graph: the run builds it in its first
+// round and carries it from there as neighbor rows. After a merging
+// round only the rows of the registers whose mentions changed are
+// rebuilt, each from its group's old rows, every candidate checked
+// against the same edge rule; the other rows only trade entries. On
+// the 29 suite units at (16,8), Briggs under ConservativeCoalesce then
+// inserts 813,510 edges in graph builds instead of 2,937,695, and on a
+// shared 2-vCPU host it allocates the 800-loop unit in about 8 times
+// its compile time instead of about 65. The result is the same, merge
+// for merge, as rebuilding everything every round.
 package coalesce
 
 import (
@@ -113,11 +118,18 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 // answers from those lists and lv; a candidate neither of whose ends
 // was merged in the round before keeps its answer. A merge folds one
 // list into the other and recomputes the merged register's liveness
-// alone. Aggressive rounds rewrite f once, at the fixpoint. Since the
-// Briggs test reads neighbor lists, each conservative round also
-// builds the full graph, so a conservative round that merged rewrites
-// f for the next round's graph and moves every mention to its
-// instruction's new position.
+// alone. Both modes rewrite f once, at the fixpoint. The Briggs test
+// reads neighbor lists, so a conservative run builds the full graph
+// once, in its first round, and after each merging round edits it into
+// the graph of f as rewritten so far: the merged-away registers' rows
+// are cleared, and the row of each register whose mentions changed is
+// rebuilt from the old rows of the registers merged into it, keeping a
+// neighbor only if the same edge rule, asked from the changed
+// register's definitions alone, says the two interfere. Every other
+// row only drops the stale registers and takes the rebuilt rows'
+// entries back. The plain union of the old rows would not do: the
+// deleted copy, or a move out of either end, can be an edge's only
+// witness.
 func RunContext(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph, error) {
 	if runObserver == nil {
 		return run(ctx, f, lv, conservativeK, tr)
@@ -165,10 +177,18 @@ var runObserver func(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 // caller marked Skipped.
 var skipObserver func(f *ir.Func, lv *dataflow.Liveness)
 
-// briggsObserver, when non-nil, sees every conservative-test query
-// and its answer. Tests install it to check the test against a
-// reference implementation.
-var briggsObserver func(g *ig.Graph, dst, src ir.Reg, k int, ok bool)
+// briggsObserver, when non-nil, is called at the start of each
+// conservative round with f as rewritten so far, and returns the
+// function that sees each of the round's conservative-test queries and
+// its answer. Tests install it to check the test against a reference
+// implementation on a fresh graph.
+var briggsObserver func(f *ir.Func) func(dst, src ir.Reg, k int, ok bool)
+
+// graphObserver, when non-nil, is called at the start of each
+// conservative round that follows a merge, with f as rewritten so far
+// and the graph the run carries. Tests install it to hold that graph to
+// a fresh build.
+var graphObserver func(f *ir.Func, rows [][]int32)
 
 // briggsScratch is the conservative test's mark array, one entry per
 // graph node: during a query, mark[n] == epoch flags n as a neighbor
@@ -182,10 +202,11 @@ type briggsScratch struct {
 // briggsTest is the conservative-coalescing criterion: merging dst
 // and src is safe when the combined node has fewer than k neighbors
 // of significant degree. A neighbor adjacent to both ends loses one
-// edge in the merge, so its effective degree drops by one. The walk
+// edge in the merge, so its effective degree drops by one. rows is the
+// graph as neighbor rows, a node's degree its row's length. The walk
 // costs O(deg dst + deg src) and stops as soon as k significant
 // neighbors are found.
-func (s *briggsScratch) briggsTest(g *ig.Graph, dst, src ir.Reg, k int) bool {
+func (s *briggsScratch) briggsTest(rows [][]int32, dst, src ir.Reg, k int) bool {
 	s.epoch += 2
 	if s.epoch == 0 { // wrapped: stale marks could alias the new epoch
 		clear(s.mark)
@@ -193,16 +214,16 @@ func (s *briggsScratch) briggsTest(g *ig.Graph, dst, src ir.Reg, k int) bool {
 	}
 	inSrc, counted := s.epoch, s.epoch+1
 	d, sr := int32(dst), int32(src)
-	srcRow := g.Neighbors(sr)
+	srcRow := rows[sr]
 	for _, nb := range srcRow {
 		s.mark[nb] = inSrc
 	}
 	significant := 0
-	for _, nb := range g.Neighbors(d) {
+	for _, nb := range rows[d] {
 		if nb == sr {
 			continue
 		}
-		deg := g.Degree(nb)
+		deg := len(rows[nb])
 		if s.mark[nb] == inSrc {
 			deg--
 		}
@@ -217,7 +238,7 @@ func (s *briggsScratch) briggsTest(g *ig.Graph, dst, src ir.Reg, k int) bool {
 		if nb == d || s.mark[nb] == counted {
 			continue
 		}
-		if g.Degree(nb) >= k {
+		if len(rows[nb]) >= k {
 			if significant++; significant >= k {
 				return false
 			}

@@ -15,12 +15,32 @@ var (
 
 // CheckBriggsQueries hands check the fast answer and the reference
 // answer of every conservative-test query run until restore is called.
-// Queries must come from one goroutine at a time.
+// The reference answers on a graph built afresh, at the round's first
+// query, from the function as rewritten so far and a full liveness
+// solve, so the graph the run carries is held to it too. Queries must
+// come from one goroutine at a time.
 func CheckBriggsQueries(check func(got, want bool)) (restore func()) {
-	briggsObserver = func(g *ig.Graph, dst, src ir.Reg, k int, ok bool) {
-		check(ok, briggsTestRef(g, dst, src, k))
+	briggsObserver = func(f *ir.Func) func(dst, src ir.Reg, k int, ok bool) {
+		var g *ig.Graph
+		return func(dst, src ir.Reg, k int, ok bool) {
+			if g == nil {
+				g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
+			}
+			check(ok, briggsTestRef(g, dst, src, k))
+		}
 	}
 	return func() { briggsObserver = nil }
+}
+
+// CheckCarriedGraphs calls check at the start of every conservative
+// round that follows a merge, until restore is called, with f as
+// rewritten so far and the graph the run carries into the round:
+// rows[r] lists r's neighbors in no particular order. f may be a copy,
+// valid until the round ends; check must change neither. Rounds must
+// come from one goroutine at a time.
+func CheckCarriedGraphs(check func(f *ir.Func, rows [][]int32)) (restore func()) {
+	graphObserver = check
+	return func() { graphObserver = nil }
 }
 
 // CheckRounds calls start at the beginning of every round run until

@@ -209,14 +209,22 @@ type roundOracle struct {
 	round, afterMerge int
 	liveWrong         []string
 	liveBad           int
+
+	// graphs counts the conservative rounds after a merge, whose
+	// carried graph is held to a fresh build; graphBad those where it
+	// differs, and grown those where some row held more than the fresh
+	// one's.
+	graphs, graphBad, grown int
+	graphWrong              []string
 }
 
 // watch, until restore is called, holds every run to the reference
-// loop of its mode when ref is set, and checks every round's liveness
-// when live is set. With ref set, every round the allocator skips is
-// also run, on copies, through RunContext, so the reference checks it
-// too, and it must merge nothing. Runs must come from one goroutine at
-// a time.
+// loop of its mode when ref is set, and checks every round's liveness,
+// and the graph every conservative round after a merge carries, when
+// live is set. With ref set, every round the allocator skips is also
+// run, on copies, through RunContext, so the reference checks it too,
+// and it must merge nothing. Runs must come from one goroutine at a
+// time.
 func (o *roundOracle) watch(ref, live bool) (restore func()) {
 	restoreSkips := func() {}
 	if ref {
@@ -274,22 +282,76 @@ func (o *roundOracle) watch(ref, live bool) (restore func()) {
 			restoreRuns()
 		}
 	}
+	// The round's full solve, which the graph check builds on too: a
+	// round shows both checks the same f.
+	var solvedF *ir.Func
+	var solved *dataflow.Liveness
 	restoreRounds := coalesce.CheckRounds(func(f *ir.Func, lv *dataflow.Liveness) func(ir.Reg, ir.Reg, bool, bool) {
 		if o.round++; o.round > 1 {
 			o.afterMerge++
 		}
-		if err := diffLiveness(f, lv, dataflow.ComputeLiveness(f)); err != nil {
+		solvedF, solved = f, dataflow.ComputeLiveness(f)
+		if err := diffLiveness(f, lv, solved); err != nil {
 			if o.liveBad++; o.liveBad <= 5 {
 				o.liveWrong = append(o.liveWrong, fmt.Sprintf("%s, round %d: %v", o.label, o.round, err))
 			}
 		}
 		return nil
 	})
+	restoreGraphs := coalesce.CheckCarriedGraphs(func(f *ir.Func, rows [][]int32) {
+		o.graphs++
+		lv := solved
+		if f != solvedF {
+			lv = dataflow.ComputeLiveness(f)
+		}
+		grown, err := diffGraph(rows, ig.BuildWithLiveness(f, lv, 0, nil))
+		if grown {
+			o.grown++
+		}
+		if err != nil {
+			if o.graphBad++; o.graphBad <= 5 {
+				o.graphWrong = append(o.graphWrong, fmt.Sprintf("%s, round %d: %v", o.label, o.round, err))
+			}
+		}
+	})
 	return func() {
+		restoreGraphs()
 		restoreRounds()
 		restoreSkips()
 		restoreRuns()
 	}
+}
+
+// diffGraph reports the first node whose row differs from the fresh
+// graph g's, as a neighbor set or in length, which is the degree the
+// Briggs test reads; grown reports whether some row held more than
+// g's. A row as long as g's that holds every one of g's neighbors
+// holds exactly them, once each.
+func diffGraph(rows [][]int32, g *ig.Graph) (grown bool, err error) {
+	if len(rows) != g.NumNodes() {
+		return false, fmt.Errorf("%d rows, fresh graph %d nodes", len(rows), g.NumNodes())
+	}
+	in := make([]int, len(rows)) // in[b] == a+1: b is in row a
+	for a, row := range rows {
+		want := g.Neighbors(int32(a))
+		if len(row) > len(want) {
+			grown = true
+		}
+		for _, b := range row {
+			in[b] = a + 1
+		}
+		same := len(row) == len(want)
+		for _, b := range want {
+			same = same && in[b] == a+1
+		}
+		if !same && err == nil {
+			got, fresh := slices.Clone(row), slices.Clone(want)
+			slices.Sort(got)
+			slices.Sort(fresh)
+			err = fmt.Errorf("v%d: carried neighbors %v (degree %d), fresh %v (degree %d)", a, got, len(got), fresh, len(fresh))
+		}
+	}
+	return grown, err
 }
 
 // copyLiveness returns a copy of lv, the liveness of f.
@@ -302,10 +364,13 @@ func copyLiveness(f *ir.Func, lv *dataflow.Liveness) *dataflow.Liveness {
 	return c
 }
 
-// conservativeSweep is the one sweep of conservative runs that both
-// oracles read. Each conservative round builds the full graph, so the
-// sweep is most of what the oracles cost, minutes under the race
-// detector, and one sweep that runs both checks halves it.
+// conservativeSweep is the one sweep of conservative runs that the
+// three oracles read: the reference round loop, the liveness of every
+// round and the graph every round after a merge carries. The
+// reference loop builds the full graph in every round, and so does
+// the graph oracle, so the sweep is most of what the oracles cost,
+// minutes under the race detector, and one sweep that runs all the
+// checks saves two.
 var conservativeSweep struct {
 	once sync.Once
 	o    *roundOracle
@@ -350,6 +415,28 @@ func TestRoundLivenessMatchesRecompute(t *testing.T) {
 	}
 	if agg.afterMerge == 0 || cons.afterMerge == 0 {
 		t.Fatal("no round followed a merge in one of the modes; the oracle checked nothing there")
+	}
+}
+
+// TestCarriedGraphMatchesBuild holds the interference graph a
+// conservative run carries into each round after a merge to a fresh
+// ig.BuildWithLiveness of the function as rewritten so far: every node
+// must have the same neighbor set and the same degree. The plain union
+// of a merged pair's rows is a superset of the fresh row, because the
+// copy the merge deletes, or a move out of either end, can be an
+// edge's only witness; so this holds the run to recomputing each
+// changed row.
+func TestCarriedGraphMatchesBuild(t *testing.T) {
+	o := conservativeOracle(t)
+	for _, e := range o.graphWrong {
+		t.Error(e)
+	}
+	t.Logf("carried graph checked in %d conservative rounds after a merge", o.graphs)
+	if o.graphBad > 0 {
+		t.Fatalf("%d of %d carried graphs differ from a fresh build (%d with a row larger than the fresh one)", o.graphBad, o.graphs, o.grown)
+	}
+	if o.graphs == 0 {
+		t.Fatal("no conservative round followed a merge; the oracle checked nothing")
 	}
 }
 

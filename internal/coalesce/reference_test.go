@@ -97,6 +97,7 @@ func runConservativeRef(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir
 		var examined int
 		cands, examined = candidates(f, cands[:0])
 		g := ig.BuildWithLiveness(f, lv, 0, tr)
+		rows := rowsOf(g)
 		for i := range parent {
 			parent[i] = ir.Reg(i)
 		}
@@ -111,7 +112,7 @@ func runConservativeRef(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir
 			if g.Interfere(int32(dst), int32(src)) {
 				continue
 			}
-			if !bs.briggsTest(g, dst, src, conservativeK(f.RegClass(dst))) {
+			if !bs.briggsTest(rows, dst, src, conservativeK(f.RegClass(dst))) {
 				continue
 			}
 			touched[dst] = true

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,18 +376,24 @@ func TestAliasToAbsentKey(t *testing.T) {
 // goroutines over more keys than the cache holds, so aliases are made
 // and evicted while others read them. Every served value must be its
 // key's, every request has exactly one outcome, and the alias index
-// stays consistent. Run it with -race -count=10.
+// stays consistent. Each worker stays on a key for four iterations,
+// naming it by its two raw aliases in turn, so it reads back an alias
+// it made two iterations before; then it moves on, and eight keys pass
+// through four entries. So even when the workers run one after
+// another, as they often do at GOMAXPROCS=1, aliases are both served
+// and evicted. Run it with -race -count=10 -cpu 1,2.
 func TestConcurrentLookupAliasDo(t *testing.T) {
 	c := New(4, 0)
 	const workers, iters, keys = 8, 200, 8
 	var wg sync.WaitGroup
+	var aliasHits atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			ctx := context.Background()
 			for i := 0; i < iters; i++ {
-				k := (w + i) % keys
+				k := (w + i/4) % keys
 				want := []byte{byte(k)}
 				raw := key(fmt.Sprintf("raw-%d-%d", k, i%2))
 				if v, ok := c.Lookup(ctx, raw); ok {
@@ -394,6 +401,7 @@ func TestConcurrentLookupAliasDo(t *testing.T) {
 						t.Errorf("alias of key %d served %v", k, v)
 						return
 					}
+					aliasHits.Add(1)
 					continue
 				}
 				v, _, err := c.Do(ctx, key(fmt.Sprint(k)), fillWith(want))
@@ -410,8 +418,8 @@ func TestConcurrentLookupAliasDo(t *testing.T) {
 	if st.Requests() != workers*iters {
 		t.Fatalf("requests = %d, want %d: %+v", st.Requests(), workers*iters, st)
 	}
-	if st.Evictions == 0 || st.Hits == 0 {
-		t.Fatalf("no evictions or no hits, so aliases were not both used and dropped: %+v", st)
+	if st.Evictions == 0 || st.Hits == 0 || aliasHits.Load() == 0 {
+		t.Fatalf("no evictions or no alias hits (%d), so aliases were not both used and dropped: %+v", aliasHits.Load(), st)
 	}
 	checkAliases(t, c)
 }

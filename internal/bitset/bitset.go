@@ -165,6 +165,11 @@ func (s *Set) Count() int {
 	return c
 }
 
+// Words returns the set's backing words: element i is bit i%64 of
+// word i/64, and the bits past Cap are zero. The caller must not
+// modify them.
+func (s *Set) Words() []uint64 { return s.words }
+
 // ForEach calls f for each element of the set in increasing order.
 func (s *Set) ForEach(f func(i int)) {
 	for wi, w := range s.words {

@@ -1,11 +1,13 @@
 package ig
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
+	"regalloc/internal/bitset"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
+	"regalloc/internal/machine"
 )
 
 // legacyAdj is the pre-CSR adjacency representation: per-node append
@@ -37,47 +39,47 @@ func (l *legacyAdj) addEdge(a, b int32) {
 
 func requireMatchesLegacy(t *testing.T, g *Graph, l *legacyAdj, label string) {
 	t.Helper()
-	if g.NumEdges() != len(l.seen) {
-		t.Fatalf("%s: edges %d != legacy %d", label, g.NumEdges(), len(l.seen))
-	}
-	for a := 0; a < g.NumNodes(); a++ {
-		gn := g.Neighbors(int32(a))
-		ln := l.adj[a]
-		if len(gn) == 0 && len(ln) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(gn, ln) {
-			t.Fatalf("%s: node %d adjacency differs:\n csr    %v\n legacy %v", label, a, gn, ln)
-		}
-		if g.Degree(int32(a)) != len(ln) {
-			t.Fatalf("%s: node %d degree %d != legacy %d", label, a, g.Degree(int32(a)), len(ln))
-		}
+	if err := l.diff(g); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
+
+// xorshift returns a deterministic pseudo-random stream seeded by n.
+func xorshift(n int) func() uint64 {
+	s := uint64(n)*0x9E3779B97F4A7C15 + 1
+	return func() uint64 {
+		s ^= s >> 12
+		s ^= s << 25
+		s ^= s >> 27
+		return s * 0x2545F4914F6CDD1D
+	}
+}
+
+// mixedClasses returns n classes, every third one float.
+func mixedClasses(n int) []ir.Class {
+	classes := make([]ir.Class, n)
+	for i := range classes {
+		if i%3 == 2 {
+			classes[i] = ir.ClassFloat
+		}
+	}
+	return classes
+}
+
+// streamSizes straddle bitMatrixLimit, so the bit-matrix and flat-set
+// membership paths are both covered.
+var streamSizes = []int{1, 2, 37, 500, bitMatrixLimit, bitMatrixLimit + 1, 5000}
 
 // TestCSRMatchesLegacyAdjacencyRandomStreams drives identical
 // pseudo-random AddEdge streams (with duplicates, self edges, and
 // cross-class pairs mixed in) into the CSR graph and the legacy
-// model, at sizes on both sides of bitMatrixLimit so the bit-matrix
-// and flat-set membership paths are both covered, interleaving
-// queries so the lazy recompile path runs too.
+// model, at sizes on both sides of bitMatrixLimit.
 func TestCSRMatchesLegacyAdjacencyRandomStreams(t *testing.T) {
-	for _, n := range []int{1, 2, 37, 500, bitMatrixLimit, bitMatrixLimit + 1, 5000} {
-		classes := make([]ir.Class, n)
-		for i := range classes {
-			if i%3 == 2 {
-				classes[i] = ir.ClassFloat
-			}
-		}
+	for _, n := range streamSizes {
+		classes := mixedClasses(n)
 		g := New(classes)
 		l := newLegacyAdj(classes)
-		s := uint64(n)*0x9E3779B97F4A7C15 + 1
-		next := func() uint64 {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			return s * 0x2545F4914F6CDD1D
-		}
+		next := xorshift(n)
 		edges := 6 * n
 		for i := 0; i < edges; i++ {
 			a := int32(next() % uint64(n))
@@ -87,32 +89,85 @@ func TestCSRMatchesLegacyAdjacencyRandomStreams(t *testing.T) {
 			if g.Interfere(a, b) != (a != b && classes[a] == classes[b]) {
 				t.Fatalf("n=%d: Interfere(%d,%d) disagrees with AddEdge contract", n, a, b)
 			}
-			if i == edges/2 {
-				// Query mid-stream: the CSR recompiles and further
-				// AddEdges must still land in log order.
-				_ = g.Neighbors(a)
-			}
 		}
 		requireMatchesLegacy(t, g, l, "random stream")
 	}
 }
 
-// TestCSRMatchesLegacyAdjacencyOnCorpus replays the real builder's
-// enumeration stream — the same candidate edges BuildWithLiveness
-// inserts, in the same order — into the legacy model and checks the
-// CSR graph against it on generated functions.
+// TestAddLiveEdgesMatchesPerPairStream holds the word-at-a-time insert
+// to the per-pair loop it replaces: pseudo-random definitions against
+// pseudo-random live sets (the definition and the skipped register
+// sometimes live, sometimes not; live sets narrower than the graph,
+// as a machine graph's are), interleaved with single AddEdge calls,
+// at sizes on both sides of bitMatrixLimit.
+func TestAddLiveEdgesMatchesPerPairStream(t *testing.T) {
+	for _, n := range streamSizes {
+		classes := mixedClasses(n)
+		g := New(classes)
+		l := newLegacyAdj(classes)
+		next := xorshift(n + 1)
+		for i := 0; i < 40; i++ {
+			width := n - int(next()%uint64(n/8+1))
+			live := bitset.New(width)
+			for j := int(next() % uint64(width/2+1)); j > 0; j-- {
+				live.Add(int(next() % uint64(width)))
+			}
+			d := int32(next() % uint64(n))
+			skip := int32(-1)
+			if next()%2 == 0 {
+				skip = int32(next() % uint64(n))
+			}
+			g.AddLiveEdges(d, live, skip)
+			live.ForEach(func(v int) {
+				if int32(v) != d && int32(v) != skip {
+					l.addEdge(d, int32(v))
+				}
+			})
+			a, b := int32(next()%uint64(n)), int32(next()%uint64(n))
+			g.AddEdge(a, b)
+			l.addEdge(a, b)
+		}
+		requireMatchesLegacy(t, g, l, fmt.Sprintf("live-set stream n=%d", n))
+	}
+}
+
+// TestAddEdgeAfterFinalizePanics pins the build-scratch contract: the
+// edge log goes back to its pool at Finalize, so a finalized graph
+// accepts no more edges, by either insert.
+func TestAddEdgeAfterFinalizePanics(t *testing.T) {
+	for _, insert := range []func(g *Graph){
+		func(g *Graph) { g.AddEdge(0, 1) },
+		func(g *Graph) { g.AddLiveEdges(0, bitset.New(2), -1) },
+	} {
+		g := New(make([]ir.Class, 2))
+		g.AddEdge(0, 1)
+		g.Finalize()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("an edge added to a finalized graph did not panic")
+				}
+			}()
+			insert(g)
+		}()
+	}
+}
+
+// TestCSRMatchesLegacyAdjacencyOnCorpus holds BuildWithLiveness and
+// BuildWithMachine to their per-pair reference streams, replayed into
+// the legacy model, on straight-line functions of the shape of
+// generated numeric code.
 func TestCSRMatchesLegacyAdjacencyOnCorpus(t *testing.T) {
 	for _, size := range []int{40, 300, 900} {
 		f := giantBlock(t, size)
 		lv := dataflow.ComputeLiveness(f)
-		g := BuildWithLiveness(f, lv, 0, nil)
-		classes := make([]ir.Class, f.NumRegs())
-		for i := range classes {
-			classes[i] = f.RegClass(ir.Reg(i))
+		if err := matchesReference(f, lv, nil, BuildWithLiveness(f, lv, 0, nil)); err != nil {
+			t.Fatalf("giantBlock(%d): %v", size, err)
 		}
-		l := newLegacyAdj(classes)
-		enumerate(f, lv, l.addEdge)
-		requireMatchesLegacy(t, g, l, "corpus build")
+		m := machine.RTPC()
+		if err := matchesReference(f, lv, m, BuildWithMachine(f, lv, m, nil).Graph); err != nil {
+			t.Fatalf("giantBlock(%d) on %s: %v", size, m.Name, err)
+		}
 	}
 }
 

@@ -174,8 +174,8 @@ func TestWorklistClassFilter(t *testing.T) {
 }
 
 // TestBitMatrixAndHashAgree drives both edge representations (the
-// dense triangular bit matrix for small graphs, the hash set above
-// the size threshold) and checks they answer identically.
+// dense bit matrix for small graphs, the hash set above the size
+// threshold) and checks they answer identically.
 func TestBitMatrixAndHashAgree(t *testing.T) {
 	// 3000 nodes forces the hash path; a 120-node subgraph mirrored
 	// into a small graph uses the matrix path.

@@ -65,20 +65,23 @@ func WrapPlain(g *Graph) *MachineGraph {
 //   - every virtual register live across a call interferes with every
 //     caller-saved register of its class, so call-crossing ranges can
 //     only take callee-saved colors.
+//
+// A call's clobber edges go in after its definition's edges. Each
+// adjacency row comes out as it would from interleaving them per live
+// register: a register live across the call receives the definition
+// before the caller-saved registers either way, and a caller-saved
+// register's row receives the live registers in ascending order.
 func BuildWithMachine(f *ir.Func, lv *dataflow.Liveness, m *machine.Model, tr *obs.Tracer) *MachineGraph {
 	n := f.NumRegs()
 	p := m.NumPrecolored()
-	classes := make([]ir.Class, n+p)
-	for i := 0; i < n; i++ {
-		classes[i] = f.RegClass(ir.Reg(i))
-	}
+	classes := regClasses(f, p)
 	pre := make([]int16, n+p)
 	for i := range pre {
 		pre[i] = NoPreColor
 	}
 	for i := int32(0); int(i) < p; i++ {
 		c, r := m.PreClass(i)
-		classes[n+int(i)] = c
+		classes = append(classes, c)
 		pre[n+int(i)] = r
 	}
 	g := New(classes)
@@ -95,36 +98,37 @@ func BuildWithMachine(f *ir.Func, lv *dataflow.Liveness, m *machine.Model, tr *o
 
 	// The plain enumeration plus the call-clobber sweep, in one
 	// backward liveness walk per block.
+	counting := tr.Enabled()
 	attempts := 0
 	for _, b := range f.Blocks {
 		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			d := in.Def()
-			moveSrc := ir.NoReg
-			if in.IsMove() {
-				moveSrc = in.A
-			}
-			isCall := in.Op == ir.OpCall
-			liveAfter.ForEach(func(l int) {
-				lr := ir.Reg(l)
-				if d != ir.NoReg && lr != d && lr != moveSrc {
-					attempts++
-					g.AddEdge(int32(d), int32(l))
+			d := int32(in.Def())
+			if d >= 0 {
+				src := moveSource(in)
+				g.AddLiveEdges(d, liveAfter, src)
+				if counting {
+					attempts += candidates(liveAfter, d, src)
 				}
-				if isCall && lr != d {
-					// Live across the call: clobbered by every
-					// caller-saved register of its class.
-					c := f.RegClass(lr)
+			}
+			if in.Op == ir.OpCall {
+				// Live across the call (all but its definition):
+				// clobbered by every caller-saved register of its
+				// class.
+				for _, c := range []ir.Class{ir.ClassInt, ir.ClassFloat} {
 					for r := int16(0); int(r) < m.CallerSaved[c]; r++ {
-						g.AddEdge(int32(l), mg.PreNode(c, r))
+						g.AddLiveEdges(mg.PreNode(c, r), liveAfter, d)
 					}
 				}
-			})
+			}
 		})
 	}
 	g.Finalize()
-	if tr.Enabled() {
+	if counting {
 		tr.Counter(obs.PhaseBuild, "ig.edge_inserts", int64(attempts))
 		tr.Counter(obs.PhaseBuild, "ig.machine_nodes", int64(p))
+	}
+	if buildObserver != nil {
+		buildObserver(f, lv, m, g)
 	}
 	return mg
 }

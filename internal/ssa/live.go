@@ -147,11 +147,7 @@ func Analyze(s *Func) *Analysis {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.NoReg {
-				live.ForEach(func(l int) {
-					if ir.Reg(l) != d {
-						a.G.AddEdge(int32(d), int32(l))
-					}
-				})
+				a.G.AddLiveEdges(int32(d), live, -1)
 				if live.Has(int(d)) {
 					live.Remove(int(d))
 					cnt[classes[d]]--
@@ -179,11 +175,7 @@ func Analyze(s *Func) *Analysis {
 		phis := s.Phis[b.ID]
 		for i := range phis {
 			d := phis[i].Dst
-			live.ForEach(func(l int) {
-				if ir.Reg(l) != d {
-					a.G.AddEdge(int32(d), int32(l))
-				}
-			})
+			a.G.AddLiveEdges(int32(d), live, -1)
 			for j := i + 1; j < len(phis); j++ {
 				a.G.AddEdge(int32(d), int32(phis[j].Dst))
 			}

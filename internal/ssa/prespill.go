@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"regalloc/internal/bitset"
 	"regalloc/internal/color"
 	"regalloc/internal/ir"
 	"regalloc/internal/spill"
@@ -107,9 +108,9 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 	// picking cheapest-first among live spillable values of class c,
 	// returning the excess it could not cover.
 	var cands []int
-	reduce := func(live liveSet, c ir.Class, excess int) int {
+	reduce := func(live *bitset.Set, c ir.Class, excess int) int {
 		cands = cands[:0]
-		live.forEach(func(r int) {
+		live.ForEach(func(r int) {
 			if classOf(r) == c && spillable(r) {
 				cands = append(cands, r)
 			}
@@ -130,10 +131,10 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 		}
 		return excess
 	}
-	check := func(live liveSet) [ir.NumClasses]int {
+	check := func(live *bitset.Set) [ir.NumClasses]int {
 		var short [ir.NumClasses]int
 		var cnt [ir.NumClasses]int
-		live.forEach(func(r int) {
+		live.ForEach(func(r int) {
 			if !inSet[r] {
 				cnt[classOf(r)]++
 			}
@@ -197,8 +198,9 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 	}
 
 	var ubuf []ir.Reg
+	live := bitset.New(nr)
 	for _, b := range f.Blocks {
-		live := newLiveSet(a.Live.Out[b.ID])
+		live.CopyFrom(a.Live.Out[b.ID])
 		// Block exit. Outgoing phi arguments are reads at the edge: a
 		// spilled argument is replaced by a reload temporary at the
 		// predecessor's end that is exactly as live, so spilling them
@@ -218,15 +220,15 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 			d := in.Def()
 			if d != ir.NoReg {
 				banned[d] = stamp
-				if !live.has(int(d)) {
+				if !live.Has(int(d)) {
 					// The dead-definition point: d plus liveAfter.
-					live.add(int(d))
+					live.Add(int(d))
 					note(check(live))
 				}
-				live.remove(int(d))
+				live.Remove(int(d))
 			}
 			for _, u := range ubuf {
-				live.add(int(u))
+				live.Add(int(u))
 			}
 			note(check(live))
 		}
@@ -238,35 +240,12 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 		if phis := s.Phis[b.ID]; len(phis) > 0 {
 			stamp++
 			for i := range phis {
-				live.add(int(phis[i].Dst))
+				live.Add(int(phis[i].Dst))
 			}
 			note(check(live))
 		}
 	}
 	return chosen, stuck
-}
-
-// liveSet pairs a bitset walk with membership bookkeeping; a thin
-// wrapper so selectSpills reads naturally.
-type liveSet struct{ bits map[int]bool }
-
-func newLiveSet(src interface{ ForEach(func(int)) }) liveSet {
-	ls := liveSet{bits: make(map[int]bool)}
-	src.ForEach(func(r int) { ls.bits[r] = true })
-	return ls
-}
-func (l liveSet) has(r int) bool { return l.bits[r] }
-func (l liveSet) add(r int)      { l.bits[r] = true }
-func (l liveSet) remove(r int)   { delete(l.bits, r) }
-func (l liveSet) forEach(f func(r int)) {
-	keys := make([]int, 0, len(l.bits))
-	for r := range l.bits {
-		keys = append(keys, r)
-	}
-	sort.Ints(keys)
-	for _, r := range keys {
-		f(r)
-	}
 }
 
 // insertSpillCode sends every chosen value to a fresh spill slot,

@@ -2,7 +2,9 @@
 // cycle of renumber/build/coalesce (the "build" box), simplify,
 // color, and spill, repeated until a pass completes with no new
 // spills. Each pass's phase CPU times and spill counts are recorded,
-// which is exactly the data behind the paper's Figure 7.
+// which is exactly the data behind the paper's Figure 7. Runs over one
+// function that would build pass 0 identically can share that Build
+// (Starts), as a portfolio race's candidates do.
 package alloc
 
 import (
@@ -143,6 +145,12 @@ var colorScratchPool = sync.Pool{New: func() any { return new(color.Scratch) }}
 // time PassStats. The span closes with a "passes" attribute, or with
 // "error" when the run fails.
 func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
+	return runContext(ctx, f, opt, nil)
+}
+
+// runContext is RunContext with the memo that shares pass 0's Build
+// among the runs s was made for; nil shares nothing.
+func runContext(ctx context.Context, f *ir.Func, opt Options, s *Starts) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,7 +159,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	}
 	rt, parent := reqtrace.FromContext(ctx)
 	if rt == nil {
-		return run(ctx, f, opt, obs.New(opt.Observer, f.Name))
+		return run(ctx, f, opt, obs.New(opt.Observer, f.Name), s)
 	}
 	label := opt.Heuristic.String()
 	if opt.UsePColor {
@@ -159,7 +167,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 		label = "pcolor"
 	}
 	span, end := rt.StartSpan(parent, "alloc:"+f.Name, reqtrace.Attr{Key: "heuristic", Value: label})
-	res, err := run(ctx, f, opt, obs.New(obs.Multi(opt.Observer, rt.PhaseSpans(span)), f.Name))
+	res, err := run(ctx, f, opt, obs.New(obs.Multi(opt.Observer, rt.PhaseSpans(span)), f.Name), s)
 	if err != nil {
 		end(reqtrace.Attr{Key: "error", Value: err.Error()})
 		return nil, err
@@ -171,43 +179,111 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 // run allocates f under a validated opt with MaxPasses resolved,
 // emitting events on tr (nil when nothing observes the run). It
 // dispatches the SSA and IRC heuristics to their drivers and runs the
-// Figure 4 cycle for the rest.
-func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
-	if opt.Heuristic == color.SSA && !opt.UsePColor {
-		// The SSA heuristic replaces the whole Figure 4 cycle, not
-		// just the simplify order. (UsePColor ignores Heuristic, so
-		// the speculative engine keeps precedence, as it does for the
-		// other heuristics.)
+// Figure 4 cycle for the rest, with pass 0's Build shared through s.
+func run(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Starts) (*Result, error) {
+	if opt.runsSSA() {
 		return runSSA(ctx, f, opt, tr)
 	}
-	if opt.Heuristic == color.IRC && !opt.UsePColor {
-		// Iterated register coalescing replaces the cycle's separate
-		// coalesce pre-pass and simplify phase with one worklist
-		// machine (same UsePColor precedence as above).
-		return runIRC(ctx, f, opt, tr)
+	if opt.runsIRC() {
+		return runIRC(ctx, f, opt, tr, s)
 	}
-	res, _, err := cycle(ctx, f, opt, tr)
+	res, _, err := cycle(ctx, f, opt, tr, s)
 	return res, err
 }
 
-// lastPass is the analysis the final pass of a Figure 4 run colored
-// from: the allocated function's liveness and CFG analysis, its
-// interference graph, with the machine model's nodes when the run has
-// one, and its spill costs. Nothing after the pass's build changes
-// them, so irc's worklist round starts from them instead of analyzing
-// the function again.
-type lastPass struct {
-	pc    *passCtx
-	g     *ig.Graph
-	mg    *ig.MachineGraph // nil without a machine model
-	costs []float64
+// runsSSA reports whether opt runs the SSA allocator, which replaces
+// the whole Figure 4 cycle, not just the simplify order. (UsePColor
+// ignores Heuristic, so the speculative engine keeps precedence, as it
+// does for the other heuristics.)
+func (o Options) runsSSA() bool { return o.Heuristic == color.SSA && !o.UsePColor }
+
+// runsIRC reports whether opt runs iterated register coalescing, which
+// replaces the cycle's separate coalesce pre-pass and simplify phase
+// with one worklist machine after a Figure 4 baseline (same UsePColor
+// precedence as runsSSA).
+func (o Options) runsIRC() bool { return o.Heuristic == color.IRC && !o.UsePColor }
+
+// built is what a pass's Build leaves the rest of the pass: the
+// analysis of the renumbered, coalesced function, its interference
+// graph, with the machine model's nodes when the run has one, its
+// spill costs and, under Rematerialize, its constant-valued ranges.
+// Nothing after the Build changes them, so the final pass's is also
+// what irc's worklist round starts from instead of analyzing the
+// function again.
+type built struct {
+	pc        *passCtx
+	g         *ig.Graph
+	mg        *ig.MachineGraph // nil without a machine model
+	costs     []float64
+	rematOK   []bool // nil unless Rematerialize
+	rematVals []spill.RematValue
+	moves     int // copies the coalescer merged
 }
 
-// cycle runs the Figure 4 cycle on a clone of f. On success it also
-// returns the final pass's analysis; runIRC calls it for its Figure 4
+// build runs a pass's Build on work: renumber into webs, from a fresh
+// analysis (liveness + CFG) when pc is nil or the one the last spill
+// carried, coalesce copies, rebuild the graph, compute spill costs
+// from the stamped loop depths. An error is the coalescer's
+// cancellation.
+func build(ctx context.Context, work *ir.Func, pc *passCtx, opt Options, tr *obs.Tracer) (*built, error) {
+	if pc == nil {
+		pc = newPassCtx(work)
+	} else {
+		pc.carry(work)
+	}
+	b := &built{pc: pc}
+	if opt.Coalesce && (pc.mayMerge || opt.ConservativeCoalesce) {
+		var ck func(ir.Class) int
+		if opt.ConservativeCoalesce {
+			ck = opt.K()
+		}
+		tc := tr.Begin(obs.PhaseCoalesce)
+		cs, cg, err := coalesce.RunContext(ctx, work, pc.lv, ck, tr)
+		tr.End(obs.PhaseCoalesce, tc)
+		if err != nil {
+			return nil, err
+		}
+		b.moves = cs.Moves
+		b.g = cg // non-nil only when a conservative run merged nothing
+		pc.mayMerge = false
+		if cs.Moves > 0 {
+			// Coalescing rewrote the code and left pc.lv its
+			// liveness: renumber the merged webs with it and build
+			// below. The CFG analysis stays valid — no block was
+			// touched.
+			pc.renumber(work)
+		}
+	} else if opt.Coalesce {
+		// An aggressive round here would merge nothing: the last
+		// round ran to its fixpoint, where every candidate's ends
+		// interfered; no renumbering since has split a register; and
+		// spill code changes only the spilled webs, whose
+		// replacements are never coalescible.
+		coalesce.Skipped(work, pc.lv)
+	}
+	if opt.Machine != nil {
+		// The machine model extends the graph with precolored register
+		// nodes and call-clobber edges; the plain graph a conservative
+		// run returns lacks those, so rebuild.
+		b.mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
+		b.g = b.mg.Graph
+	} else if b.g == nil {
+		b.g = ig.BuildWithLiveness(work, pc.lv, 0, tr)
+	}
+	if opt.Rematerialize {
+		b.rematOK, b.rematVals = spill.Remat(work)
+		b.costs = spill.CostsRemat(work, opt.CostParams, b.rematOK)
+	} else {
+		b.costs = spill.Costs(work, opt.CostParams)
+	}
+	return b, nil
+}
+
+// cycle runs the Figure 4 cycle on a clone of f, or on a fork of the
+// pass 0 Build it shares through s. On success it also returns what
+// the final pass's Build left; runIRC calls it for its Figure 4
 // baseline, so that baseline is not recorded as a second allocation.
-func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, *lastPass, error) {
-	work := f.Clone()
+func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Starts) (*Result, *built, error) {
 	res := &Result{Options: opt}
 	kf := opt.K()
 
@@ -220,9 +296,11 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resul
 	sc := colorScratchPool.Get().(*color.Scratch)
 	defer colorScratchPool.Put(sc)
 
-	// pc is the analysis the next pass starts from: nil after a spill
-	// that added blocks (split) or is not argued to carry it (remat),
-	// so that pass starts fresh.
+	// work is the function the passes allocate: pass 0's Build makes
+	// it. pc is the analysis the next pass starts from: nil after a
+	// spill that added blocks (split) or is not argued to carry it
+	// (remat), so that pass starts fresh.
+	var work *ir.Func
 	var pc *passCtx
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		if err := ctx.Err(); err != nil {
@@ -231,68 +309,25 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resul
 		var ps PassStats
 		tr.SetPass(pass)
 
-		// Build: renumber into webs, from a fresh analysis (liveness +
-		// CFG) or the one the last spill carried, coalesce copies,
-		// rebuild the graph, compute spill costs from the stamped loop
-		// depths.
 		t0 := tr.Begin(obs.PhaseBuild)
-		if pc == nil {
-			pc = newPassCtx(work)
+		var b *built
+		var err error
+		if pass == 0 {
+			work, b, err = s.first(ctx, f, opt, tr)
 		} else {
-			pc.carry(work)
+			b, err = build(ctx, work, pc, opt, tr)
 		}
-		var g *ig.Graph
+		if err != nil {
+			tr.End(obs.PhaseBuild, t0)
+			return nil, nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
+		}
+		pc = b.pc
+		g, costs := b.g, b.costs
 		var pre []int16 // precolored colors by node; nil without a machine model
-		if opt.Coalesce && (pc.mayMerge || opt.ConservativeCoalesce) {
-			var ck func(ir.Class) int
-			if opt.ConservativeCoalesce {
-				ck = kf
-			}
-			tc := tr.Begin(obs.PhaseCoalesce)
-			cs, cg, err := coalesce.RunContext(ctx, work, pc.lv, ck, tr)
-			tr.End(obs.PhaseCoalesce, tc)
-			if err != nil {
-				tr.End(obs.PhaseBuild, t0)
-				return nil, nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, pass, err)
-			}
-			ps.CoalescedMoves = cs.Moves
-			g = cg // non-nil only when a conservative run merged nothing
-			pc.mayMerge = false
-			if cs.Moves > 0 {
-				// Coalescing rewrote the code and left pc.lv its
-				// liveness: renumber the merged webs with it and
-				// build below. The CFG analysis stays valid — no
-				// block was touched.
-				pc.renumber(work)
-			}
-		} else if opt.Coalesce {
-			// An aggressive round here would merge nothing: the last
-			// round ran to its fixpoint, where every candidate's ends
-			// interfered; no renumbering since has split a register;
-			// and spill code changes only the spilled webs, whose
-			// replacements are never coalescible.
-			coalesce.Skipped(work, pc.lv)
+		if b.mg != nil {
+			pre = b.mg.Pre
 		}
-		var mg *ig.MachineGraph
-		if opt.Machine != nil {
-			// The machine model extends the graph with precolored
-			// register nodes and call-clobber edges; the plain graph
-			// a conservative run returns lacks those, so rebuild.
-			mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
-			g = mg.Graph
-			pre = mg.Pre
-		} else if g == nil {
-			g = ig.BuildWithLiveness(work, pc.lv, 0, tr)
-		}
-		var rematOK []bool
-		var rematVals []spill.RematValue
-		var costs []float64
-		if opt.Rematerialize {
-			rematOK, rematVals = spill.Remat(work)
-			costs = spill.CostsRemat(work, opt.CostParams, rematOK)
-		} else {
-			costs = spill.Costs(work, opt.CostParams)
-		}
+		ps.CoalescedMoves = b.moves
 		ps.Build = tr.End(obs.PhaseBuild, t0)
 		ps.LiveRanges = work.NumRegs()
 		ps.Edges = g.NumEdges()
@@ -437,7 +472,7 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resul
 				}
 				res.Func = work
 				res.Colors = colors
-				return res, &lastPass{pc, g, mg, costs}, nil
+				return res, b, nil
 			}
 			toSpill = over
 		} else {
@@ -471,7 +506,7 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resul
 							return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 						}
 					}
-					return res, &lastPass{pc, g, mg, costs}, nil
+					return res, b, nil
 				}
 				toSpill = uncolored
 			}
@@ -498,7 +533,7 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resul
 			st = spill.InsertCodeSplit(work, regs, pc.info)
 			pc = nil
 		case opt.Rematerialize:
-			st = spill.InsertCodeRemat(work, regs, rematOK, rematVals)
+			st = spill.InsertCodeRemat(work, regs, b.rematOK, b.rematVals)
 			pc = nil
 		default:
 			st = spill.InsertCode(work, regs)

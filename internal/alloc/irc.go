@@ -46,16 +46,10 @@ import (
 // from (liveness, graph and costs), as a pass after a plain spill
 // starts from the last pass's: the final pass renumbered the function
 // and nothing has changed it since, so a fresh start would renumber it
-// to itself and build the same graph and costs again.
-func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
-	// Phase 1: decide spills with the Figure 4 baseline. Everything
-	// else about the request (machine model, spill lowering flavor,
-	// costs, metric, observer) carries over unchanged.
-	base := opt
-	base.Heuristic = color.Briggs
-	base.Coalesce = true
-	base.ConservativeCoalesce = true
-	res, last, err := cycle(ctx, f, base, tr)
+// to itself and build the same graph and costs again. The baseline's
+// pass 0 Build is shared through s like any other Figure 4 run's.
+func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Starts) (*Result, error) {
+	res, last, err := cycle(ctx, f, ircBaseline(opt), tr, s)
 	if err != nil {
 		return nil, err
 	}
@@ -119,4 +113,15 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Resu
 	res.Func = work
 	res.Colors = colors
 	return res, nil
+}
+
+// ircBaseline returns the options irc's phase 1 runs the Figure 4
+// cycle under: Briggs optimism with the conservative coalescing
+// pre-pass. Everything else about the request (machine model, spill
+// lowering flavor, costs, metric, observer) carries over unchanged.
+func ircBaseline(opt Options) Options {
+	opt.Heuristic = color.Briggs
+	opt.Coalesce = true
+	opt.ConservativeCoalesce = true
+	return opt
 }

@@ -25,44 +25,38 @@ func VerifyAssignment(f *ir.Func, colors []int16) error {
 	if len(colors) < f.NumRegs() {
 		return fmt.Errorf("verify: %s: %d colors for %d registers", f.Name, len(colors), f.NumRegs())
 	}
-	lv := dataflow.ComputeLiveness(f)
 	var fail error
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(i int, in *ir.Instr, liveAfter *bitset.Set) {
-			if fail != nil {
-				return
-			}
-			d := in.Def()
-			if d == ir.NoReg {
-				return
-			}
-			if colors[d] < 0 {
-				fail = fmt.Errorf("verify: %s: b%d[%d]: defined register v%d has no color", f.Name, b.ID, i, d)
-				return
-			}
-			moveSrc := ir.NoReg
-			if in.IsMove() {
-				moveSrc = in.A
-			}
-			liveAfter.ForEach(func(l int) {
-				if fail != nil || ir.Reg(l) == d || ir.Reg(l) == moveSrc {
-					return
-				}
-				if f.RegClass(ir.Reg(l)) != f.RegClass(d) {
-					return
-				}
-				if colors[l] == colors[d] {
-					fail = fmt.Errorf(
-						"verify: %s: b%d[%d]: v%d and live v%d share %s register %d",
-						f.Name, b.ID, i, d, l, f.RegClass(d), colors[d])
-				}
-			})
-		})
+	dataflow.ComputeLiveness(f).LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
 		if fail != nil {
-			return fail
+			return
 		}
-	}
-	return nil
+		d := in.Def()
+		if d == ir.NoReg {
+			return
+		}
+		if colors[d] < 0 {
+			fail = fmt.Errorf("verify: %s: b%d[%d]: defined register v%d has no color", f.Name, b.ID, i, d)
+			return
+		}
+		moveSrc := ir.NoReg
+		if in.IsMove() {
+			moveSrc = in.A
+		}
+		liveAfter.ForEach(func(l int) {
+			if fail != nil || ir.Reg(l) == d || ir.Reg(l) == moveSrc {
+				return
+			}
+			if f.RegClass(ir.Reg(l)) != f.RegClass(d) {
+				return
+			}
+			if colors[l] == colors[d] {
+				fail = fmt.Errorf(
+					"verify: %s: b%d[%d]: v%d and live v%d share %s register %d",
+					f.Name, b.ID, i, d, l, f.RegClass(d), colors[d])
+			}
+		})
+	})
+	return fail
 }
 
 // VerifyAssignmentMachine is VerifyAssignment plus the machine-model
@@ -85,28 +79,22 @@ func VerifyAssignmentMachine(f *ir.Func, colors []int16, m *machine.Model) error
 				f.Name, r, c, m.K(cls), cls)
 		}
 	}
-	lv := dataflow.ComputeLiveness(f)
 	var fail error
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(i int, in *ir.Instr, liveAfter *bitset.Set) {
-			if fail != nil || in.Op != ir.OpCall {
+	dataflow.ComputeLiveness(f).LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
+		if fail != nil || in.Op != ir.OpCall {
+			return
+		}
+		liveAfter.ForEach(func(l int) {
+			if fail != nil || ir.Reg(l) == in.Dst {
 				return
 			}
-			liveAfter.ForEach(func(l int) {
-				if fail != nil || ir.Reg(l) == in.Dst {
-					return
-				}
-				cls := f.RegClass(ir.Reg(l))
-				if c := colors[l]; c >= 0 && m.IsCallerSaved(cls, c) {
-					fail = fmt.Errorf(
-						"verify: %s: b%d[%d]: v%d lives across the call in caller-saved %s register %d",
-						f.Name, b.ID, i, l, cls, c)
-				}
-			})
+			cls := f.RegClass(ir.Reg(l))
+			if c := colors[l]; c >= 0 && m.IsCallerSaved(cls, c) {
+				fail = fmt.Errorf(
+					"verify: %s: b%d[%d]: v%d lives across the call in caller-saved %s register %d",
+					f.Name, b.ID, i, l, cls, c)
+			}
 		})
-		if fail != nil {
-			return fail
-		}
-	}
-	return nil
+	})
+	return fail
 }

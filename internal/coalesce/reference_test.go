@@ -183,8 +183,7 @@ type aggressiveScratch struct {
 // b is not that instruction's move source, or the same with a and b
 // swapped. Both ends of a candidate share a class, so only the
 // instructions defining a candidate register matter, and at each only
-// that register's move partners need checking. A block defining no
-// candidate register is skipped.
+// that register's move partners need checking.
 func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, cands []move) {
 	s.hit = append(s.hit[:0], make([]bool, len(cands))...)
 	if len(cands) == 0 {
@@ -206,7 +205,7 @@ func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, 
 			s.byReg[start[r]] = int32(ci)
 		}
 	}
-	visit := func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
+	lv.LiveAcross(f, func(_ *ir.Block, _ int, in *ir.Instr, liveAfter *bitset.Set) {
 		d := in.Def()
 		if d == ir.NoReg {
 			return
@@ -224,13 +223,5 @@ func (s *aggressiveScratch) interferingMoves(f *ir.Func, lv *dataflow.Liveness, 
 				s.hit[ci] = true
 			}
 		}
-	}
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg && start[d] != start[d+1] {
-				lv.LiveAcross(f, b, visit)
-				break
-			}
-		}
-	}
+	})
 }

@@ -82,7 +82,7 @@ func TestLivenessAroundLoop(t *testing.T) {
 func TestLiveAcross(t *testing.T) {
 	f, a, b := straightLine()
 	lv := dataflow.ComputeLiveness(f)
-	lv.LiveAcross(f, f.Blocks[0], func(i int, in *ir.Instr, live *bitset.Set) {
+	lv.LiveAcross(f, func(_ *ir.Block, i int, in *ir.Instr, live *bitset.Set) {
 		switch i {
 		case 0: // after "a = 1": a is live (used by the add)
 			if !live.Has(int(a)) || live.Has(int(b)) {

@@ -76,23 +76,48 @@ func NewLiveness(blocks, regs int) *Liveness {
 	return &Liveness{In: sets[:n:n], Out: sets[n:]}
 }
 
-// LiveAcross walks block b backward from its last instruction,
-// calling visit with the live set *after* each instruction (i.e. the
-// set of registers whose current values are needed later). The
-// callback must not retain the set. This is the traversal the
-// interference-graph builder uses.
-func (lv *Liveness) LiveAcross(f *ir.Func, b *ir.Block, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	live := lv.Out[b.ID].Copy()
+// Clone returns an independent copy of lv, its sets carved from one
+// backing array as NewLiveness carves them.
+func (lv *Liveness) Clone() *Liveness {
+	regs := 0
+	if len(lv.In) > 0 {
+		regs = lv.In[0].Cap()
+	}
+	c := NewLiveness(len(lv.In), regs)
+	for i := range lv.In {
+		c.In[i].CopyFrom(lv.In[i])
+		c.Out[i].CopyFrom(lv.Out[i])
+	}
+	return c
+}
+
+// LiveAcross walks f's blocks in order, each one backward from its
+// last instruction, calling visit with the block, the instruction and
+// the live set *after* it (i.e. the set of registers whose current
+// values are needed later). The callback must not retain the set. One
+// scratch set and one use buffer serve the whole walk, so it allocates
+// the same whatever the number of blocks. This is the traversal the
+// interference-graph builders and the assignment verifier use.
+func (lv *Liveness) LiveAcross(f *ir.Func, visit func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set)) {
+	var live *bitset.Set
 	var ubuf []ir.Reg
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		in := &b.Instrs[i]
-		visit(i, in, live)
-		if dst := in.Def(); dst != ir.NoReg {
-			live.Remove(int(dst))
+	for _, b := range f.Blocks {
+		out := lv.Out[b.ID]
+		if live == nil || live.Cap() != out.Cap() {
+			live = out.Copy()
+		} else {
+			live.CopyFrom(out)
 		}
-		ubuf = in.AppendUses(ubuf[:0])
-		for _, r := range ubuf {
-			live.Add(int(r))
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := &b.Instrs[i]
+			visit(b, i, in, live)
+			if dst := in.Def(); dst != ir.NoReg {
+				live.Remove(int(dst))
+			}
+			ubuf = in.AppendUses(ubuf[:0])
+			for _, r := range ubuf {
+				live.Add(int(r))
+			}
 		}
 	}
 }

@@ -28,19 +28,17 @@ func BuildWithLiveness(f *ir.Func, lv *dataflow.Liveness, _ int, tr *obs.Tracer)
 	g := New(regClasses(f, 0))
 	counting := tr.Enabled()
 	attempts := 0
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			d := in.Def()
-			if d == ir.NoReg {
-				return
-			}
-			src := moveSource(in)
-			g.AddLiveEdges(int32(d), liveAfter, src)
-			if counting {
-				attempts += candidates(liveAfter, int32(d), src)
-			}
-		})
-	}
+	lv.LiveAcross(f, func(_ *ir.Block, _ int, in *ir.Instr, liveAfter *bitset.Set) {
+		d := in.Def()
+		if d == ir.NoReg {
+			return
+		}
+		src := moveSource(in)
+		g.AddLiveEdges(int32(d), liveAfter, src)
+		if counting {
+			attempts += candidates(liveAfter, int32(d), src)
+		}
+	})
 	if counting {
 		tr.Counter(obs.PhaseBuild, "ig.edge_inserts", int64(attempts))
 	}

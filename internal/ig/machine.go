@@ -100,28 +100,26 @@ func BuildWithMachine(f *ir.Func, lv *dataflow.Liveness, m *machine.Model, tr *o
 	// backward liveness walk per block.
 	counting := tr.Enabled()
 	attempts := 0
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			d := int32(in.Def())
-			if d >= 0 {
-				src := moveSource(in)
-				g.AddLiveEdges(d, liveAfter, src)
-				if counting {
-					attempts += candidates(liveAfter, d, src)
+	lv.LiveAcross(f, func(_ *ir.Block, _ int, in *ir.Instr, liveAfter *bitset.Set) {
+		d := int32(in.Def())
+		if d >= 0 {
+			src := moveSource(in)
+			g.AddLiveEdges(d, liveAfter, src)
+			if counting {
+				attempts += candidates(liveAfter, d, src)
+			}
+		}
+		if in.Op == ir.OpCall {
+			// Live across the call (all but its definition):
+			// clobbered by every caller-saved register of its
+			// class.
+			for _, c := range []ir.Class{ir.ClassInt, ir.ClassFloat} {
+				for r := int16(0); int(r) < m.CallerSaved[c]; r++ {
+					g.AddLiveEdges(mg.PreNode(c, r), liveAfter, d)
 				}
 			}
-			if in.Op == ir.OpCall {
-				// Live across the call (all but its definition):
-				// clobbered by every caller-saved register of its
-				// class.
-				for _, c := range []ir.Class{ir.ClassInt, ir.ClassFloat} {
-					for r := int16(0); int(r) < m.CallerSaved[c]; r++ {
-						g.AddLiveEdges(mg.PreNode(c, r), liveAfter, d)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 	g.Finalize()
 	if counting {
 		tr.Counter(obs.PhaseBuild, "ig.edge_inserts", int64(attempts))

@@ -21,23 +21,21 @@ import (
 // register itself and a move's source) to emit, duplicates and
 // cross-class pairs included: BuildWithLiveness's stream.
 func enumerate(f *ir.Func, lv *dataflow.Liveness, emit func(d, l int32)) {
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			d := in.Def()
-			if d == ir.NoReg {
-				return
+	lv.LiveAcross(f, func(_ *ir.Block, _ int, in *ir.Instr, liveAfter *bitset.Set) {
+		d := in.Def()
+		if d == ir.NoReg {
+			return
+		}
+		moveSrc := ir.NoReg
+		if in.IsMove() {
+			moveSrc = in.A
+		}
+		liveAfter.ForEach(func(l int) {
+			if ir.Reg(l) != d && ir.Reg(l) != moveSrc {
+				emit(int32(d), int32(l))
 			}
-			moveSrc := ir.NoReg
-			if in.IsMove() {
-				moveSrc = in.A
-			}
-			liveAfter.ForEach(func(l int) {
-				if ir.Reg(l) != d && ir.Reg(l) != moveSrc {
-					emit(int32(d), int32(l))
-				}
-			})
 		})
-	}
+	})
 }
 
 // enumerateMachine is BuildWithMachine's stream: the precolored
@@ -54,28 +52,26 @@ func enumerateMachine(f *ir.Func, lv *dataflow.Liveness, m *machine.Model, emit 
 			}
 		}
 	}
-	for _, b := range f.Blocks {
-		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			d := in.Def()
-			moveSrc := ir.NoReg
-			if in.IsMove() {
-				moveSrc = in.A
+	lv.LiveAcross(f, func(_ *ir.Block, _ int, in *ir.Instr, liveAfter *bitset.Set) {
+		d := in.Def()
+		moveSrc := ir.NoReg
+		if in.IsMove() {
+			moveSrc = in.A
+		}
+		isCall := in.Op == ir.OpCall
+		liveAfter.ForEach(func(l int) {
+			lr := ir.Reg(l)
+			if d != ir.NoReg && lr != d && lr != moveSrc {
+				emit(int32(d), int32(l))
 			}
-			isCall := in.Op == ir.OpCall
-			liveAfter.ForEach(func(l int) {
-				lr := ir.Reg(l)
-				if d != ir.NoReg && lr != d && lr != moveSrc {
-					emit(int32(d), int32(l))
+			if isCall && lr != d {
+				c := f.RegClass(lr)
+				for r := int16(0); int(r) < m.CallerSaved[c]; r++ {
+					emit(int32(l), preNode(c, r))
 				}
-				if isCall && lr != d {
-					c := f.RegClass(lr)
-					for r := int16(0); int(r) < m.CallerSaved[c]; r++ {
-						emit(int32(l), preNode(c, r))
-					}
-				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // matchesReference replays the reference stream of f and lv (the

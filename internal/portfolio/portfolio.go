@@ -1,10 +1,13 @@
 // Package portfolio is the heuristic-portfolio racing engine: it
 // takes one compilation unit and a candidate set of allocator
 // strategies (each a full alloc.Options variant — pessimistic
-// Chaitin, optimistic Briggs, spill-metric and ordering variants, and
-// the speculative pcolor engine under several seeds), runs them
+// Chaitin, optimistic Briggs, spill-metric and ordering variants, the
+// SSA-form chordal allocator, iterated register coalescing, and the
+// speculative pcolor engine under several seeds), runs them
 // concurrently on a bounded worker pool under a shared deadline, and
-// keeps the cheapest independently verified result.
+// keeps the cheapest independently verified result. Candidates whose
+// first Build reads the same options share it (see Shared Build
+// below).
 //
 // The paper's core observation motivates it: heuristic *choice*
 // changes what spills, per procedure, and no single heuristic wins on
@@ -46,6 +49,22 @@
 // winner determinism (a lower-indexed candidate may be cancelled
 // before it can post its own zero-spill result) for latency, which is
 // the point of the mode.
+//
+// # Shared Build
+//
+// The heuristics differ only after Build, so each race makes one
+// alloc.Starts from its candidates' options, and candidates whose pass
+// 0 Build reads the same options (Coalesce, ConservativeCoalesce with
+// K, Machine, Rematerialize, CostParams) share one. The first of a
+// group to start builds inside its own pass 0; each member forks a
+// private copy of the function and its liveness and reads the graph,
+// costs and CFG analysis shared. Outcomes are exactly those of
+// standalone alloc.RunContext runs. Of the default candidates on the
+// default options, the nine other than ssa (no Figure 4 cycle) and irc
+// (a conservative baseline) form one group; with ConservativeCoalesce
+// irc joins them. The Build runs inside an admitted
+// candidate, so the budget semantics above hold unchanged, except that
+// a candidate that starts while its group's Build runs waits for it.
 package portfolio
 
 import (
@@ -270,11 +289,16 @@ func Race(ctx context.Context, f *ir.Func, cands []Candidate, cfg Config) (*Resu
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates
 	}
+	opts := make([]alloc.Options, len(cands))
 	for i := range cands {
 		if err := cands[i].Opt.Validate(); err != nil {
 			return nil, fmt.Errorf("portfolio: candidate %d (%s): %w", i, cands[i].Name, err)
 		}
+		opts[i] = cands[i].Opt
 	}
+	// Candidates whose pass 0 Builds read the same options share one
+	// (see alloc.Starts).
+	starts := alloc.NewStarts(f, opts)
 	if cfg.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Budget)
@@ -350,7 +374,7 @@ func Race(ctx context.Context, f *ir.Func, cands []Candidate, cfg Config) (*Resu
 			spanIDs[i] = candID
 			candCtx := reqtrace.ContextWith(context.Background(), rt, candID)
 			t0 := time.Now()
-			res, err := alloc.RunContext(candCtx, f, opt)
+			res, err := starts.RunContext(candCtx, opt)
 			d := time.Since(t0)
 			if err == nil {
 				err = alloc.VerifyAssignment(res.Func, res.Colors)
@@ -376,6 +400,9 @@ func Race(ctx context.Context, f *ir.Func, cands []Candidate, cfg Config) (*Resu
 		}(i, c)
 	}
 	wg.Wait()
+	if startsObserver != nil {
+		startsObserver(starts)
+	}
 
 	// Flush candidate events in index order: the parent sink sees one
 	// deterministic, single-goroutine stream.
@@ -430,6 +457,11 @@ func Race(ctx context.Context, f *ir.Func, cands []Candidate, cfg Config) (*Resu
 	emitCounters(cfg.Observer, f.Name, r)
 	return r, nil
 }
+
+// startsObserver, when non-nil, sees each race's shared-Build memo
+// once the race has joined its candidates. Tests install it to hold
+// the shared starts to fresh builds.
+var startsObserver func(*alloc.Starts)
 
 // less is the selection order: (spill cost milli, spills, index),
 // all ascending. Both outcomes must be Finished.

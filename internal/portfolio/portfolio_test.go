@@ -176,6 +176,8 @@ func TestRaceEventAttribution(t *testing.T) {
 	// unit name.
 	perCand := map[string]int{}
 	counters := map[string]int64{}
+	livenessRuns := map[string]int64{} // pass 0's analysis.liveness_runs
+	edgeInserts := map[string]int{}    // pass 0's ig.edge_inserts events
 	lastIdx := -1
 	for _, e := range events {
 		if e.Unit == "HOT" {
@@ -189,6 +191,14 @@ func TestRaceEventAttribution(t *testing.T) {
 			t.Fatalf("event attributed to %q", e.Unit)
 		}
 		perCand[name]++
+		if e.Kind == obs.KindCounter && e.Pass == 0 {
+			switch e.Name {
+			case "analysis.liveness_runs":
+				livenessRuns[name] += e.Value
+			case "ig.edge_inserts":
+				edgeInserts[name]++
+			}
+		}
 		idx := -1
 		for i, c := range cands {
 			if c.Name == name {
@@ -207,6 +217,33 @@ func TestRaceEventAttribution(t *testing.T) {
 		if perCand[c.Name] == 0 {
 			t.Errorf("candidate %s emitted no events", c.Name)
 		}
+	}
+	// The Figure 4 candidates but irc share one pass 0 Build: exactly
+	// one of them solves liveness and builds the graph there, and the
+	// others fork its start. irc's conservative baseline builds alone
+	// (its coalescer builds a graph too).
+	builders := 0
+	for _, c := range cands {
+		runs, inserts := livenessRuns[c.Name], edgeInserts[c.Name]
+		switch c.Name {
+		case "ssa":
+			continue
+		case "irc":
+			if runs != 1 || inserts == 0 {
+				t.Errorf("irc builds alone, but its pass 0 emitted liveness_runs=%d and %d ig.edge_inserts", runs, inserts)
+			}
+		default:
+			switch {
+			case runs == 1 && inserts == 1:
+				builders++
+			case runs != 0 || inserts != 0:
+				t.Errorf("candidate %s: pass 0 emitted liveness_runs=%d and %d ig.edge_inserts, want 1 and 1 or 0 and none",
+					c.Name, runs, inserts)
+			}
+		}
+	}
+	if builders != 1 {
+		t.Errorf("%d candidates built the shared pass 0, want exactly 1", builders)
 	}
 	if counters["portfolio.candidates"] != int64(len(cands)) {
 		t.Errorf("portfolio.candidates = %d, want %d", counters["portfolio.candidates"], len(cands))

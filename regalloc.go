@@ -271,7 +271,8 @@ const (
 
 // DefaultPortfolio returns the standard candidate set derived from
 // base: Chaitin and Briggs under cost/degree, the cost-only and
-// degree-only spill metrics, smallest-last ordering, the speculative
+// degree-only spill metrics, smallest-last ordering, the SSA-form
+// chordal allocator, iterated register coalescing, the speculative
 // pcolor engine once per seed (portfolio.DefaultSeeds when none are
 // given), and one Jones–Plassmann entrant on the first seed.
 func DefaultPortfolio(base Options, pcolorSeeds ...uint64) []PortfolioCandidate {

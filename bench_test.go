@@ -34,8 +34,7 @@ func BenchmarkFigure3(b *testing.B) {
 	k := func(ir.Class) int { return 2 }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr := color.Simplify(g, costs, k, color.Briggs, color.CostOverDegree)
-		color.Select(g, sr.Stack, k, true)
+		color.Run(nil, g, nil, costs, k, color.Briggs, color.CostOverDegree, nil)
 	}
 }
 
@@ -226,10 +225,7 @@ func BenchmarkSimplifySelect(b *testing.B) {
 		h := h
 		b.Run(h.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sr := color.Simplify(g, costs, k, h, color.CostOverDegree)
-				if h != color.Chaitin || len(sr.SpillMarked) == 0 {
-					color.Select(g, sr.Stack, k, h != color.Chaitin)
-				}
+				color.Run(nil, g, nil, costs, k, h, color.CostOverDegree, nil)
 			}
 		})
 	}

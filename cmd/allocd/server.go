@@ -305,6 +305,12 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	if fail != nil {
 		return nil, rescache.Miss, fail
 	}
+	// options leaves "pcolor" to the graph path, so a program naming it
+	// would run the default heuristic under the default's raw key.
+	if kind == "src" && req.Heuristic == "pcolor" {
+		return nil, rescache.Miss, failf(http.StatusBadRequest, codeBadHeuristic,
+			"heuristic pcolor colors .ig graphs only; to race the pcolor engine on a program, send portfolio=pcolor/s1")
+	}
 	rt, parent := reqtrace.FromContext(ctx)
 	rt.Annotate("unit", requestUnit(req, kind))
 	rt.Annotate("heuristic", requestHeuristic(req, opt))
@@ -889,29 +895,11 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 	}
 
 	h := opt.Heuristic
-	kf := func(c ir.Class) int {
-		if c == ir.ClassInt {
-			return opt.KInt
-		}
-		return opt.KFloat
-	}
 	span, end := rt.StartSpan(parent, "alloc:"+name, reqtrace.Attr{Key: "heuristic", Value: h.String()})
 	tr := obs.New(obs.Multi(s.metrics, rt.PhaseSpans(span)), name)
-	t0 := tr.Begin(obs.PhaseSimplify)
-	sr := color.SimplifyTraced(g, costs, kf, h, opt.Metric, tr)
-	simplifyDur := tr.End(obs.PhaseSimplify, t0)
-	var spilled []int32
-	var colors []int16
-	var colorDur time.Duration
-	if h == color.Chaitin && len(sr.SpillMarked) > 0 {
-		spilled = sr.SpillMarked
-	} else {
-		tc := tr.Begin(obs.PhaseColor)
-		colors, spilled = color.SelectTraced(g, sr, kf, h != color.Chaitin, tr)
-		colorDur = tr.End(obs.PhaseColor, tc)
-	}
-	dur := time.Since(t0)
+	out := color.Run(nil, g, nil, costs, opt.K(), h, opt.Metric, tr)
 	end()
+	spilled, colors := out.Spilled, out.Colors
 	cost := 0.0
 	for _, n := range spilled {
 		cost += costs[n]
@@ -925,7 +913,7 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 		Edges:          g.NumEdges(),
 		Spills:         len(spilled),
 		SpillCostMilli: obs.SpillCostMilli(cost),
-		TotalNS:        dur.Nanoseconds(),
+		TotalNS:        (out.Simplify + out.Select).Nanoseconds(),
 	}
 	if colors != nil {
 		var maxInt, maxFloat int16 = -1, -1
@@ -944,8 +932,8 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 		sum.PaletteInt = int(maxInt) + 1
 		sum.PaletteFloat = int(maxFloat) + 1
 	}
-	sum.PhaseNS[obs.PhaseSimplify] = simplifyDur.Nanoseconds()
-	sum.PhaseNS[obs.PhaseColor] = colorDur.Nanoseconds()
+	sum.PhaseNS[obs.PhaseSimplify] = out.Simplify.Nanoseconds()
+	sum.PhaseNS[obs.PhaseColor] = out.Select.Nanoseconds()
 	s.reg.Record(sum)
 
 	if spilled == nil {

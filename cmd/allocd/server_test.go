@@ -192,6 +192,7 @@ func TestAllocErrors(t *testing.T) {
 		{"/v1/alloc", "NOT FORTRAN AT ALL ((", http.StatusBadRequest, "compile_failed"},
 		{"/v1/alloc?kint=0", testSource, http.StatusBadRequest, "bad_k"},
 		{"/v1/alloc?heuristic=bogus", testSource, http.StatusBadRequest, "bad_heuristic"},
+		{"/v1/alloc?heuristic=pcolor", testSource, http.StatusBadRequest, "bad_heuristic"},
 		{"/v1/alloc?metric=bogus", testSource, http.StatusBadRequest, "bad_metric"},
 		{"/v1/alloc?input=bogus", testSource, http.StatusBadRequest, "bad_request"},
 		{"/v1/alloc?unit=MISSING", testSource, http.StatusBadRequest, "unknown_unit"},

@@ -93,6 +93,7 @@ func TestV1ErrorEnvelopeCodes(t *testing.T) {
 		{"trailing garbage", `{"source": "X"} extra`, "bad_body"},
 		{"empty source", `{}`, "empty_body"},
 		{"portfolio on graph", fmt.Sprintf(`{"source": %q, "input": "ig", "portfolio": "all"}`, testGraph), "bad_request"},
+		{"pcolor on source", fmt.Sprintf(`{"source": %q, "heuristic": "pcolor"}`, testSource), "bad_heuristic"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/alloc", "application/json", strings.NewReader(tc.body))
@@ -362,6 +363,7 @@ func TestBatchArray(t *testing.T) {
 		{Source: testGraph},
 		{Source: testSource}, // identical to item 0: a hit
 		{Source: testSource, Portfolio: "all"},
+		{Source: testSource, Heuristic: "pcolor"}, // graph-only engine: rejected, not a hit on item 0
 	}
 	code, data, _ := postJSON(t, ts, "/v1/alloc/batch", items)
 	if code != http.StatusOK {
@@ -371,11 +373,11 @@ func TestBatchArray(t *testing.T) {
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, data)
 	}
-	if resp.OK != 3 || resp.Failed != 2 || len(resp.Items) != 5 {
-		t.Fatalf("ok=%d failed=%d items=%d, want 3/2/5\n%s", resp.OK, resp.Failed, len(resp.Items), data)
+	if resp.OK != 3 || resp.Failed != 3 || len(resp.Items) != 6 {
+		t.Fatalf("ok=%d failed=%d items=%d, want 3/3/6\n%s", resp.OK, resp.Failed, len(resp.Items), data)
 	}
-	wantStatus := []int{200, 400, 200, 200, 400}
-	wantCache := []string{"miss", "", "miss", "hit", ""}
+	wantStatus := []int{200, 400, 200, 200, 400, 400}
+	wantCache := []string{"miss", "", "miss", "hit", "", ""}
 	for i, it := range resp.Items {
 		if it.Index != i || it.Status != wantStatus[i] {
 			t.Errorf("item %d: index=%d status=%d, want status %d", i, it.Index, it.Status, wantStatus[i])
@@ -389,6 +391,9 @@ func TestBatchArray(t *testing.T) {
 	}
 	if resp.Items[4].Error == nil || resp.Items[4].Error.Code != "bad_request" {
 		t.Errorf("item 4 error = %+v, want bad_request (portfolio rejected in batches)", resp.Items[4].Error)
+	}
+	if resp.Items[5].Error == nil || resp.Items[5].Error.Code != "bad_heuristic" {
+		t.Errorf("item 5 error = %+v, want bad_heuristic (pcolor on a program)", resp.Items[5].Error)
 	}
 	// Item results are full single-request bodies.
 	var u allocResponse

@@ -37,9 +37,7 @@ import (
 	"os"
 
 	"regalloc/internal/experiments"
-	"regalloc/internal/fsutil"
-	"regalloc/internal/obs"
-	"regalloc/internal/obs/traceevent"
+	"regalloc/internal/obs/obsfile"
 )
 
 func main() {
@@ -51,59 +49,9 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print aggregated allocator metrics after the figures")
 	flag.Parse()
 
-	var traceSink obs.Sink
-	closeTrace := func() error { return nil }
-	if *tracePath != "" {
-		w := os.Stdout
-		var f *os.File
-		if *tracePath != "-" {
-			var err error
-			f, err = os.Create(*tracePath)
-			fail(err)
-			w = f
-		}
-		js := obs.NewJSONSink(w)
-		traceSink = js
-		// Checked at exit, not dropped in a defer: a full disk
-		// surfaces as a mid-stream write error (remembered by the
-		// sink), at fsync, or at close, and any of them must fail the
-		// run instead of shipping a silently truncated trace.
-		closeTrace = func() error {
-			if err := js.Err(); err != nil {
-				return err
-			}
-			if f != nil {
-				return fsutil.SyncClose(f)
-			}
-			return nil
-		}
-	}
-	var perfettoSink *traceevent.Sink
-	closePerfetto := func() error { return nil }
-	if *perfettoPath != "" {
-		perfettoSink = traceevent.New()
-		// Buffered in the sink and written once at exit, through the
-		// same fsync-or-error close path as every other result file.
-		closePerfetto = func() error {
-			if *perfettoPath == "-" {
-				return perfettoSink.WriteJSON(os.Stdout)
-			}
-			f, err := os.Create(*perfettoPath)
-			if err != nil {
-				return err
-			}
-			if err := perfettoSink.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return fsutil.SyncClose(f)
-		}
-	}
-	var metricsSink *obs.MetricsSink
-	if *metrics {
-		metricsSink = obs.NewMetricsSink()
-	}
-	experiments.SetObserver(obs.Multi(traceSink, metricsSink, perfettoSink))
+	sink, metricsSink, closeObservers, err := obsfile.Open(*tracePath, *perfettoPath, *metrics)
+	fail(err)
+	experiments.SetObserver(sink)
 
 	run5 := *figure == "5" || *figure == "all"
 	run6 := *figure == "6" || *figure == "all"
@@ -192,14 +140,7 @@ func main() {
 		fmt.Println("=== Allocator metrics (aggregated over every run above) ===")
 		fmt.Print(metricsSink.Snapshot())
 	}
-	if err := closeTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "bench: closing trace:", err)
-		os.Exit(1)
-	}
-	if err := closePerfetto(); err != nil {
-		fmt.Fprintln(os.Stderr, "bench: writing perfetto trace:", err)
-		os.Exit(1)
-	}
+	fail(closeObservers())
 }
 
 func fail(err error) {

@@ -52,12 +52,10 @@ import (
 
 	"regalloc"
 	"regalloc/internal/color"
-	"regalloc/internal/fsutil"
 	"regalloc/internal/graphgen"
 	"regalloc/internal/ig"
-	"regalloc/internal/ir"
 	"regalloc/internal/obs"
-	"regalloc/internal/obs/traceevent"
+	"regalloc/internal/obs/obsfile"
 	"regalloc/internal/pcolor"
 	"regalloc/internal/portfolio"
 )
@@ -82,60 +80,8 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print aggregated metrics after the run")
 	flag.Parse()
 
-	var traceSink obs.Sink
-	closeTrace := func() error { return nil }
-	if *tracePath != "" {
-		w := os.Stdout
-		var f *os.File
-		if *tracePath != "-" {
-			var err error
-			f, err = os.Create(*tracePath)
-			fail(err)
-			w = f
-		}
-		js := obs.NewJSONSink(w)
-		traceSink = js
-		// Checked at exit, not dropped in a defer: a write error
-		// (full disk, quota) surfaces mid-stream, at fsync, or at
-		// close, and any of them must fail the run instead of
-		// silently truncating the trace.
-		closeTrace = func() error {
-			if err := js.Err(); err != nil {
-				return err
-			}
-			if f != nil {
-				return fsutil.SyncClose(f)
-			}
-			return nil
-		}
-	}
-	var perfettoSink *traceevent.Sink
-	closePerfetto := func() error { return nil }
-	if *perfettoPath != "" {
-		perfettoSink = traceevent.New()
-		// The trace-event file is buffered in the sink and written
-		// once at exit, through the same fsync-or-error close path as
-		// the JSON-lines trace.
-		closePerfetto = func() error {
-			if *perfettoPath == "-" {
-				return perfettoSink.WriteJSON(os.Stdout)
-			}
-			f, err := os.Create(*perfettoPath)
-			if err != nil {
-				return err
-			}
-			if err := perfettoSink.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			return fsutil.SyncClose(f)
-		}
-	}
-	var metricsSink *obs.MetricsSink
-	if *metrics {
-		metricsSink = obs.NewMetricsSink()
-	}
-	sink := obs.Multi(traceSink, metricsSink, perfettoSink)
+	sink, metricsSink, closeObservers, err := obsfile.Open(*tracePath, *perfettoPath, *metrics)
+	fail(err)
 
 	if *src != "" {
 		if *usePortfolio {
@@ -152,14 +98,7 @@ func main() {
 	if metricsSink != nil {
 		fmt.Print(metricsSink.Snapshot())
 	}
-	if err := closeTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "regalloc: closing trace:", err)
-		os.Exit(1)
-	}
-	if err := closePerfetto(); err != nil {
-		fmt.Fprintln(os.Stderr, "regalloc: writing perfetto trace:", err)
-		os.Exit(1)
-	}
+	fail(closeObservers())
 }
 
 // runSource compiles a mini-FORTRAN file and allocates every routine
@@ -248,30 +187,18 @@ func runGraph(k int, random string, svdlike, verbose bool, sink obs.Sink) {
 	}
 	fail(err)
 
-	kf := func(ir.Class) int { return k }
+	kf := color.NumColors(k, k)
 	fmt.Printf("graph: %d nodes, %d edges, k = %d\n", g.NumNodes(), g.NumEdges(), k)
 	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.MatulaBeck} {
-		tr := obs.New(sink, "graph:"+h.String())
-		t0 := tr.Begin(obs.PhaseSimplify)
-		sr := color.SimplifyTraced(g, costs, kf, h, color.CostOverDegree, tr)
-		tr.End(obs.PhaseSimplify, t0)
-		var spilled []int32
-		var colors []int16
-		if h == color.Chaitin && len(sr.SpillMarked) > 0 {
-			spilled = sr.SpillMarked
-		} else {
-			t0 = tr.Begin(obs.PhaseColor)
-			colors, spilled = color.SelectTraced(g, sr, kf, h != color.Chaitin, tr)
-			tr.End(obs.PhaseColor, t0)
-		}
+		out := color.Run(nil, g, nil, costs, kf, h, color.CostOverDegree, obs.New(sink, "graph:"+h.String()))
 		cost := 0.0
-		for _, n := range spilled {
+		for _, n := range out.Spilled {
 			cost += costs[n]
 		}
 		fmt.Printf("%-12s spilled %3d node(s), cost %10.0f, scan work %d\n",
-			h.String()+":", len(spilled), cost, sr.ScanSteps)
-		if verbose && colors != nil {
-			fmt.Printf("  colors: %v\n", colors)
+			h.String()+":", len(out.Spilled), cost, out.ScanSteps)
+		if verbose && out.Colors != nil {
+			fmt.Printf("  colors: %v\n", out.Colors)
 		}
 	}
 }

@@ -14,18 +14,10 @@ import (
 	"regalloc/internal/color"
 	"regalloc/internal/graphgen"
 	"regalloc/internal/ig"
-	"regalloc/internal/ir"
 )
 
 func spills(g *ig.Graph, costs []float64, k int, h color.Heuristic) (int, float64) {
-	kf := func(ir.Class) int { return k }
-	sr := color.Simplify(g, costs, kf, h, color.CostOverDegree)
-	var spilled []int32
-	if h == color.Chaitin && len(sr.SpillMarked) > 0 {
-		spilled = sr.SpillMarked
-	} else {
-		_, spilled = color.Select(g, sr.Stack, kf, h != color.Chaitin)
-	}
+	spilled := color.Run(nil, g, nil, costs, color.NumColors(k, k), h, color.CostOverDegree, nil).Spilled
 	total := 0.0
 	for _, n := range spilled {
 		total += costs[n]

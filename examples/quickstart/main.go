@@ -61,10 +61,9 @@ func main() {
 	g, costs := graphgen.Cycle(4)
 	k := func(ir.Class) int { return 2 }
 
-	sr := color.Simplify(g, costs, k, color.Chaitin, color.CostOverDegree)
-	fmt.Printf("  chaitin: marks %d node(s) for spilling during simplify\n", len(sr.SpillMarked))
+	out := color.Run(nil, g, nil, costs, k, color.Chaitin, color.CostOverDegree, nil)
+	fmt.Printf("  chaitin: marks %d node(s) for spilling during simplify\n", len(out.Spilled))
 
-	sr = color.Simplify(g, costs, k, color.Briggs, color.CostOverDegree)
-	colors, uncolored := color.Select(g, sr.Stack, k, true)
-	fmt.Printf("  briggs:  spills %d; coloring = %v\n", len(uncolored), colors)
+	out = color.Run(nil, g, nil, costs, k, color.Briggs, color.CostOverDegree, nil)
+	fmt.Printf("  briggs:  spills %d; coloring = %v\n", len(out.Spilled), out.Colors)
 }

@@ -476,40 +476,27 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 			}
 			toSpill = over
 		} else {
-			// Simplify.
-			t0 = tr.Begin(obs.PhaseSimplify)
-			sr := color.SimplifyPreInto(sc, g, pre, costs, kf, opt.Heuristic, opt.Metric, tr)
-			ps.Simplify = tr.End(obs.PhaseSimplify, t0)
-			ps.ScanSteps = sr.ScanSteps
-			tr.Counter(obs.PhaseSimplify, "simplify.scan_steps", int64(ps.ScanSteps))
-
-			if opt.Heuristic == color.Chaitin && len(sr.SpillMarked) > 0 {
-				// Chaitin: spill immediately, skip coloring this pass.
-				toSpill = sr.SpillMarked
-			} else {
-				t0 = tr.Begin(obs.PhaseColor)
-				colors, uncolored := color.SelectPreInto(sc, g, pre, sr, kf, opt.Heuristic != color.Chaitin, tr)
-				ps.Color = tr.End(obs.PhaseColor, t0)
-				if len(uncolored) == 0 {
-					res.Passes = append(res.Passes, ps)
-					if err := color.Verify(g, colors, kf); err != nil {
+			out := color.Run(sc, g, pre, costs, kf, opt.Heuristic, opt.Metric, tr)
+			ps.Simplify, ps.Color, ps.ScanSteps = out.Simplify, out.Select, out.ScanSteps
+			if len(out.Spilled) == 0 {
+				res.Passes = append(res.Passes, ps)
+				if err := color.Verify(g, out.Colors, kf); err != nil {
+					return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+				}
+				res.Func = work
+				// out.Colors aliases the pooled scratch; the result
+				// outlives the pass, so copy it out (precolored node
+				// colors stay behind — the program only ever names
+				// virtual registers).
+				res.Colors = append([]int16(nil), out.Colors[:work.NumRegs()]...)
+				if opt.Machine != nil {
+					if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
 						return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 					}
-					res.Func = work
-					// colors aliases the pooled scratch; the result
-					// outlives the pass, so copy it out (precolored
-					// node colors stay behind — the program only ever
-					// names virtual registers).
-					res.Colors = append([]int16(nil), colors[:work.NumRegs()]...)
-					if opt.Machine != nil {
-						if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
-							return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-						}
-					}
-					return res, b, nil
 				}
-				toSpill = uncolored
+				return res, b, nil
 			}
+			toSpill = out.Spilled
 		}
 
 		// Spill.

@@ -85,7 +85,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Sta
 	t0 = tr.Begin(obs.PhaseSimplify)
 	// Terminal round: spill-temp moves are fair game — no further
 	// spill round can be forced to spill a widened temporary web.
-	rr, err := irc.ColorWith(ctx, work, mg, last.costs, kf, opt.Metric, tr, irc.Opts{CoalesceSpillTemps: true})
+	rr, err := irc.Color(ctx, work, mg, last.costs, kf, opt.Metric, tr)
 	ps.Simplify = tr.End(obs.PhaseSimplify, t0)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: %s: pass %d: %w", f.Name, len(res.Passes), err)

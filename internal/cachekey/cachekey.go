@@ -133,10 +133,11 @@ func Options(opt alloc.Options) Key {
 	h.Int(int64(maxPasses))
 	h.Bool(opt.UsePColor)
 	if opt.UsePColor {
-		// Only under the speculative engine do the seed and worker
-		// count determine the coloring; hashing them when the engine
-		// is off would split keys that allocate identically.
+		// Only under the engine do the seed, the algorithm and the
+		// worker count determine the coloring; hashing them when the
+		// engine is off would split keys that allocate identically.
 		h.Uint(opt.PColorSeed)
+		h.Int(int64(opt.PColorAlgo))
 		workers := opt.PColorWorkers
 		if workers <= 0 {
 			workers = alloc.DefaultPColorWorkers

@@ -10,6 +10,7 @@ import (
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 	"regalloc/internal/machine"
+	"regalloc/internal/pcolor"
 )
 
 // TestGraphCanonicalAcrossEdgeOrder is the collision half of the
@@ -136,6 +137,11 @@ func TestOptionsFingerprint(t *testing.T) {
 	pc2.PColorSeed = 2
 	if Options(pc) == Options(pc2) {
 		t.Fatal("pcolor seed ignored under UsePColor")
+	}
+	jp := pc
+	jp.PColorAlgo = pcolor.JonesPlassmann
+	if Options(pc) == Options(jp) {
+		t.Fatal("pcolor algorithm ignored under UsePColor")
 	}
 	noPC := base
 	noPC.PColorSeed = 99

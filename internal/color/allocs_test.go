@@ -36,10 +36,11 @@ func allocGraph(n int) (*ig.Graph, []float64) {
 
 // TestColoringPassAllocs pins the zero-allocation property of the
 // steady-state coloring pass: with a warm Scratch and a nil tracer,
-// SimplifyInto + SelectInto on a fixed graph must not allocate at
-// all. This is what keeps per-pass cost flat on million-node graphs —
-// any regression here (a closure that escapes, a slice rebuilt per
-// call) multiplies across the Figure 4 cycle and the portfolio racer.
+// Run on a fixed graph must not allocate at all, nor must the
+// SimplifyInto + SelectInto pair the benchmark's probe times apart.
+// This is what keeps per-pass cost flat on million-node graphs — any
+// regression here (a closure that escapes, a slice rebuilt per call)
+// multiplies across the Figure 4 cycle and the portfolio racer.
 func TestColoringPassAllocs(t *testing.T) {
 	g, cost := allocGraph(600)
 	// Finalize the CSR outside the measured region, as BuildWithLiveness
@@ -48,15 +49,21 @@ func TestColoringPassAllocs(t *testing.T) {
 	sc := new(color.Scratch)
 	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.MatulaBeck} {
 		h := h
-		// Warm the scratch so the grow-to-fit paths have run.
-		sr := color.SimplifyInto(sc, g, cost, kAll(6), h, color.CostOverDegree, nil)
-		color.SelectInto(sc, g, sr, kAll(6), h != color.Chaitin, nil)
-		allocs := testing.AllocsPerRun(20, func() {
-			sr := color.SimplifyInto(sc, g, cost, kAll(6), h, color.CostOverDegree, nil)
-			color.SelectInto(sc, g, sr, kAll(6), h != color.Chaitin, nil)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state coloring pass allocates %.1f objects/run, want 0", h, allocs)
+		for _, pass := range []struct {
+			name string
+			run  func()
+		}{
+			{"Run", func() { color.Run(sc, g, nil, cost, kAll(6), h, color.CostOverDegree, nil) }},
+			{"SimplifyInto+SelectInto", func() {
+				sr := color.SimplifyInto(sc, g, cost, kAll(6), h, color.CostOverDegree, nil)
+				color.SelectInto(sc, g, sr, kAll(6), h != color.Chaitin, nil)
+			}},
+		} {
+			// Warm the scratch so the grow-to-fit paths have run.
+			pass.run()
+			if allocs := testing.AllocsPerRun(20, pass.run); allocs != 0 {
+				t.Errorf("%s, %s: steady-state coloring pass allocates %.1f objects/run, want 0", h, pass.name, allocs)
+			}
 		}
 	}
 }

@@ -18,13 +18,15 @@
 // All three share the degree-bucket worklist (ig.Worklist), so the
 // simplification order is identical wherever the heuristics agree,
 // and ties are broken identically (lowest live-range number, the
-// paper's footnote 4).
+// paper's footnote 4). Run is a heuristic's whole coloring step, and
+// the one place that decides whether select runs.
 package color
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -113,7 +115,7 @@ func NumColors(kInt, kFloat int) K {
 
 // SimplifyResult is the output of the simplification phase.
 type SimplifyResult struct {
-	// Stack is the removal order; Select colors from the end.
+	// Stack is the removal order; select colors from the end.
 	Stack []int32
 	// SpillMarked lists nodes Chaitin's heuristic marked for
 	// spilling (removed from the graph, not stacked). Empty for
@@ -145,54 +147,86 @@ type Scratch struct {
 	uncol    []int32
 }
 
-// scratchPool feeds the non-Into entry points, so even callers that
-// never thread a Scratch stop paying per-call worklist allocations
-// once the pool is warm.
+// scratchPool lends Run a Scratch when its caller threads none, so
+// one-shot callers stop paying per-call worklist allocations once the
+// pool is warm.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Simplify runs the simplification phase of heuristic h over g.
-// cost[n] is the estimated spill cost of node n (ignored by
-// MatulaBeck).
-func Simplify(g *ig.Graph, cost []float64, k K, h Heuristic, metric Metric) *SimplifyResult {
-	return SimplifyTraced(g, cost, k, h, metric, nil)
+// Outcome is one heuristic's coloring step over a graph.
+type Outcome struct {
+	// Colors is the assignment, NoColor on every uncolored node. It
+	// is nil when Chaitin's simplify marked spills and select was
+	// skipped.
+	Colors []int16
+	// Spilled is the spill set: the nodes Chaitin's simplify marked,
+	// or the nodes select left uncolored. Nil when the graph colored.
+	Spilled []int32
+	// ScanSteps is simplify's bucket-scan work, for the linearity
+	// check.
+	ScanSteps int
+	// Simplify and Select time the two phases. Select is zero when
+	// select was skipped.
+	Simplify, Select time.Duration
 }
 
-// SimplifyTraced is Simplify with an observability tracer: each time
-// the phase is stuck and falls back on the spill-choice metric, the
-// picked node, its current degree, its cost, and the metric value
-// that won are emitted as a spill-decision event. A nil tracer makes
-// it identical to Simplify.
-func SimplifyTraced(g *ig.Graph, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) *SimplifyResult {
-	sc := scratchPool.Get().(*Scratch)
-	res := SimplifyInto(sc, g, cost, k, h, metric, tr)
-	// The result escapes the pool round-trip: copy the slices out so
-	// the scratch can be reused immediately.
-	out := &SimplifyResult{
-		Stack:       append([]int32(nil), res.Stack...),
-		SpillMarked: append([]int32(nil), res.SpillMarked...),
-		Candidates:  append([]int32(nil), res.Candidates...),
-		ScanSteps:   res.ScanSteps,
+// Run is heuristic h's whole coloring step over g, and the one place
+// that applies the rule the paper changes (§2.2): Chaitin spills what
+// simplify marked and skips select, selecting (pessimistically) only
+// when nothing was marked; Briggs and Matula–Beck always select
+// optimistically and spill whatever stays uncolored.
+//
+// cost[n] is node n's estimated spill cost (ignored by MatulaBeck).
+// pre, when non-nil, fixes the colors of precolored nodes (pre[n] >=
+// 0): they never enter the worklist, so they are neither simplified
+// nor spill candidates, and they keep their full degree pressure on
+// every neighbor; select seeds them before replaying the stack, so
+// Chaitin's guarantee still holds. cost may then cover only the
+// uncolored prefix.
+//
+// Simplify and select are timed as one span each on tr, with the
+// simplify.scan_steps counter between them. tr also carries a
+// spill-decision event per stuck step, and a color-reuse event
+// whenever a node removed while stuck receives a color after all —
+// the witness of why optimistic coloring beats Chaitin. The returned
+// slices alias sc and stay valid until its next use; a nil sc borrows
+// a pooled Scratch and copies the result out.
+func Run(sc *Scratch, g *ig.Graph, pre []int16, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) Outcome {
+	pooled := sc == nil
+	if pooled {
+		sc = scratchPool.Get().(*Scratch)
 	}
-	scratchPool.Put(sc)
+	t0 := tr.Begin(obs.PhaseSimplify)
+	sr := simplify(sc, g, pre, cost, k, h, metric, tr)
+	out := Outcome{Simplify: tr.End(obs.PhaseSimplify, t0), ScanSteps: sr.ScanSteps}
+	tr.Counter(obs.PhaseSimplify, "simplify.scan_steps", int64(sr.ScanSteps))
+	if len(sr.SpillMarked) > 0 {
+		out.Spilled = sr.SpillMarked
+	} else {
+		t0 = tr.Begin(obs.PhaseColor)
+		out.Colors, out.Spilled = selectColors(sc, g, pre, sr, k, h != Chaitin, tr)
+		out.Select = tr.End(obs.PhaseColor, t0)
+	}
+	if pooled {
+		out.Colors = append([]int16(nil), out.Colors...)
+		out.Spilled = append([]int32(nil), out.Spilled...)
+		scratchPool.Put(sc)
+	}
 	return out
 }
 
-// SimplifyInto is SimplifyTraced into caller-owned scratch: the
-// returned result's slices alias sc and stay valid until the next
-// SimplifyInto on the same scratch. This is the allocation-free
-// entry point the per-pass cycle uses.
+// SimplifyInto runs only the simplification phase of heuristic h
+// over g, into sc: the result's slices alias sc and stay valid until
+// its next use. Only perfbench's probe calls it (and SelectInto), to
+// time the two phases apart; both go with the probe (ROADMAP.md).
+// Everything else colors through Run.
 func SimplifyInto(sc *Scratch, g *ig.Graph, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) *SimplifyResult {
-	return SimplifyPreInto(sc, g, nil, cost, k, h, metric, tr)
+	return simplify(sc, g, nil, cost, k, h, metric, tr)
 }
 
-// SimplifyPreInto is SimplifyInto over a graph with precolored nodes:
-// pre[n] >= 0 fixes node n's color, and such nodes never enter the
-// worklist — they are not simplified, never spill candidates, and
-// keep contributing their (effectively infinite) degree pressure to
-// every neighbor for the whole phase. cost may cover only the
-// uncolored prefix; precolored nodes never have their cost read.
-// A nil pre is the plain SimplifyInto.
-func SimplifyPreInto(sc *Scratch, g *ig.Graph, pre []int16, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) *SimplifyResult {
+// simplify is Run's first phase: it fills sc's result with the
+// removal order, Chaitin's spill marks, the stuck-step candidates and
+// the scan work. pre is Run's.
+func simplify(sc *Scratch, g *ig.Graph, pre []int16, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) *SimplifyResult {
 	res := &sc.res
 	res.Stack = res.Stack[:0]
 	res.SpillMarked = res.SpillMarked[:0]
@@ -265,57 +299,22 @@ func chooseSpill(w *ig.Worklist, cost []float64, metric Metric) (int32, float64)
 // NoColor marks an uncolored (spilled) node in a color assignment.
 const NoColor int16 = -1
 
-// Select runs the coloring phase: nodes are reinserted in reverse
-// removal order and given the lowest color unused by their already-
-// colored neighbors.
-//
-// With optimistic=false (Chaitin), failure to find a color panics —
-// the caller must only invoke Select when simplification marked
-// nothing for spilling, in which case coloring is guaranteed.
-// With optimistic=true (Briggs, Matula–Beck), colorless nodes stay
-// NoColor and are returned as the spill set.
-func Select(g *ig.Graph, stack []int32, k K, optimistic bool) (colors []int16, uncolored []int32) {
-	return SelectTraced(g, &SimplifyResult{Stack: stack}, k, optimistic, nil)
-}
-
-// SelectTraced is Select over a full SimplifyResult, with an
-// observability tracer. Whenever a node that simplify removed as a
-// spill candidate (sr.Candidates: degree >= k at removal) receives a
-// color after all, a color-reuse event is emitted carrying the
-// node's degree, the number of distinct colors its already-colored
-// neighbors occupy, and the color assigned — the event stream that
-// witnesses *why* optimistic coloring beats Chaitin (§2.2: many
-// high-degree nodes have neighbors that reuse few colors). A nil
-// tracer makes it identical to Select.
-func SelectTraced(g *ig.Graph, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
-	sc := scratchPool.Get().(*Scratch)
-	cbuf, ubuf := SelectInto(sc, g, sr, k, optimistic, tr)
-	colors = append([]int16(nil), cbuf...)
-	if len(ubuf) > 0 {
-		uncolored = append([]int32(nil), ubuf...)
-	}
-	scratchPool.Put(sc)
-	return colors, uncolored
-}
-
-// SelectInto is SelectTraced into caller-owned scratch: the returned
-// slices alias sc and stay valid until the next SelectInto on the
-// same scratch. Callers that keep a finished coloring (the final
-// pass) must copy it out before reusing the scratch.
+// SelectInto runs only the coloring phase over sr's stack, into sc:
+// nodes are reinserted in reverse removal order and given the lowest
+// color unused by their already-colored neighbors. With
+// optimistic=false (Chaitin after a simplify that marked nothing) a
+// node that finds no color panics; with optimistic=true colorless
+// nodes stay NoColor and are returned as uncolored. The slices alias
+// sc. Like SimplifyInto, only perfbench's probe calls it.
 func SelectInto(sc *Scratch, g *ig.Graph, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
-	return SelectPreInto(sc, g, nil, sr, k, optimistic, tr)
+	return selectColors(sc, g, nil, sr, k, optimistic, tr)
 }
 
-// SelectPreInto is SelectInto over a graph with precolored nodes:
-// before the stack is replayed, every node with pre[n] >= 0 is seeded
-// with its fixed color as already inserted, so the reinserted nodes
-// color around the physical registers exactly as they colored around
-// each other. Simplification (SimplifyPreInto) kept precolored
-// degrees intact, so Chaitin's guarantee — a stacked node saw fewer
-// than k neighbors, precolored included — still holds and the
-// pessimistic path cannot run out of colors. A nil pre is the plain
-// SelectInto.
-func SelectPreInto(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
+// selectColors is Run's second phase. pre is Run's: every precolored
+// node is seeded with its fixed color as already inserted, so the
+// reinserted nodes color around the physical registers exactly as
+// they color around each other.
+func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
 	stack := sr.Stack
 	var candidate []bool
 	if tr.Enabled() && len(sr.Candidates) > 0 {

@@ -1,6 +1,7 @@
 package color_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"regalloc/internal/graphgen"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
+	"regalloc/internal/obs"
 )
 
 func kAll(k int) color.K { return func(ir.Class) int { return k } }
@@ -17,12 +19,8 @@ func kAll(k int) color.K { return func(ir.Class) int { return k } }
 // simplifyAndSelect runs the full heuristic and returns the colors
 // and the set of spilled nodes.
 func simplifyAndSelect(g *ig.Graph, cost []float64, k int, h color.Heuristic) ([]int16, []int32) {
-	sr := color.Simplify(g, cost, kAll(k), h, color.CostOverDegree)
-	if h == color.Chaitin && len(sr.SpillMarked) > 0 {
-		return nil, sr.SpillMarked
-	}
-	colors, uncolored := color.Select(g, sr.Stack, kAll(k), h != color.Chaitin)
-	return colors, uncolored
+	out := color.Run(nil, g, nil, cost, kAll(k), h, color.CostOverDegree, nil)
+	return out.Colors, out.Spilled
 }
 
 // TestFigure2 reproduces the paper's Figure 2: a five-node graph
@@ -54,36 +52,75 @@ func TestFigure2(t *testing.T) {
 	}
 }
 
+// events records a tracer's stream as "kind phase" strings, with the
+// counter's name in place of its phase.
+type events []string
+
+func (e *events) Emit(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindCounter:
+		*e = append(*e, ev.Kind.String()+" "+ev.Name)
+	case obs.KindSpanBegin, obs.KindSpanEnd:
+		*e = append(*e, ev.Kind.String()+" "+ev.Phase.String())
+	default:
+		*e = append(*e, ev.Kind.String())
+	}
+}
+
 // TestFigure3 reproduces the paper's Figure 3: the 4-cycle
 // w-x-y-z-w needs only two colors, but with k=2 Chaitin's heuristic
 // immediately gets stuck (every node has degree 2) and spills, while
-// the optimistic heuristic 2-colors it.
+// the optimistic heuristic 2-colors it. Run owns that rule, so each
+// heuristic's event stream is checked too: one span per phase with
+// the scan-step counter between them, and no select span for
+// Chaitin. A pooled run must return what a scratch run does.
 func TestFigure3(t *testing.T) {
 	g, costs := graphgen.Cycle(4)
-
-	// Chaitin spills (the paper: "we have to insert spill code,
-	// rebuild the interference graph, and try again").
-	sr := color.Simplify(g, costs, kAll(2), color.Chaitin, color.CostOverDegree)
-	if len(sr.SpillMarked) == 0 {
-		t.Fatal("chaitin: expected a spill on C4 with k=2")
-	}
-
-	// Briggs colors it with no spills.
-	colors, uncolored := simplifyAndSelect(g, costs, 2, color.Briggs)
-	if len(uncolored) != 0 {
-		t.Fatalf("briggs: spilled %v on the 2-colorable C4 with k=2", uncolored)
-	}
-	if err := color.Verify(g, colors, kAll(2)); err != nil {
-		t.Fatalf("briggs: %v", err)
-	}
-
-	// Matula–Beck also colors it (same optimistic select).
-	colors, uncolored = simplifyAndSelect(g, costs, 2, color.MatulaBeck)
-	if len(uncolored) != 0 {
-		t.Fatalf("matula-beck: spilled %v on C4 with k=2", uncolored)
-	}
-	if err := color.Verify(g, colors, kAll(2)); err != nil {
-		t.Fatalf("matula-beck: %v", err)
+	for _, tc := range []struct {
+		h    color.Heuristic
+		want []string
+	}{
+		// Chaitin spills (the paper: "we have to insert spill code,
+		// rebuild the interference graph, and try again").
+		{color.Chaitin, []string{
+			"span_begin simplify", "spill_decision", "span_end simplify",
+			"counter simplify.scan_steps"}},
+		// Briggs colors it with no spills: the node removed while
+		// stuck gets a color after all.
+		{color.Briggs, []string{
+			"span_begin simplify", "spill_decision", "span_end simplify",
+			"counter simplify.scan_steps",
+			"span_begin color", "color_reuse", "span_end color"}},
+		// Matula–Beck also colors it (same optimistic select).
+		{color.MatulaBeck, []string{
+			"span_begin simplify", "span_end simplify",
+			"counter simplify.scan_steps",
+			"span_begin color", "span_end color"}},
+	} {
+		var got events
+		var sc color.Scratch
+		out := color.Run(&sc, g, nil, costs, kAll(2), tc.h, color.CostOverDegree, obs.New(&got, "c4"))
+		if strings.Join(got, ", ") != strings.Join(tc.want, ", ") {
+			t.Errorf("%s: events\n  %s\nwant\n  %s", tc.h, strings.Join(got, ", "), strings.Join(tc.want, ", "))
+		}
+		if tc.h == color.Chaitin {
+			if len(out.Spilled) == 0 || out.Colors != nil || out.Select != 0 {
+				t.Errorf("chaitin: spilled %v, colors %v, select time %v; want a spill on C4 with k=2 and no select",
+					out.Spilled, out.Colors, out.Select)
+			}
+		} else {
+			if len(out.Spilled) != 0 {
+				t.Errorf("%s: spilled %v on the 2-colorable C4 with k=2", tc.h, out.Spilled)
+			}
+			if err := color.Verify(g, out.Colors, kAll(2)); err != nil {
+				t.Errorf("%s: %v", tc.h, err)
+			}
+		}
+		pooled := color.Run(nil, g, nil, costs, kAll(2), tc.h, color.CostOverDegree, nil)
+		if fmt.Sprint(pooled.Colors, pooled.Spilled, pooled.ScanSteps) != fmt.Sprint(out.Colors, out.Spilled, out.ScanSteps) {
+			t.Errorf("%s: pooled run %v %v differs from the scratch run %v %v",
+				tc.h, pooled.Colors, pooled.Spilled, out.Colors, out.Spilled)
+		}
 	}
 }
 
@@ -129,16 +166,16 @@ func TestBriggsNeverSpillsMore(t *testing.T) {
 		p := 0.02 + float64(pRaw%80)/100.0
 		k := 2 + int(kRaw%15)
 		g, costs := graphgen.Random(50, p, seed)
-		chaitinSR := color.Simplify(g, costs, kAll(k), color.Chaitin, color.CostOverDegree)
+		_, chaitinSpills := simplifyAndSelect(g, costs, k, color.Chaitin)
 		_, briggsSpills := simplifyAndSelect(g, costs, k, color.Briggs)
 
 		// Count: Briggs never spills more…
-		if len(briggsSpills) > len(chaitinSR.SpillMarked) {
+		if len(briggsSpills) > len(chaitinSpills) {
 			return false
 		}
 		// …and in fact spills a subset of the same nodes.
 		marked := make(map[int32]bool)
-		for _, n := range chaitinSR.SpillMarked {
+		for _, n := range chaitinSpills {
 			marked[n] = true
 		}
 		for _, n := range briggsSpills {
@@ -162,11 +199,10 @@ func TestIdenticalWhenNoSpills(t *testing.T) {
 	checked := 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		g, costs := graphgen.Random(40, 0.1, seed)
-		sr := color.Simplify(g, costs, kAll(8), color.Chaitin, color.CostOverDegree)
-		if len(sr.SpillMarked) > 0 {
+		cOld, spilled := simplifyAndSelect(g, costs, 8, color.Chaitin)
+		if len(spilled) > 0 {
 			continue
 		}
-		cOld, _ := color.Select(g, sr.Stack, kAll(8), false)
 		cNew, un := simplifyAndSelect(g, costs, 8, color.Briggs)
 		if len(un) != 0 {
 			t.Fatalf("seed %d: briggs spilled where chaitin did not", seed)
@@ -190,14 +226,14 @@ func TestIdenticalWhenNoSpills(t *testing.T) {
 func TestSVDLikePattern(t *testing.T) {
 	g, costs := graphgen.SVDLike(10, 4, 3, 10, 8, 42)
 	k := 16
-	chaitinSR := color.Simplify(g, costs, kAll(k), color.Chaitin, color.CostOverDegree)
+	_, chaitinSpills := simplifyAndSelect(g, costs, k, color.Chaitin)
 	_, briggsSpills := simplifyAndSelect(g, costs, k, color.Briggs)
-	if len(chaitinSR.SpillMarked) == 0 {
+	if len(chaitinSpills) == 0 {
 		t.Fatal("expected Chaitin to spill on the SVD-like graph")
 	}
-	if len(briggsSpills) >= len(chaitinSR.SpillMarked) {
+	if len(briggsSpills) >= len(chaitinSpills) {
 		t.Fatalf("optimistic coloring should beat Chaitin here: briggs %d vs chaitin %d",
-			len(briggsSpills), len(chaitinSR.SpillMarked))
+			len(briggsSpills), len(chaitinSpills))
 	}
 }
 
@@ -206,9 +242,8 @@ func TestSVDLikePattern(t *testing.T) {
 func TestTwoClassIndependence(t *testing.T) {
 	g, costs := graphgen.TwoClass(80, 0.4, 11)
 	k := color.NumColors(16, 8)
-	sr := color.Simplify(g, costs, k, color.Briggs, color.CostOverDegree)
-	colors, _ := color.Select(g, sr.Stack, k, true)
-	if err := color.Verify(g, colors, k); err != nil {
+	out := color.Run(nil, g, nil, costs, k, color.Briggs, color.CostOverDegree, nil)
+	if err := color.Verify(g, out.Colors, k); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,9 +253,8 @@ func TestTwoClassIndependence(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	for _, m := range []color.Metric{color.CostOverDegree, color.CostOnly, color.DegreeOnly} {
 		g, costs := graphgen.Random(60, 0.4, 5)
-		sr := color.Simplify(g, costs, kAll(6), color.Briggs, m)
-		colors, _ := color.Select(g, sr.Stack, kAll(6), true)
-		if err := color.Verify(g, colors, kAll(6)); err != nil {
+		out := color.Run(nil, g, nil, costs, kAll(6), color.Briggs, m, nil)
+		if err := color.Verify(g, out.Colors, kAll(6)); err != nil {
 			t.Fatalf("metric %d: %v", m, err)
 		}
 	}
@@ -237,9 +271,9 @@ func TestChooseSpillPrefersCheap(t *testing.T) {
 		}
 	}
 	costs := []float64{math.Inf(1), math.Inf(1), 5, math.Inf(1)}
-	sr := color.Simplify(g, costs, kAll(2), color.Chaitin, color.CostOverDegree)
-	if len(sr.SpillMarked) == 0 || sr.SpillMarked[0] != 2 {
-		t.Fatalf("expected node 2 (the only finite-cost node) to be the first spill, got %v", sr.SpillMarked)
+	_, spilled := simplifyAndSelect(g, costs, 2, color.Chaitin)
+	if len(spilled) == 0 || spilled[0] != 2 {
+		t.Fatalf("expected node 2 (the only finite-cost node) to be the first spill, got %v", spilled)
 	}
 }
 
@@ -280,44 +314,6 @@ func TestParseHeuristic(t *testing.T) {
 	}
 }
 
-// TestSimplifySelectPrecolored: nodes with fixed colors never enter
-// the stack or the spill set, and selection colors the ordinary nodes
-// around them.
-func TestSimplifySelectPrecolored(t *testing.T) {
-	// v0 and v1 are ordinary; p2 (color 0) and p3 (color 1) are
-	// precolored. Edges: v0–p2, v1–p3. With k=2 and lowest-first
-	// selection the assignment is forced around the fixed colors:
-	// v0=1, v1=0.
-	g := ig.New([]ir.Class{ir.ClassInt, ir.ClassInt, ir.ClassInt, ir.ClassInt})
-	pre := []int16{-1, -1, 0, 1}
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	cost := []float64{1, 1}
-	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.MatulaBeck} {
-		var sc color.Scratch
-		sr := color.SimplifyPreInto(&sc, g, pre, cost, kAll(2), h, color.CostOverDegree, nil)
-		for _, n := range sr.Stack {
-			if n >= 2 {
-				t.Fatalf("%s: precolored node %d was stacked", h, n)
-			}
-		}
-		if len(sr.SpillMarked) > 0 {
-			t.Fatalf("%s: spilled %v on a colorable graph", h, sr.SpillMarked)
-		}
-		colors, uncolored := color.SelectPreInto(&sc, g, pre, sr, kAll(2), h != color.Chaitin, nil)
-		if len(uncolored) > 0 {
-			t.Fatalf("%s: uncolored %v", h, uncolored)
-		}
-		if colors[0] != 1 || colors[1] != 0 {
-			t.Fatalf("%s: colors = %v, want v0=1 v1=0", h, colors[:2])
-		}
-		if colors[2] != 0 || colors[3] != 1 {
-			t.Fatalf("%s: precolored nodes moved: %v", h, colors[2:])
-		}
-	}
-}
-
 // TestMatulaBeckIgnoresCost: smallest-last ordering never consults
 // costs, so two different cost vectors give the same stack.
 func TestMatulaBeckIgnoresCost(t *testing.T) {
@@ -326,8 +322,9 @@ func TestMatulaBeckIgnoresCost(t *testing.T) {
 	for i := range costs2 {
 		costs2[i] = costs[len(costs)-1-i]
 	}
-	a := color.Simplify(g, costs, kAll(4), color.MatulaBeck, color.CostOverDegree)
-	b := color.Simplify(g, costs2, kAll(4), color.MatulaBeck, color.CostOverDegree)
+	var sa, sb color.Scratch
+	a := color.SimplifyInto(&sa, g, costs, kAll(4), color.MatulaBeck, color.CostOverDegree, nil)
+	b := color.SimplifyInto(&sb, g, costs2, kAll(4), color.MatulaBeck, color.CostOverDegree, nil)
 	if len(a.Stack) != len(b.Stack) {
 		t.Fatal("stack lengths differ")
 	}

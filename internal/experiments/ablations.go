@@ -267,11 +267,8 @@ func Ablations() (*AblationResult, error) {
 		var chaitin, briggs int
 		for seed := uint64(1); seed <= 10; seed++ {
 			g, costs := graphgen.Random(120, p, seed)
-			sr := color.Simplify(g, costs, kf, color.Chaitin, color.CostOverDegree)
-			chaitin += len(sr.SpillMarked)
-			sr = color.Simplify(g, costs, kf, color.Briggs, color.CostOverDegree)
-			_, un := color.Select(g, sr.Stack, kf, true)
-			briggs += len(un)
+			chaitin += len(color.Run(nil, g, nil, costs, kf, color.Chaitin, color.CostOverDegree, nil).Spilled)
+			briggs += len(color.Run(nil, g, nil, costs, kf, color.Briggs, color.CostOverDegree, nil).Spilled)
 		}
 		res.Density = append(res.Density, DensityRow{P: p, ChaitinSpilled: chaitin, BriggsSpilled: briggs})
 	}

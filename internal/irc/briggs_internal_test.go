@@ -27,7 +27,7 @@ func randomState(seed int64, n int, p float64, k int) *state {
 		cost[i] = 1 + rng.Float64()
 	}
 	kf := func(ir.Class) int { return k }
-	return newState(&ir.Func{}, ig.WrapPlain(g), cost, kf, color.CostOverDegree, nil, Opts{})
+	return newState(&ir.Func{}, ig.WrapPlain(g), cost, kf, color.CostOverDegree, nil)
 }
 
 // forInPlayPairs calls fn for every pair of distinct in-play,

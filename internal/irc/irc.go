@@ -112,7 +112,6 @@ type state struct {
 	cost   []float64
 	metric color.Metric
 	tr     *obs.Tracer
-	opts   Opts
 
 	adj    [][]int32 // adjacency lists, virtual registers only
 	extra  map[uint64]struct{}
@@ -146,40 +145,19 @@ func edgeKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// Opts tunes one IRC round.
-type Opts struct {
-	// CoalesceSpillTemps admits moves touching spill and split
-	// temporaries as coalesce candidates. Off, the round keeps the
-	// pre-pass coalescer's policy — merging a reload temporary back
-	// into a long-lived range would undo its spill, which is unsafe
-	// while further spill rounds may follow. The driver switches it
-	// on for the terminal round over an already-colorable program,
-	// where George and Appel's observation applies directly: spill
-	// code is itself full of copies, and coalescing the temporaries
-	// is what cleans it up.
-	CoalesceSpillTemps bool
-}
-
 // Color runs one IRC round over a prebuilt (machine-extended)
 // interference graph. cost covers the virtual registers; kf is the
 // per-class register budget; metric is the spill-choice figure of
 // merit shared with the simplify-family heuristics. The graph may be
 // a plain one wrapped by ig.WrapPlain, in which case no precolored
 // constraints or convention bindings exist and the round is pure
-// iterated coalescing. ctx is checked before the first worklist step
-// and every checkEvery steps after it; once it is done, Color returns
-// an error wrapping ctx.Err().
+// iterated coalescing. The round is the last one over a program
+// that already colors, so it coalesces the copies of spill and split
+// temporaries too. ctx is checked before the first worklist step and
+// every checkEvery steps after it; once it is done, Color returns an
+// error wrapping ctx.Err().
 func Color(ctx context.Context, f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer) (*Result, error) {
-	return ColorWith(ctx, f, mg, cost, kf, metric, tr, Opts{})
-}
-
-// checkEvery is how many simplify, coalesce, freeze and spill steps
-// the worklist machine takes between context checks.
-const checkEvery = 256
-
-// ColorWith is Color with explicit round options.
-func ColorWith(ctx context.Context, f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) (*Result, error) {
-	s := newState(f, mg, cost, kf, metric, tr, o)
+	s := newState(f, mg, cost, kf, metric, tr)
 	for steps := 0; ; steps++ {
 		if steps%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -197,8 +175,12 @@ func ColorWith(ctx context.Context, f *ir.Func, mg *ig.MachineGraph, cost []floa
 	}
 }
 
+// checkEvery is how many simplify, coalesce, freeze and spill steps
+// the worklist machine takes between context checks.
+const checkEvery = 256
+
 // newState snapshots the graph and fills the initial worklists.
-func newState(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer, o Opts) *state {
+func newState(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class) int, metric color.Metric, tr *obs.Tracer) *state {
 	s := &state{
 		f:      f,
 		g:      mg,
@@ -208,7 +190,6 @@ func newState(f *ir.Func, mg *ig.MachineGraph, cost []float64, kf func(ir.Class)
 		cost:   append([]float64(nil), cost...),
 		metric: metric,
 		tr:     tr,
-		opts:   o,
 		extra:  make(map[uint64]struct{}),
 		r:      &Result{},
 	}
@@ -266,18 +247,18 @@ func (s *state) build() {
 		s.moveList[y] = append(s.moveList[y], mi)
 		s.wlMoves = append(s.wlMoves, mi)
 	}
-	// IR copies. The default candidate policy matches package
-	// coalesce — spill-traffic registers never coalesce, since merging
-	// a reload temporary back into a long-lived range would undo the
-	// spill — unless the round opted into terminal spill-temp
-	// coalescing (see Opts).
-	coalescable := func(r ir.Reg) bool {
-		return r != ir.NoReg && (s.f.RegFlags(r) == 0 || s.opts.CoalesceSpillTemps)
-	}
+	// IR copies, spill and split temporaries included. Package
+	// coalesce keeps spill-traffic registers out, since merging a
+	// reload temporary back into a long-lived range would undo its
+	// spill while further spill rounds may follow. A round here is
+	// the terminal one, over an already-colorable program, where
+	// George and Appel's observation applies directly: spill code is
+	// itself full of copies, and coalescing the temporaries is what
+	// cleans it up.
 	for _, b := range s.f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.IsMove() && coalescable(in.Dst) && coalescable(in.A) {
+			if in.IsMove() && in.Dst != ir.NoReg && in.A != ir.NoReg {
 				addMove(int32(in.Dst), int32(in.A), false)
 			}
 		}
@@ -291,7 +272,7 @@ func (s *state) build() {
 		var pos [ir.NumClasses]int
 		for _, p := range s.f.Params {
 			c := s.f.RegClass(p)
-			if r := m.ArgReg(c, pos[c]); r >= 0 && coalescable(p) {
+			if r := m.ArgReg(c, pos[c]); r >= 0 && p != ir.NoReg {
 				addMove(int32(p), s.g.PreNode(c, r), true)
 			}
 			pos[c]++
@@ -301,7 +282,7 @@ func (s *state) build() {
 				in := &b.Instrs[i]
 				switch in.Op {
 				case ir.OpRet:
-					if coalescable(in.A) {
+					if in.A != ir.NoReg {
 						c := s.f.RegClass(in.A)
 						if r := m.RetReg[c]; r >= 0 {
 							addMove(s.g.PreNode(c, r), int32(in.A), true)
@@ -311,12 +292,12 @@ func (s *state) build() {
 					var apos [ir.NumClasses]int
 					for _, a := range in.Args {
 						c := s.f.RegClass(a)
-						if r := m.ArgReg(c, apos[c]); r >= 0 && coalescable(a) {
+						if r := m.ArgReg(c, apos[c]); r >= 0 && a != ir.NoReg {
 							addMove(s.g.PreNode(c, r), int32(a), true)
 						}
 						apos[c]++
 					}
-					if coalescable(in.Dst) {
+					if in.Dst != ir.NoReg {
 						c := s.f.RegClass(in.Dst)
 						if r := m.RetReg[c]; r >= 0 {
 							addMove(int32(in.Dst), s.g.PreNode(c, r), true)

@@ -115,7 +115,7 @@ func BenchmarkIRCRound(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				irc.ColorWith(context.Background(), f, mg, costs, opt.K(), opt.Metric, nil, irc.Opts{CoalesceSpillTemps: true})
+				irc.Color(context.Background(), f, mg, costs, opt.K(), opt.Metric, nil)
 			}
 		})
 	}

@@ -7,10 +7,10 @@
 // barrier, and the (shrinking) conflict set is recolored in further
 // rounds until a proper coloring remains.
 //
-// Unlike color.Simplify/Select — which color within a fixed budget k
-// and spill the overflow — pcolor colors with an unbounded first-fit
-// palette, so every node receives a color and the figure of merit is
-// how many colors were needed. That makes it the right backend for
+// Unlike color.Run — which colors within a fixed budget k and spills
+// the overflow — pcolor colors with an unbounded first-fit palette,
+// so every node receives a color and the figure of merit is how many
+// colors were needed. That makes it the right backend for
 // the standalone-graph paths (cmd/regalloc's graph mode, cmd/bench's
 // stress graphs, the experiments package), not for the allocator's
 // Figure 4 cycle, where the sequential heuristics remain the
@@ -602,17 +602,17 @@ func KFor(st *Stats) color.K {
 
 // Sequential is the sequential comparator: smallest-last
 // simplification (Matula–Beck) with an unbounded optimistic select —
-// exactly what color.Simplify/Select degenerate to when k exceeds
-// every degree. It returns the assignment and its stats (Workers and
-// Rounds forced to 1, no conflicts), so callers can compare palette
-// sizes and wall time against the speculative engine.
+// exactly what color.Run degenerates to when k exceeds every degree.
+// It returns the assignment and its stats (Workers and Rounds forced
+// to 1, no conflicts), so callers can compare palette sizes and wall
+// time against the speculative engine.
 func Sequential(g *ig.Graph) ([]int16, *Stats) {
 	n := g.NumNodes()
 	kf := func(ir.Class) int { return n + 1 }
 	costs := make([]float64, n)
-	sr := color.Simplify(g, costs, kf, color.MatulaBeck, color.CostOverDegree)
-	colors, uncolored := color.Select(g, sr.Stack, kf, true)
-	if len(uncolored) != 0 {
+	out := color.Run(nil, g, nil, costs, kf, color.MatulaBeck, color.CostOverDegree, nil)
+	colors := out.Colors
+	if len(out.Spilled) != 0 {
 		// k = n+1 exceeds any degree, so optimistic select cannot fail.
 		panic("pcolor: sequential baseline left nodes uncolored")
 	}

@@ -189,22 +189,21 @@ func TestBriggsSpillsSubsetOfChaitin(t *testing.T) {
 		g := ig.BuildWithLiveness(f, lv, 0, nil)
 		costs := spill.Costs(f, spill.DefaultCostParams())
 
-		chaitin := color.Simplify(g, costs, kf, color.Chaitin, color.CostOverDegree)
+		chaitin := color.Run(nil, g, nil, costs, kf, color.Chaitin, color.CostOverDegree, nil).Spilled
 		marked := map[int32]bool{}
-		for _, n := range chaitin.SpillMarked {
+		for _, n := range chaitin {
 			marked[n] = true
 		}
 
-		briggs := color.Simplify(g, costs, kf, color.Briggs, color.CostOverDegree)
-		_, uncolored := color.Select(g, briggs.Stack, kf, true)
+		uncolored := color.Run(nil, g, nil, costs, kf, color.Briggs, color.CostOverDegree, nil).Spilled
 		for _, n := range uncolored {
 			if !marked[n] {
 				t.Errorf("corpus %d: Briggs spilled v%d which Chaitin never marked", i, n)
 			}
 		}
-		if len(uncolored) > len(chaitin.SpillMarked) {
+		if len(uncolored) > len(chaitin) {
 			t.Errorf("corpus %d: Briggs spilled %d > Chaitin's %d",
-				i, len(uncolored), len(chaitin.SpillMarked))
+				i, len(uncolored), len(chaitin))
 		}
 	}
 }

@@ -155,6 +155,8 @@ var countsFamilies = []countsFamily{
 	{"chaitin", func(o *regalloc.Options) { o.Heuristic = regalloc.Chaitin }},
 	{"briggs", func(o *regalloc.Options) {}},
 	{"briggs-cc", func(o *regalloc.Options) { o.ConservativeCoalesce = true }},
+	{"briggs-remat", func(o *regalloc.Options) { o.Rematerialize = true }},
+	{"briggs-split", func(o *regalloc.Options) { o.Split = true }},
 	{"ssa", func(o *regalloc.Options) { o.Heuristic = regalloc.SSA }},
 	{"irc", func(o *regalloc.Options) { o.Heuristic = regalloc.IRC }},
 }

@@ -272,10 +272,8 @@ func build(ctx context.Context, work *ir.Func, pc *passCtx, opt Options, tr *obs
 	}
 	if opt.Rematerialize {
 		b.rematOK, b.rematVals = spill.Remat(work)
-		b.costs = spill.CostsRemat(work, opt.CostParams, b.rematOK)
-	} else {
-		b.costs = spill.Costs(work, opt.CostParams)
 	}
+	b.costs = spill.CostsRemat(work, opt.CostParams, b.rematOK)
 	return b, nil
 }
 
@@ -298,8 +296,8 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 
 	// work is the function the passes allocate: pass 0's Build makes
 	// it. pc is the analysis the next pass starts from: nil after a
-	// spill that added blocks (split) or is not argued to carry it
-	// (remat), so that pass starts fresh.
+	// split, whose preheaders are new blocks, so that pass starts
+	// fresh.
 	var work *ir.Func
 	var pc *passCtx
 	for pass := 0; pass < opt.MaxPasses; pass++ {
@@ -512,18 +510,15 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 		ps.Spilled = len(toSpill)
 		t0 = tr.Begin(obs.PhaseSpill)
 		var st spill.Stats
-		switch {
-		case opt.Split:
+		if opt.Split {
 			// pc.info is still the analysis of work: nothing since the
 			// pass started has added or removed a block. (Recomputing
 			// here was the second cfg.Analyze per split-mode pass.)
 			st = spill.InsertCodeSplit(work, regs, pc.info)
 			pc = nil
-		case opt.Rematerialize:
+		} else {
+			// Nil remat flags, without Rematerialize, give InsertCode.
 			st = spill.InsertCodeRemat(work, regs, b.rematOK, b.rematVals)
-			pc = nil
-		default:
-			st = spill.InsertCode(work, regs)
 			spill.CarryLiveness(pc.lv, regs)
 		}
 		ps.Spill = tr.End(obs.PhaseSpill, t0)

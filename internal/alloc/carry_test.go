@@ -106,12 +106,12 @@ func diffFresh(before, after *ir.Func, lv *dataflow.Liveness, info *cfg.Info) er
 // start on a copy of the same code: a full liveness solve and
 // renumbering must give the same instructions, registers and In and
 // Out sets, and cfg.Analyze the same analysis and depths. It runs on
-// the suite, 100 generated CFGs and a 60-loop unit,
-// under briggs, chaitin, mb, pcolor, briggs on the machine model and
-// irc (whose spill rounds are briggs under ConservativeCoalesce), at
-// (16,8), (8,4), (6,4) and (4,4). Allocations that fail (mb strands a
-// spill temporary on some units, and every family fails on a few at
-// (4,4)) are checked up to the failing pass.
+// the suite, 100 generated CFGs and a 60-loop unit, under briggs,
+// chaitin, mb, pcolor, briggs on the machine model, irc (whose spill
+// rounds are briggs under ConservativeCoalesce) and briggs with
+// Rematerialize, at (16,8), (8,4), (6,4) and (4,4). Allocations that
+// fail (mb strands a spill temporary on some units, and every family
+// fails on a few at (4,4)) are checked up to the failing pass.
 func TestCarriedStartMatchesFresh(t *testing.T) {
 	var label string
 	checked, wrong := 0, 0
@@ -137,6 +137,7 @@ func TestCarriedStartMatchesFresh(t *testing.T) {
 			o.Machine = machine.ForTarget(target.RTPC().WithGPR(o.KInt).WithFPR(o.KFloat))
 		}},
 		{"irc", func(o *alloc.Options) { o.Heuristic = color.IRC }},
+		{"remat", func(o *alloc.Options) { o.Rematerialize = true }},
 	}
 	us := carryUnits(t)
 	failed := 0

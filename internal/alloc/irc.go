@@ -43,11 +43,12 @@ import (
 // round is appended as one more pass, its machine charged to the
 // simplify phase and its rewrite + select to the color phase. The
 // round starts from the analysis the baseline's final pass colored
-// from (liveness, graph and costs), as a pass after a plain spill
-// starts from the last pass's: the final pass renumbered the function
-// and nothing has changed it since, so a fresh start would renumber it
-// to itself and build the same graph and costs again. The baseline's
-// pass 0 Build is shared through s like any other Figure 4 run's.
+// from (liveness, graph and costs), as a pass after a plain or remat
+// spill starts from the last pass's: the final pass renumbered the
+// function and nothing has changed it since, so a fresh start would
+// renumber it to itself and build the same graph and costs again. The
+// baseline's pass 0 Build is shared through s like any other Figure 4
+// run's.
 func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Starts) (*Result, error) {
 	res, last, err := cycle(ctx, f, ircBaseline(opt), tr, s)
 	if err != nil {

@@ -16,11 +16,11 @@ import (
 // renumbering, and cfg.Analyze once. From then on nothing solves
 // liveness from scratch: the renumbering renames the sets it was given
 // to the new webs, the coalescer keeps them current across its merges
-// in either mode, and spill.CarryLiveness brings them past plain spill
-// code, so the pass after a plain spill starts from the last pass's
-// analysis and runs none. The run counts are published as build-phase
-// counters so tests, and trace consumers, can hold the allocator to
-// this contract.
+// in either mode, and spill.CarryLiveness brings them past plain and
+// remat spill code, so the pass after any spill but a split starts
+// from the last pass's analysis and runs none. The run counts are
+// published as build-phase counters so tests, and trace consumers, can
+// hold the allocator to this contract.
 type passCtx struct {
 	lv   *dataflow.Liveness
 	info *cfg.Info
@@ -46,10 +46,11 @@ func newPassCtx(work *ir.Func) *passCtx {
 	return &passCtx{lv: lv, info: cfg.Analyze(work), mayMerge: true, livenessRuns: 1, cfgRuns: 1}
 }
 
-// carry starts the pass after a plain spill from the last pass's
-// analysis. spill.CarryLiveness has made pc.lv the liveness of work,
-// and spill.InsertCode adds no block, so pc.info and the stamped depths
-// still hold. carry renumbers work from pc.lv and runs no analysis.
+// carry starts the pass after a plain or remat spill from the last
+// pass's analysis. spill.CarryLiveness has made pc.lv the liveness of
+// work, and spill.InsertCodeRemat adds no block, so pc.info and the
+// stamped depths still hold. carry renumbers work from pc.lv and runs
+// no analysis.
 func (pc *passCtx) carry(work *ir.Func) {
 	var before *ir.Func
 	if carryObserver != nil {

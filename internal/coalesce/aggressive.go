@@ -367,7 +367,7 @@ func (s *sparse) current(merged bool) *ir.Func {
 		return s.f
 	}
 	c := s.f.Clone()
-	rewrite(c, s.find)
+	c.RenameRegs(s.find)
 	return c
 }
 
@@ -569,8 +569,8 @@ func run(ctx context.Context, f *ir.Func, lv *dataflow.Liveness, conservativeK f
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				rewrite(f, s.find)  // the run's only rewrite
-				return st, nil, nil // see RunContext's contract
+				f.RenameRegs(s.find) // the run's only rewrite
+				return st, nil, nil  // see RunContext's contract
 			}
 			return st, g, nil // the Briggs test's graph; nil when aggressive
 		}

@@ -246,38 +246,3 @@ func (s *briggsScratch) briggsTest(rows [][]int32, dst, src ir.Reg, k int) bool 
 	}
 	return significant < k
 }
-
-// rewrite renames every operand to its representative and deletes
-// moves that became self-copies.
-func rewrite(f *ir.Func, find func(ir.Reg) ir.Reg) {
-	ren := func(r ir.Reg) ir.Reg { return rename(find, r) }
-	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			in.Dst = ren(in.Dst)
-			in.A = ren(in.A)
-			in.B = ren(in.B)
-			in.C = ren(in.C)
-			for j, a := range in.Args {
-				in.Args[j] = ren(a)
-			}
-			if in.IsMove() && in.Dst == in.A {
-				continue // coalesced copy disappears
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-	for i, p := range f.Params {
-		f.Params[i] = ren(p)
-	}
-}
-
-// rename is r's representative under find; NoReg stays NoReg.
-func rename(find func(ir.Reg) ir.Reg, r ir.Reg) ir.Reg {
-	if r == ir.NoReg {
-		return ir.NoReg
-	}
-	return find(r)
-}

@@ -69,7 +69,7 @@ func runAggressiveRef(f *ir.Func, lv *dataflow.Liveness, tr *obs.Tracer) (Stats,
 			return st, ig.BuildWithLiveness(f, lv, 0, tr)
 		}
 		st.Moves += merged
-		rewrite(f, find)
+		f.RenameRegs(find)
 		*lv = *dataflow.ComputeLiveness(f)
 	}
 }
@@ -138,7 +138,7 @@ func runConservativeRef(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir
 			return st, g
 		}
 		st.Moves += merged
-		rewrite(f, find)
+		f.RenameRegs(find)
 		*lv = *dataflow.ComputeLiveness(f)
 	}
 }

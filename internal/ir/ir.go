@@ -319,6 +319,42 @@ func (f *Func) RecomputePreds() {
 	}
 }
 
+// RenameRegs renames every register f mentions, in its instructions
+// and its parameters, to rep of it (NoReg stays NoReg), and deletes
+// the moves that became self-copies. It returns how many it deleted.
+func (f *Func) RenameRegs(rep func(Reg) Reg) int {
+	ren := func(r Reg) Reg {
+		if r == NoReg {
+			return NoReg
+		}
+		return rep(r)
+	}
+	deleted := 0
+	for _, b := range f.Blocks {
+		out := b.Instrs[:0]
+		for i := range b.Instrs {
+			in := b.Instrs[i]
+			in.Dst = ren(in.Dst)
+			in.A = ren(in.A)
+			in.B = ren(in.B)
+			in.C = ren(in.C)
+			for j, a := range in.Args {
+				in.Args[j] = ren(a)
+			}
+			if in.IsMove() && in.Dst == in.A {
+				deleted++
+				continue
+			}
+			out = append(out, in)
+		}
+		b.Instrs = out
+	}
+	for i, p := range f.Params {
+		f.Params[i] = ren(p)
+	}
+	return deleted
+}
+
 // Clone returns a deep copy of f. The allocator works on a clone so
 // callers keep the pristine IR for re-running with other heuristics.
 func (f *Func) Clone() *Func {

@@ -837,34 +837,5 @@ func (r *Result) ApplyRewrite(f *ir.Func) int {
 			rep[v] = ir.Reg(v)
 		}
 	}
-	ren := func(a ir.Reg) ir.Reg {
-		if a == ir.NoReg {
-			return ir.NoReg
-		}
-		return rep[a]
-	}
-	deleted := 0
-	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			in.Dst = ren(in.Dst)
-			in.A = ren(in.A)
-			in.B = ren(in.B)
-			in.C = ren(in.C)
-			for j, a := range in.Args {
-				in.Args[j] = ren(a)
-			}
-			if in.IsMove() && in.Dst == in.A {
-				deleted++
-				continue // coalesced copy disappears
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-	for i, p := range f.Params {
-		f.Params[i] = ren(p)
-	}
-	return deleted
+	return f.RenameRegs(func(a ir.Reg) ir.Reg { return rep[a] })
 }

@@ -606,14 +606,19 @@ func KFor(st *Stats) color.K {
 // It returns the assignment and its stats (Workers and Rounds forced
 // to 1, no conflicts), so callers can compare palette sizes and wall
 // time against the speculative engine.
+//
+// k is one more than the largest degree: a first-fit color never
+// exceeds its node's degree, so no color reaches k, and any larger k
+// gives the same colors while select clears a k-entry buffer per node.
 func Sequential(g *ig.Graph) ([]int16, *Stats) {
 	n := g.NumNodes()
-	kf := func(ir.Class) int { return n + 1 }
+	k := g.MaxDegree() + 1
+	kf := func(ir.Class) int { return k }
 	costs := make([]float64, n)
 	out := color.Run(nil, g, nil, costs, kf, color.MatulaBeck, color.CostOverDegree, nil)
 	colors := out.Colors
 	if len(out.Spilled) != 0 {
-		// k = n+1 exceeds any degree, so optimistic select cannot fail.
+		// k exceeds every degree, so optimistic select cannot fail.
 		panic("pcolor: sequential baseline left nodes uncolored")
 	}
 	st := &Stats{Workers: 1, Rounds: 1}

@@ -2,6 +2,7 @@ package pcolor_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"regalloc/internal/color"
@@ -105,10 +106,17 @@ func TestPColorMatchesSequential(t *testing.T) {
 }
 
 // TestSequentialBaseline pins the comparator itself: proper, fully
-// colored, and stable across calls.
+// colored, stable across calls, and the same as color.Run's
+// Matula–Beck at k = n+1, which no degree can reach.
 func TestSequentialBaseline(t *testing.T) {
 	g, _ := graphgen.Random(300, 0.05, 9)
 	colors, st := pcolor.Sequential(g)
+	n := g.NumNodes()
+	unbounded := color.Run(nil, g, nil, make([]float64, n), func(ir.Class) int { return n + 1 },
+		color.MatulaBeck, color.CostOverDegree, nil)
+	if !slices.Equal(colors, unbounded.Colors) {
+		t.Fatal("sequential baseline's colors differ from Matula–Beck's at k = n+1")
+	}
 	if err := color.Verify(g, colors, pcolor.KFor(st)); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func Remat(f *ir.Func) ([]bool, []RematValue) {
 
 // CostsRemat is Costs with rematerialization awareness: a
 // rematerializable range pays nothing at its definitions (no store
-// is needed) and only a 1-cycle constant load per use.
+// is needed) and only a 1-cycle constant load per use. With nil flags
+// it is Costs.
 func CostsRemat(f *ir.Func, p CostParams, remat []bool) []float64 {
 	costs := Costs(f, p)
 	if remat == nil {
@@ -100,84 +101,12 @@ func pow(base float64, n int) float64 {
 	return v
 }
 
-// InsertCodeRemat extends InsertCode: registers in spilled that are
-// rematerializable (per remat/vals) get no slot and no stores; each
-// use is preceded by a fresh constant load instead of a memory
-// reload. Other registers spill normally.
+// InsertCodeRemat is InsertCode, except that a register of spilled
+// that remat flags gets no slot and no stores: each use recomputes
+// its constant, vals[r], into a fresh temporary, and its definitions,
+// constant loads all, are dropped. With nil flags it is InsertCode.
 func InsertCodeRemat(f *ir.Func, spilled []ir.Reg, remat []bool, vals []RematValue) Stats {
-	var st Stats
-	slot := make(map[ir.Reg]int64)
-	rem := make(map[ir.Reg]RematValue)
-	for _, r := range spilled {
-		if remat != nil && int(r) < len(remat) && remat[r] {
-			rem[r] = vals[r]
-			continue
-		}
-		slot[r] = f.NewSlot()
-		st.Slots++
-	}
-
-	for _, b := range f.Blocks {
-		out := make([]ir.Instr, 0, len(b.Instrs))
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-
-			var reloaded map[ir.Reg]ir.Reg
-			reload := func(u ir.Reg) ir.Reg {
-				if u == ir.NoReg {
-					return u
-				}
-				if t, ok := reloaded[u]; ok {
-					return t
-				}
-				if v, isRemat := rem[u]; isRemat {
-					t := f.NewSpillTemp(v.Cls)
-					out = append(out, ir.Instr{Op: ir.OpConst, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: v.Imm, FImm: v.FImm})
-					st.Remats++
-					if reloaded == nil {
-						reloaded = make(map[ir.Reg]ir.Reg, 2)
-					}
-					reloaded[u] = t
-					return t
-				}
-				s, isSpilled := slot[u]
-				if !isSpilled {
-					return u
-				}
-				t := f.NewSpillTemp(f.RegClass(u))
-				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: s})
-				st.Loads++
-				if reloaded == nil {
-					reloaded = make(map[ir.Reg]ir.Reg, 2)
-				}
-				reloaded[u] = t
-				return t
-			}
-			in.A = reload(in.A)
-			in.B = reload(in.B)
-			in.C = reload(in.C)
-			for j, a := range in.Args {
-				in.Args[j] = reload(a)
-			}
-
-			if d := in.Def(); d != ir.NoReg {
-				if _, isRemat := rem[d]; isRemat {
-					// The definition is a constant load whose value
-					// is recomputed at each use: drop it entirely.
-					continue
-				}
-				if s, isSpilled := slot[d]; isSpilled {
-					t := f.NewSpillTemp(f.RegClass(d))
-					in.Dst = t
-					out = append(out, in)
-					out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: s})
-					st.Stores++
-					continue
-				}
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
+	home, st := homes(f, spilled, remat)
+	rewrite(f, f.Blocks, home, vals, nil, &st)
 	return st
 }

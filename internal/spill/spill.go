@@ -12,6 +12,13 @@
 // receive infinite cost so they are never chosen for spilling again,
 // which (together with their tiny degree) is what makes the
 // build–simplify–color–spill iteration converge.
+//
+// InsertCode, InsertCodeRemat and InsertCodeSplit run one rewrite and
+// differ only in where a spilled register lives between its
+// references: in a slot, nowhere (a constant recomputed before each
+// use, under rematerialization), or, under splitting, in a loop
+// subrange its preheader loads. Split alone adds blocks, so after it
+// alone the next pass cannot carry the liveness (CarryLiveness).
 package spill
 
 import (
@@ -94,20 +101,72 @@ func (s Stats) Emit(tr *obs.Tracer) {
 // Only the blocks that mention a spilled register get new
 // instruction slices.
 func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
+	return InsertCodeRemat(f, spilled, nil, nil)
+}
+
+// rematerialized is the home of a spilled register that lives
+// nowhere: each use recomputes its constant, and its definitions are
+// dropped.
+const rematerialized = -1
+
+// homes gives each register of spilled its home, in a table by
+// register that is 0 for every other register: rematerialized when
+// remat flags it, otherwise a new slot plus one, numbered in the order
+// of spilled.
+func homes(f *ir.Func, spilled []ir.Reg, remat []bool) ([]int64, Stats) {
 	var st Stats
-	// slot[r] is r's slot plus one, or 0 when r is not spilled.
-	slot := make([]int64, f.NumRegs())
+	home := make([]int64, f.NumRegs())
 	for _, r := range spilled {
-		slot[r] = f.NewSlot() + 1
+		if int(r) < len(remat) && remat[r] {
+			home[r] = rematerialized
+			continue
+		}
+		home[r] = f.NewSlot() + 1
 		st.Slots++
 	}
-	isSpilled := func(r ir.Reg) bool { return r != ir.NoReg && slot[r] != 0 }
+	return home, st
+}
 
-	// reloaded pairs each spilled register an instruction reads with
-	// its temporary. An instruction reads at most a few registers, so
-	// a linear scan finds a repeat.
+// rewrite is the spill-code rewrite of all three modes, on blocks. A
+// spilled register, one whose home is not 0, is reloaded from its slot
+// into a fresh temporary before each instruction that reads it, or its
+// constant, vals[r], is recomputed there; a definition of it writes a
+// fresh temporary stored to the slot at once, or is dropped. held,
+// when not nil, lists by block the loop subranges that already hold a
+// spilled register there, which its reads take instead. Only the
+// blocks that mention a spilled register get new instruction slices.
+func rewrite(f *ir.Func, blocks []*ir.Block, home []int64, vals []RematValue, held [][][2]ir.Reg, st *Stats) {
+	isSpilled := func(r ir.Reg) bool { return r != ir.NoReg && home[r] != 0 }
+
+	// reloaded pairs each spilled register the instruction at hand
+	// reads with the temporary that holds it: a loop subrange, or one
+	// loaded or recomputed just before the instruction. An instruction
+	// reads at most a few registers, so a linear scan finds a repeat.
 	var reloaded [][2]ir.Reg
-	for _, b := range f.Blocks {
+	var out []ir.Instr
+	reload := func(u ir.Reg) ir.Reg {
+		if !isSpilled(u) {
+			return u
+		}
+		for _, p := range reloaded {
+			if p[0] == u {
+				return p[1]
+			}
+		}
+		t := f.NewSpillTemp(f.RegClass(u))
+		ld := ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: home[u] - 1}
+		if home[u] == rematerialized {
+			ld.Op, ld.Imm, ld.FImm = ir.OpConst, vals[u].Imm, vals[u].FImm
+			st.Remats++
+		} else {
+			st.Loads++
+		}
+		out = append(out, ld)
+		reloaded = append(reloaded, [2]ir.Reg{u, t})
+		return t
+	}
+
+	for bi, b := range blocks {
 		// Each spilled operand adds at most one instruction: a
 		// reload before, or a store after.
 		extra := 0
@@ -127,28 +186,20 @@ func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
 		if extra == 0 {
 			continue
 		}
-		out := make([]ir.Instr, 0, len(b.Instrs)+extra)
+		// The block's subranges stay at the front of reloaded for
+		// each of its instructions.
+		reloaded = reloaded[:0]
+		if held != nil {
+			reloaded = append(reloaded, held[bi]...)
+		}
+		subranges := len(reloaded)
+		out = make([]ir.Instr, 0, len(b.Instrs)+extra)
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 
 			// Reload each distinct spilled register the instruction
 			// uses, then rewrite the operands to the temporaries.
-			reloaded = reloaded[:0]
-			reload := func(u ir.Reg) ir.Reg {
-				if !isSpilled(u) {
-					return u
-				}
-				for _, p := range reloaded {
-					if p[0] == u {
-						return p[1]
-					}
-				}
-				t := f.NewSpillTemp(f.RegClass(u))
-				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[u] - 1})
-				st.Loads++
-				reloaded = append(reloaded, [2]ir.Reg{u, t})
-				return t
-			}
+			reloaded = reloaded[:subranges]
 			in.A = reload(in.A)
 			in.B = reload(in.B)
 			in.C = reload(in.C)
@@ -157,12 +208,16 @@ func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
 			}
 
 			// A spilled definition writes a fresh temporary and
-			// stores it immediately.
+			// stores it immediately, or, as a constant recomputed
+			// at each use, disappears.
 			if d := in.Def(); isSpilled(d) {
+				if home[d] == rematerialized {
+					continue
+				}
 				t := f.NewSpillTemp(f.RegClass(d))
 				in.Dst = t
 				out = append(out, in)
-				out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: slot[d] - 1})
+				out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: home[d] - 1})
 				st.Stores++
 				continue
 			}
@@ -170,20 +225,22 @@ func InsertCode(f *ir.Func, spilled []ir.Reg) Stats {
 		}
 		b.Instrs = out
 	}
-	return st
 }
 
-// CarryLiveness brings lv, the liveness of f before InsertCode(f,
-// spilled) rewrote it, up to date with the rewritten f by removing the
-// spilled registers from every set, so the next Figure 4 pass need
-// not solve liveness again. That is exact. Liveness is separable by
-// register, and InsertCode changes the references of no register
-// outside spilled. A spilled register has no reference left, so it is
-// live nowhere. Each temporary is defined and read within one block,
-// by a reload just before its one read or by the definition a store
-// follows at once, so it is live at no block boundary; the sets need
-// not grow to cover the temporaries. InsertCodeSplit and
-// InsertCodeRemat make no such promise.
+// CarryLiveness brings lv, the liveness of f before InsertCode or
+// InsertCodeRemat rewrote it for spilled, up to date with the
+// rewritten f by removing the spilled registers from every set, so the
+// next Figure 4 pass need not solve liveness again. That is exact.
+// Liveness is separable by register, and the rewrite changes the
+// references of no register outside spilled: the definitions it drops
+// are constant loads, which read nothing. A spilled register has no
+// reference left, so it is live nowhere. Each temporary is defined and
+// read within one block, by a reload or a recomputed constant just
+// before its one read or by the definition a store follows at once,
+// so it is live at no block boundary; the sets need not grow to cover
+// the temporaries. InsertCodeSplit alone makes no such promise: its
+// subranges live across blocks, and the preheaders it adds are blocks
+// lv has no sets for.
 func CarryLiveness(lv *dataflow.Liveness, spilled []ir.Reg) {
 	for b := range lv.In {
 		in, out := lv.In[b], lv.Out[b]

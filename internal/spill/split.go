@@ -27,20 +27,12 @@ import (
 // be the analysis of f *before* this call (the rewrite inserts
 // preheader blocks).
 func InsertCodeSplit(f *ir.Func, spilled []ir.Reg, info *cfg.Info) Stats {
-	var st Stats
-	origBlocks := len(f.Blocks)
-
-	slot := make(map[ir.Reg]int64, len(spilled))
-	splittable := make(map[ir.Reg]bool, len(spilled))
-	for _, r := range spilled {
-		slot[r] = f.NewSlot()
-		st.Slots++
-		splittable[r] = f.RegFlags(r)&ir.FlagSplitTemp == 0
-	}
+	home, st := homes(f, spilled, nil)
+	blocks := f.Blocks // the preheaders are appended past these
 
 	// innermost[b] = index into info.Loops of the smallest loop
 	// containing block b, or -1.
-	innermost := make([]int, origBlocks)
+	innermost := make([]int, len(blocks))
 	for i := range innermost {
 		innermost[i] = -1
 	}
@@ -52,139 +44,60 @@ func InsertCodeSplit(f *ir.Func, spilled []ir.Reg, info *cfg.Info) Stats {
 		}
 	}
 
-	// Which loops define / use each spilled register?
-	defsIn := make([]map[ir.Reg]bool, len(info.Loops))
-	usesIn := make([]map[ir.Reg]bool, len(info.Loops))
-	for li := range info.Loops {
-		defsIn[li] = make(map[ir.Reg]bool)
-		usesIn[li] = make(map[ir.Reg]bool)
-	}
+	// A loop gets a subrange of a spilled register when a block it is
+	// the innermost loop of reads the register and none of its blocks
+	// defines it. refs marks both for the loop at hand.
+	const read, defined = 1, 2
+	refs := make([]uint8, len(home))
+	held := make([][][2]ir.Reg, len(blocks))
 	var ubuf []ir.Reg
 	for li, l := range info.Loops {
 		for _, bid := range l.Blocks {
-			b := f.Blocks[bid]
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if d := in.Def(); d != ir.NoReg {
-					if _, isSpilled := slot[d]; isSpilled {
-						defsIn[li][d] = true
-					}
+			for i := range blocks[bid].Instrs {
+				in := &blocks[bid].Instrs[i]
+				if d := in.Def(); d != ir.NoReg && home[d] != 0 {
+					refs[d] |= defined
 				}
-				ubuf = in.AppendUses(ubuf[:0])
-				for _, u := range ubuf {
-					if _, isSpilled := slot[u]; isSpilled {
-						usesIn[li][u] = true
-					}
-				}
-			}
-		}
-	}
-
-	// Decide the split temps: (innermost loop, reg) pairs where the
-	// loop uses but does not define the register.
-	type key struct {
-		loop int
-		reg  ir.Reg
-	}
-	temp := make(map[key]ir.Reg)
-	var preheader []*ir.Block // by loop index; nil = none yet
-	preheader = make([]*ir.Block, len(info.Loops))
-	for li, l := range info.Loops {
-		for _, r := range spilled {
-			if !splittable[r] || !usesIn[li][r] || defsIn[li][r] {
-				continue
-			}
-			// Only split at the *innermost* level: the use sites
-			// choose their own innermost loop, so create the temp
-			// only if some use's innermost loop is this one.
-			used := false
-			for _, bid := range l.Blocks {
 				if innermost[bid] != li {
 					continue
 				}
-				b := f.Blocks[bid]
-				for i := range b.Instrs {
-					ubuf = b.Instrs[i].AppendUses(ubuf[:0])
-					for _, u := range ubuf {
-						if u == r {
-							used = true
-						}
+				ubuf = in.AppendUses(ubuf[:0])
+				for _, u := range ubuf {
+					if home[u] != 0 {
+						refs[u] |= read
 					}
 				}
 			}
-			if !used {
+		}
+		var pre *ir.Block
+		var subranges [][2]ir.Reg
+		for _, r := range spilled {
+			if refs[r] != read || f.RegFlags(r)&ir.FlagSplitTemp != 0 {
 				continue
 			}
-			if preheader[li] == nil {
-				preheader[li] = cfg.InsertPreheader(f, l)
+			if pre == nil {
+				pre = cfg.InsertPreheader(f, l)
 			}
 			t := f.NewReg(f.RegClass(r))
 			f.SetRegFlags(t, f.RegFlags(r)|ir.FlagSplitTemp)
-			temp[key{li, r}] = t
+			subranges = append(subranges, [2]ir.Reg{r, t})
 			// Load before the preheader's terminator.
-			pre := preheader[li]
 			term := pre.Instrs[len(pre.Instrs)-1]
 			pre.Instrs = append(pre.Instrs[:len(pre.Instrs)-1],
-				ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[r]},
+				ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: home[r] - 1},
 				term)
 			st.SplitLoads++
 		}
-	}
-
-	// Rewrite the original blocks.
-	for bid := 0; bid < origBlocks; bid++ {
-		b := f.Blocks[bid]
-		li := innermost[bid]
-		out := make([]ir.Instr, 0, len(b.Instrs))
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-
-			var reloaded map[ir.Reg]ir.Reg
-			reload := func(u ir.Reg) ir.Reg {
-				if u == ir.NoReg {
-					return u
-				}
-				s, isSpilled := slot[u]
-				if !isSpilled {
-					return u
-				}
-				if li >= 0 {
-					if t, ok := temp[key{li, u}]; ok {
-						return t
-					}
-				}
-				if t, ok := reloaded[u]; ok {
-					return t
-				}
-				t := f.NewSpillTemp(f.RegClass(u))
-				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: s})
-				st.Loads++
-				if reloaded == nil {
-					reloaded = make(map[ir.Reg]ir.Reg, 2)
-				}
-				reloaded[u] = t
-				return t
-			}
-			in.A = reload(in.A)
-			in.B = reload(in.B)
-			in.C = reload(in.C)
-			for j, a := range in.Args {
-				in.Args[j] = reload(a)
-			}
-
-			if d := in.Def(); d != ir.NoReg {
-				if s, isSpilled := slot[d]; isSpilled {
-					t := f.NewSpillTemp(f.RegClass(d))
-					in.Dst = t
-					out = append(out, in)
-					out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: s})
-					st.Stores++
-					continue
-				}
-			}
-			out = append(out, in)
+		for _, r := range spilled {
+			refs[r] = 0
 		}
-		b.Instrs = out
+		for _, bid := range l.Blocks {
+			if innermost[bid] == li {
+				held[bid] = subranges
+			}
+		}
 	}
+
+	rewrite(f, blocks, home, nil, held, &st)
 	return st
 }

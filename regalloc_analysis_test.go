@@ -55,20 +55,22 @@ func decodeCounters(t *testing.T, buf *bytes.Buffer) (values map[int]map[string]
 // TestAnalysisRunsOncePerPass is the witness for the pass-level
 // analysis cache: with coalescing off, a pass that starts fresh
 // computes liveness exactly once and runs the CFG analysis exactly
-// once, and a pass that starts from the analysis the last plain spill
-// carried runs neither. Pass 0 and every split-mode pass start fresh,
-// since split spill code adds blocks. The counters the passCtx
-// publishes make the contract checkable from the outside instead of
-// relying on code inspection.
+// once, and a pass that starts from the analysis the last plain or
+// remat spill carried runs neither. Pass 0 and every split-mode pass
+// start fresh, since split spill code adds blocks. The counters the
+// passCtx publishes make the contract checkable from the outside
+// instead of relying on code inspection.
 func TestAnalysisRunsOncePerPass(t *testing.T) {
 	prog, err := regalloc.Compile(pressure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, split := range []bool{false, true} {
+	for _, mode := range []string{"plain", "remat", "split"} {
+		split := mode == "split"
 		var buf bytes.Buffer
 		opt := regalloc.DefaultOptions()
 		opt.Coalesce = false
+		opt.Rematerialize = mode == "remat"
 		opt.Split = split
 		opt.KInt = 4 // force several passes
 		opt.Observer = regalloc.NewJSONSink(&buf)
@@ -79,6 +81,13 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 		if len(res.Passes) < 2 {
 			t.Fatal("test premise broken: PRESS at KInt=4 should need several passes")
 		}
+		remats := 0
+		for _, ps := range res.Passes {
+			remats += ps.Remats
+		}
+		if mode == "remat" && remats == 0 {
+			t.Fatal("test premise broken: PRESS at KInt=4 should rematerialize a constant")
+		}
 		values, counts, _ := decodeCounters(t, &buf)
 		for pass := range res.Passes {
 			want := int64(0)
@@ -87,10 +96,10 @@ func TestAnalysisRunsOncePerPass(t *testing.T) {
 			}
 			for _, name := range []string{"analysis.liveness_runs", "analysis.cfg_runs"} {
 				if got := values[pass][name]; got != want {
-					t.Errorf("split=%v pass %d: %s = %d, want exactly %d", split, pass, name, got, want)
+					t.Errorf("%s pass %d: %s = %d, want exactly %d", mode, pass, name, got, want)
 				}
 				if n := counts[pass][name]; n != 1 {
-					t.Errorf("split=%v pass %d: %s emitted %d times", split, pass, name, n)
+					t.Errorf("%s pass %d: %s emitted %d times", mode, pass, name, n)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"regalloc"
 	"regalloc/internal/alloc"
+	"regalloc/internal/asm"
 	"regalloc/internal/fuzzgen"
 	"regalloc/internal/irinterp"
 	"regalloc/internal/portfolio"
@@ -47,6 +48,17 @@ func fuzzDigest(loadInt func(int64) int64, loadFloat func(int64) float64) uint64
 	return h
 }
 
+// fuzzRunVM runs code's FZ on the machine simulator from the seeded
+// array images and returns the digest of the final ones.
+func fuzzRunVM(code *asm.Program, prog *regalloc.Program) (uint64, error) {
+	machine := regalloc.NewVM(code, prog.MemWords())
+	fuzzSeedArrays(machine.StoreInt, machine.StoreFloat)
+	if _, err := machine.Call("FZ", vm.Int(fuzzIABase), vm.Int(fuzzRABase), vm.Int(5)); err != nil {
+		return 0, err
+	}
+	return fuzzDigest(machine.LoadInt, machine.LoadFloat), nil
+}
+
 // FuzzAllocateExecutes drives generated programs end to end through
 // Allocate+Assemble and demands execution equivalence between the
 // input IR (irinterp) and the allocated machine code (vm), across
@@ -61,6 +73,8 @@ func FuzzAllocateExecutes(f *testing.F) {
 	f.Add(uint64(1000003), uint64(5))
 	f.Add(uint64(23), uint64(4)) // odd seed+kraw: machine-model leg, k=12
 	f.Add(uint64(31), uint64(6)) // odd seed+kraw: machine-model leg, k=8
+	f.Add(uint64(2), uint64(0))  // (seed+kraw)%4 == 2: spill-mode leg, k=8
+	f.Add(uint64(9), uint64(2))  // (seed+kraw)%4 == 3: spill-mode leg, k=16
 	f.Fuzz(func(t *testing.T, seed, kraw uint64) {
 		// Register budgets below 8 are not a supported target shape
 		// (spill lowering needs scratch headroom), so map the fuzz
@@ -99,12 +113,11 @@ func FuzzAllocateExecutes(f *testing.F) {
 					t.Fatalf("seed %d %s k=%d %s: assignment oracle: %v\n%s", seed, h, k, name, err, src)
 				}
 			}
-			machine := regalloc.NewVM(code, prog.MemWords())
-			fuzzSeedArrays(machine.StoreInt, machine.StoreFloat)
-			if _, err := machine.Call("FZ", vm.Int(fuzzIABase), vm.Int(fuzzRABase), vm.Int(5)); err != nil {
+			got, err := fuzzRunVM(code, prog)
+			if err != nil {
 				t.Fatalf("seed %d %s k=%d: vm: %v\n%s", seed, h, k, err, src)
 			}
-			if got := fuzzDigest(machine.LoadInt, machine.LoadFloat); got != want {
+			if got != want {
 				t.Fatalf("seed %d %s k=%d: allocated code diverged from the input IR\n%s", seed, h, k, src)
 			}
 		}
@@ -134,13 +147,43 @@ func FuzzAllocateExecutes(f *testing.F) {
 						t.Fatalf("seed %d %s machine k=%d %s: machine oracle: %v\n%s", seed, h, k, name, err, src)
 					}
 				}
-				machine := regalloc.NewVM(code, prog.MemWords())
-				fuzzSeedArrays(machine.StoreInt, machine.StoreFloat)
-				if _, err := machine.Call("FZ", vm.Int(fuzzIABase), vm.Int(fuzzRABase), vm.Int(5)); err != nil {
+				got, err := fuzzRunVM(code, prog)
+				if err != nil {
 					t.Fatalf("seed %d %s machine k=%d: vm: %v\n%s", seed, h, k, err, src)
 				}
-				if got := fuzzDigest(machine.LoadInt, machine.LoadFloat); got != want {
+				if got != want {
 					t.Fatalf("seed %d %s machine k=%d: allocated code diverged from the input IR\n%s", seed, h, k, src)
+				}
+			}
+		}
+
+		// Spill-mode leg (half the corpus, keyed off the fuzz input
+		// across both halves above): Briggs with rematerialization
+		// and with live-range splitting, the two spill rewrites the
+		// heuristic legs never reach, held to the assignment oracle
+		// and the same execution digest.
+		if (seed+kraw)%4 >= 2 {
+			for _, mode := range []string{"remat", "split"} {
+				opt := regalloc.DefaultOptions()
+				opt.KInt = k
+				opt.Rematerialize = mode == "remat"
+				opt.Split = mode == "split"
+				m := regalloc.RTPC().WithGPR(k)
+				code, results, err := prog.Assemble(m, opt)
+				if err != nil {
+					t.Fatalf("seed %d briggs %s k=%d: assemble: %v\n%s", seed, mode, k, err, src)
+				}
+				for name, res := range results {
+					if err := alloc.VerifyAssignment(res.Func, res.Colors); err != nil {
+						t.Fatalf("seed %d briggs %s k=%d %s: assignment oracle: %v\n%s", seed, mode, k, name, err, src)
+					}
+				}
+				got, err := fuzzRunVM(code, prog)
+				if err != nil {
+					t.Fatalf("seed %d briggs %s k=%d: vm: %v\n%s", seed, mode, k, err, src)
+				}
+				if got != want {
+					t.Fatalf("seed %d briggs %s k=%d: allocated code diverged from the input IR\n%s", seed, mode, k, src)
 				}
 			}
 		}
@@ -170,12 +213,11 @@ func FuzzAllocateExecutes(f *testing.F) {
 					}
 				}
 			}
-			machine := regalloc.NewVM(code, prog.MemWords())
-			fuzzSeedArrays(machine.StoreInt, machine.StoreFloat)
-			if _, err := machine.Call("FZ", vm.Int(fuzzIABase), vm.Int(fuzzRABase), vm.Int(5)); err != nil {
+			got, err := fuzzRunVM(code, prog)
+			if err != nil {
 				t.Fatalf("seed %d portfolio k=%d: vm: %v\n%s", seed, k, err, src)
 			}
-			if got := fuzzDigest(machine.LoadInt, machine.LoadFloat); got != want {
+			if got != want {
 				t.Fatalf("seed %d portfolio k=%d: portfolio winner's code diverged from the input IR\n%s", seed, k, src)
 			}
 		}

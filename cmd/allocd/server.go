@@ -466,16 +466,18 @@ func rawKey(kind string, opt regalloc.Options, req *AllocRequest) cachekey.Key {
 // requestKey binds a payload digest, under tag, to the request fields
 // besides the payload that shape the reply. For source, those are the
 // options fingerprint, unit and colors. For graphs, they are the
-// fingerprint with the pcolor engine's (seed, workers) folded in when
-// that is the requested heuristic, and colors; the unit is left out
-// there, since it names the run for the metrics and changes no byte
-// of the reply. The raw and canonical keys both bind through here, so
-// they cover the same fields.
+// fingerprint with the pcolor engine's seed folded in when that is
+// the requested heuristic, the engine's worker count (the graph path
+// runs the engine on the requested count, and the pair fixes the
+// coloring), and colors; the unit is left out there, since it names
+// the run for the metrics and changes no byte of the reply. The raw
+// and canonical keys both bind through here, so they cover the same
+// fields.
 func requestKey(tag string, payload cachekey.Key, kind string, opt regalloc.Options, req *AllocRequest) cachekey.Key {
-	if kind == "ig" && req.Heuristic == "pcolor" {
+	pcolorGraph := kind == "ig" && req.Heuristic == "pcolor"
+	if pcolorGraph {
 		opt.UsePColor = true
 		opt.PColorSeed = pcolorSeed(req)
-		opt.PColorWorkers = pcolorWorkers(req)
 	}
 	ok := cachekey.Options(opt)
 	h := cachekey.New(tag)
@@ -483,6 +485,9 @@ func requestKey(tag string, payload cachekey.Key, kind string, opt regalloc.Opti
 	h.Bytes(ok[:])
 	if kind == "src" {
 		h.Str(req.Unit)
+	}
+	if pcolorGraph {
+		h.Int(int64(pcolorWorkers(req)))
 	}
 	h.Bool(req.Colors)
 	return h.Key()

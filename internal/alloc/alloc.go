@@ -321,10 +321,6 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 		}
 		pc = b.pc
 		g, costs := b.g, b.costs
-		var pre []int16 // precolored colors by node; nil without a machine model
-		if b.mg != nil {
-			pre = b.mg.Pre
-		}
 		ps.CoalescedMoves = b.moves
 		ps.Build = tr.End(obs.PhaseBuild, t0)
 		ps.LiveRanges = work.NumRegs()
@@ -336,170 +332,30 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 			tr.Counter(obs.PhaseBuild, "coalesce.moves", int64(ps.CoalescedMoves))
 		}
 
-		var toSpill []int32
-		if opt.UsePColor {
-			// Speculative engine: color with an unbounded first-fit
-			// palette (seeded, deterministic per (seed, workers)), then
-			// spill every node whose color landed at or beyond its
-			// class budget. The survivors keep their colors — a subset
-			// of a proper coloring is proper — so a pass whose palette
-			// fits the budget is a finished allocation.
-			t0 = tr.Begin(obs.PhaseColor)
-			workers := opt.PColorWorkers
-			if workers <= 0 {
-				workers = DefaultPColorWorkers
+		out := colorStep(sc, work, b, kf, opt, tr)
+		ps.Simplify, ps.Color, ps.ScanSteps = out.Simplify, out.Select, out.ScanSteps
+		if len(out.Spilled) == 0 {
+			res.Passes = append(res.Passes, ps)
+			if err := color.Verify(g, out.Colors, kf); err != nil {
+				return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 			}
-			colors, _ := pcolor.Color(g, pcolor.Options{Workers: workers, Seed: opt.PColorSeed, Algo: opt.PColorAlgo, Tracer: tr})
-			var marked []int32
-			for v := int32(0); v < int32(len(colors)); v++ {
-				if int(colors[v]) >= kf(g.Class(v)) {
-					colors[v] = color.NoColor
-					marked = append(marked, v)
-				}
-			}
-			// Optimistic rescue, the same move Select makes for spill
-			// candidates: with every over-budget node cleared, first-fit
-			// each one again against the surviving assignment — spilling
-			// one over-budget node often frees a low color for another.
-			// Sequential, so the outcome is deterministic. Nodes that
-			// still don't fit are the pass's spill set. Spill
-			// temporaries go first: they cannot be spilled again, so
-			// they must claim a freed color before ordinary ranges
-			// (created late, their node numbers sort them last, which is
-			// exactly the wrong rescue order for them).
-			order := marked
-			for _, v := range marked {
-				if work.RegFlags(ir.Reg(v))&ir.FlagSpillTemp != 0 {
-					order = make([]int32, 0, len(marked))
-					for _, w := range marked {
-						if work.RegFlags(ir.Reg(w))&ir.FlagSpillTemp != 0 {
-							order = append(order, w)
-						}
-					}
-					for _, w := range marked {
-						if work.RegFlags(ir.Reg(w))&ir.FlagSpillTemp == 0 {
-							order = append(order, w)
-						}
-					}
-					break
-				}
-			}
-			var over []int32
-			var used []bool
-			for _, v := range order {
-				kn := kf(g.Class(v))
-				if cap(used) < kn {
-					used = make([]bool, kn)
-				}
-				used = used[:kn]
-				for j := range used {
-					used[j] = false
-				}
-				for _, nb := range g.Neighbors(v) {
-					if c := colors[nb]; c != color.NoColor && int(c) < kn {
-						used[c] = true
-					}
-				}
-				c := color.NoColor
-				inUse := 0
-				for j := 0; j < kn; j++ {
-					if used[j] {
-						inUse++
-					} else if c == color.NoColor {
-						c = int16(j)
-					}
-				}
-				if c == color.NoColor && work.RegFlags(ir.Reg(v))&ir.FlagSpillTemp != 0 {
-					// A spill temporary must not spill again. Apply
-					// Chaitin's rule in miniature: evict the cheapest
-					// ordinary neighbor (spilling it instead) until a
-					// color frees up. Evictions target real ranges, so
-					// this is also what makes the cost-blind engine
-					// reduce pressure and converge; a temporary with only
-					// temporary neighbors falls through to the same hard
-					// error the sequential path reports.
-					for c == color.NoColor {
-						w := int32(-1)
-						for _, nb := range g.Neighbors(v) {
-							cb := colors[nb]
-							if cb == color.NoColor || int(cb) >= kn {
-								continue
-							}
-							if work.RegFlags(ir.Reg(nb))&ir.FlagSpillTemp != 0 {
-								continue
-							}
-							if w < 0 || costs[nb] < costs[w] || (costs[nb] == costs[w] && nb < w) {
-								w = nb
-							}
-						}
-						if w < 0 {
-							break
-						}
-						tr.SpillDecision(w, int32(g.Degree(w)), costs[w], costs[w])
-						colors[w] = color.NoColor
-						over = append(over, w)
-						for j := range used {
-							used[j] = false
-						}
-						for _, nb := range g.Neighbors(v) {
-							if cb := colors[nb]; cb != color.NoColor && int(cb) < kn {
-								used[cb] = true
-							}
-						}
-						for j := 0; j < kn; j++ {
-							if !used[j] {
-								c = int16(j)
-								break
-							}
-						}
-					}
-				}
-				if c == color.NoColor {
-					tr.SpillDecision(v, int32(g.Degree(v)), costs[v], float64(g.Degree(v)))
-					over = append(over, v)
-					continue
-				}
-				colors[v] = c
-				tr.ColorReuse(v, int32(g.Degree(v)), inUse, c)
-			}
-			ps.Color = tr.End(obs.PhaseColor, t0)
-			if len(over) == 0 {
-				res.Passes = append(res.Passes, ps)
-				if err := color.Verify(g, colors, kf); err != nil {
+			res.Func = work
+			// out.Colors may alias the pooled scratch; the result
+			// outlives the pass, so copy it out (precolored node
+			// colors stay behind — the program only ever names
+			// virtual registers).
+			res.Colors = append([]int16(nil), out.Colors[:work.NumRegs()]...)
+			if opt.Machine != nil {
+				if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
 					return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
 				}
-				res.Func = work
-				res.Colors = colors
-				return res, b, nil
 			}
-			toSpill = over
-		} else {
-			out := color.Run(sc, g, pre, costs, kf, opt.Heuristic, opt.Metric, tr)
-			ps.Simplify, ps.Color, ps.ScanSteps = out.Simplify, out.Select, out.ScanSteps
-			if len(out.Spilled) == 0 {
-				res.Passes = append(res.Passes, ps)
-				if err := color.Verify(g, out.Colors, kf); err != nil {
-					return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-				}
-				res.Func = work
-				// out.Colors aliases the pooled scratch; the result
-				// outlives the pass, so copy it out (precolored node
-				// colors stay behind — the program only ever names
-				// virtual registers).
-				res.Colors = append([]int16(nil), out.Colors[:work.NumRegs()]...)
-				if opt.Machine != nil {
-					if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
-						return nil, nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-					}
-				}
-				return res, b, nil
-			}
-			toSpill = out.Spilled
+			return res, b, nil
 		}
 
 		// Spill.
-		regs := make([]ir.Reg, len(toSpill))
-		for i, n := range toSpill {
+		regs := make([]ir.Reg, len(out.Spilled))
+		for i, n := range out.Spilled {
 			if work.RegFlags(ir.Reg(n))&ir.FlagSpillTemp != 0 {
 				return nil, nil, fmt.Errorf("alloc: %s: a spill temporary must itself spill; %d %s registers cannot hold one instruction",
 					f.Name, kf(g.Class(n)), g.Class(n))
@@ -507,7 +363,7 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 			regs[i] = ir.Reg(n)
 			ps.SpillCost += costs[n]
 		}
-		ps.Spilled = len(toSpill)
+		ps.Spilled = len(out.Spilled)
 		t0 = tr.Begin(obs.PhaseSpill)
 		var st spill.Stats
 		if opt.Split {
@@ -539,4 +395,103 @@ func cycle(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Star
 		res.Passes = append(res.Passes, ps)
 	}
 	return nil, nil, fmt.Errorf("alloc: %s: no convergence after %d passes", f.Name, opt.MaxPasses)
+}
+
+// colorStep is a pass's coloring step: the speculative engine's under
+// UsePColor, otherwise color.Run's, around any precolored nodes.
+func colorStep(sc *color.Scratch, work *ir.Func, b *built, kf color.K, opt Options, tr *obs.Tracer) color.Outcome {
+	if opt.UsePColor {
+		return pcolorStep(work, b.g, b.costs, kf, opt, tr)
+	}
+	var pre []int16
+	if b.mg != nil {
+		pre = b.mg.Pre
+	}
+	return color.Run(sc, b.g, pre, b.costs, kf, opt.Heuristic, opt.Metric, tr)
+}
+
+// pcolorStep is the coloring step under UsePColor, timed as one color
+// span. The speculative engine (seeded; DefaultPColorWorkers fixes the
+// rest) colors g with an unbounded first-fit palette, and every node
+// colored at or beyond its class budget is cleared; the survivors keep
+// their colors, since a subset of a proper coloring is proper. As
+// select does for spill candidates, each cleared node then takes the
+// lowest color its neighbors leave free, spill temporaries first: they
+// cannot spill again, and created late, their node numbers would sort
+// them last. A temporary that finds no color evicts its cheapest
+// ordinary neighbor, Chaitin's rule in miniature, until one frees up;
+// evicting real ranges is what makes the cost-blind engine converge.
+// The evicted and the uncolored nodes are the spill set, where a
+// temporary with only temporary neighbors fails the cycle as any
+// temporary that must spill does.
+func pcolorStep(work *ir.Func, g *ig.Graph, costs []float64, kf color.K, opt Options, tr *obs.Tracer) color.Outcome {
+	t0 := tr.Begin(obs.PhaseColor)
+	colors, _ := pcolor.Color(g, pcolor.Options{Workers: DefaultPColorWorkers, Seed: opt.PColorSeed, Algo: opt.PColorAlgo, Tracer: tr})
+	isTemp := func(v int32) bool { return work.RegFlags(ir.Reg(v))&ir.FlagSpillTemp != 0 }
+	var temps, rest []int32
+	for v := int32(0); v < int32(len(colors)); v++ {
+		if int(colors[v]) >= kf(g.Class(v)) {
+			colors[v] = color.NoColor
+			if isTemp(v) {
+				temps = append(temps, v)
+			} else {
+				rest = append(rest, v)
+			}
+		}
+	}
+	var spilled []int32
+	var used []bool
+	for _, v := range append(temps, rest...) {
+		kn := kf(g.Class(v))
+		c, inUse := lowestFree(g, colors, v, kn, &used)
+		for c == color.NoColor && isTemp(v) {
+			w := int32(-1)
+			for _, nb := range g.Neighbors(v) {
+				if colors[nb] != color.NoColor && !isTemp(nb) &&
+					(w < 0 || costs[nb] < costs[w] || (costs[nb] == costs[w] && nb < w)) {
+					w = nb
+				}
+			}
+			if w < 0 {
+				break
+			}
+			tr.SpillDecision(w, int32(g.Degree(w)), costs[w], costs[w])
+			colors[w] = color.NoColor
+			spilled = append(spilled, w)
+			c, _ = lowestFree(g, colors, v, kn, &used)
+		}
+		if c == color.NoColor {
+			tr.SpillDecision(v, int32(g.Degree(v)), costs[v], float64(g.Degree(v)))
+			spilled = append(spilled, v)
+			continue
+		}
+		colors[v] = c
+		tr.ColorReuse(v, int32(g.Degree(v)), inUse, c)
+	}
+	return color.Outcome{Colors: colors, Spilled: spilled, Select: tr.End(obs.PhaseColor, t0)}
+}
+
+// lowestFree returns the lowest color below kn that no neighbor of v
+// holds, or NoColor, and how many colors below kn its neighbors hold.
+// *used is its scratch.
+func lowestFree(g *ig.Graph, colors []int16, v int32, kn int, used *[]bool) (int16, int) {
+	if cap(*used) < kn {
+		*used = make([]bool, kn)
+	}
+	u := (*used)[:kn]
+	clear(u)
+	for _, nb := range g.Neighbors(v) {
+		if c := colors[nb]; c != color.NoColor && int(c) < kn {
+			u[c] = true
+		}
+	}
+	c, inUse := color.NoColor, 0
+	for j, taken := range u {
+		if taken {
+			inUse++
+		} else if c == color.NoColor {
+			c = int16(j)
+		}
+	}
+	return c, inUse
 }

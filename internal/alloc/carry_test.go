@@ -41,9 +41,8 @@ func suiteUnits(tb testing.TB) []unit {
 	return us
 }
 
-// carryUnits compiles the suite, 100 generated CFGs and a 60-loop
-// unit.
-func carryUnits(tb testing.TB) []unit {
+// suiteAndFuzzUnits compiles the suite and 100 generated CFGs.
+func suiteAndFuzzUnits(tb testing.TB) []unit {
 	us := suiteUnits(tb)
 	for seed := uint64(0); seed < 100; seed++ {
 		prog, err := regalloc.Compile(fuzzgen.Generate(seed, fuzzgen.Config{}))
@@ -52,6 +51,13 @@ func carryUnits(tb testing.TB) []unit {
 		}
 		us = append(us, unit{fmt.Sprintf("fz/%d", seed), "FZ", prog})
 	}
+	return us
+}
+
+// carryUnits compiles the suite, 100 generated CFGs and a 60-loop
+// unit.
+func carryUnits(tb testing.TB) []unit {
+	us := suiteAndFuzzUnits(tb)
 	w := workloads.Loops(60)
 	prog, err := regalloc.Compile(w.Source)
 	if err != nil {

@@ -41,14 +41,15 @@ import (
 //
 // Each phase 1 pass lands in Result.Passes as usual; the worklist
 // round is appended as one more pass, its machine charged to the
-// simplify phase and its rewrite + select to the color phase. The
-// round starts from the analysis the baseline's final pass colored
-// from (liveness, graph and costs), as a pass after a plain or remat
-// spill starts from the last pass's: the final pass renumbered the
-// function and nothing has changed it since, so a fresh start would
-// renumber it to itself and build the same graph and costs again. The
-// baseline's pass 0 Build is shared through s like any other Figure 4
-// run's.
+// simplify phase and its rewrite + select to the color phase. A round
+// that falls back is appended too, with its build and simplify times
+// and no coalesced moves. The round starts from the analysis the
+// baseline's final pass colored from (liveness, graph and costs), as a
+// pass after a plain or remat spill starts from the last pass's: the
+// final pass renumbered the function and nothing has changed it since,
+// so a fresh start would renumber it to itself and build the same
+// graph and costs again. The baseline's pass 0 Build is shared through
+// s like any other Figure 4 run's.
 func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Starts) (*Result, error) {
 	res, last, err := cycle(ctx, f, ircBaseline(opt), tr, s)
 	if err != nil {
@@ -95,7 +96,9 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer, s *Sta
 	if len(rr.Spilled) > 0 {
 		// The baseline coloring leaned on optimism this round's
 		// conservative merges broke. Keep the baseline result: cost
-		// and copies exactly as Briggs left them.
+		// and copies exactly as Briggs left them. The round ran and
+		// was traced, so it is recorded, with nothing merged.
+		res.Passes = append(res.Passes, ps)
 		return res, nil
 	}
 

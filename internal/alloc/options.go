@@ -87,9 +87,10 @@ type Options struct {
 	// speculative parallel first-fit engine (internal/pcolor) inside
 	// the Figure 4 cycle: the pass's graph is colored with an
 	// unbounded palette, nodes whose first-fit color lands at or
-	// beyond the class budget become that pass's spill set (a subset
-	// of a proper coloring is proper, so the survivors are a valid
-	// partial k-coloring), and a pass whose palette fits the budget
+	// beyond the class budget are recolored where their neighbors
+	// leave a color free (a subset of a proper coloring is proper, so
+	// the survivors are a valid partial k-coloring), the rest become
+	// that pass's spill set, and a pass that spills nothing
 	// terminates the cycle. Heuristic and Metric are ignored in this
 	// mode: the engine is cost-blind, ordering by seeded
 	// degree-descending permutation. Off by default; the portfolio
@@ -99,16 +100,10 @@ type Options struct {
 	// explore different first-fit orders (and therefore different
 	// spill sets), which is what the portfolio races.
 	PColorSeed uint64
-	// PColorWorkers is the speculative engine's goroutine count under
-	// UsePColor. The (seed, workers) pair fully determines the
-	// coloring, so <= 0 means a fixed default of 4 — machine-
-	// independent, unlike GOMAXPROCS — keeping allocations
-	// reproducible across hosts.
-	PColorWorkers int
 	// PColorAlgo picks the engine's round structure under UsePColor:
 	// pcolor.Speculative (the zero value) or pcolor.JonesPlassmann,
-	// whose coloring depends on PColorSeed alone — worker count
-	// changes only the wall time, never the spill set.
+	// whose coloring depends on PColorSeed alone. The engine always
+	// runs DefaultPColorWorkers goroutines.
 	PColorAlgo pcolor.Algo
 	// Machine, when non-nil, layers a register-file description over
 	// the pure k-coloring problem: physical registers enter the
@@ -124,11 +119,11 @@ type Options struct {
 	Machine *machine.Model
 }
 
-// DefaultPColorWorkers is the fixed worker count UsePColor resolves
-// PColorWorkers <= 0 to. It is deliberately not GOMAXPROCS: the pair
-// (PColorSeed, workers) determines the coloring, and a host-dependent
-// default would make the same Options spill differently on different
-// machines.
+// DefaultPColorWorkers is the speculative engine's goroutine count
+// under UsePColor. It is fixed, deliberately not GOMAXPROCS: the pair
+// (PColorSeed, workers) determines the speculative coloring, and a
+// host-dependent count would make the same Options spill differently
+// on different machines.
 const DefaultPColorWorkers = 4
 
 // DefaultOptions returns the paper's configuration: the optimistic

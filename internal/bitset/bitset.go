@@ -202,13 +202,6 @@ func (s *Set) Next(i int) int {
 	return -1
 }
 
-// Elems returns the elements of the set in increasing order.
-func (s *Set) Elems() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
 // String renders the set as "{a, b, c}".
 func (s *Set) String() string {
 	var b strings.Builder

@@ -111,9 +111,10 @@ func (h *Hasher) Key() Key {
 
 // Options fingerprints every result-affecting configuration field.
 // Workers and Observer are deliberately excluded (see the package
-// comment); MaxPasses and PColorWorkers are resolved to their
-// documented defaults first so an explicit default and an unset zero
-// collide.
+// comment); MaxPasses is resolved to its documented default first so
+// an explicit default and an unset zero collide. The speculative
+// engine's worker count is a constant (alloc.DefaultPColorWorkers),
+// not an option, so nothing here hashes it.
 func Options(opt alloc.Options) Key {
 	h := New("regalloc/options/1")
 	h.Int(int64(opt.Heuristic))
@@ -133,16 +134,11 @@ func Options(opt alloc.Options) Key {
 	h.Int(int64(maxPasses))
 	h.Bool(opt.UsePColor)
 	if opt.UsePColor {
-		// Only under the engine do the seed, the algorithm and the
-		// worker count determine the coloring; hashing them when the
-		// engine is off would split keys that allocate identically.
+		// Only under the engine do the seed and the algorithm
+		// determine the coloring; hashing them when the engine is off
+		// would split keys that allocate identically.
 		h.Uint(opt.PColorSeed)
 		h.Int(int64(opt.PColorAlgo))
-		workers := opt.PColorWorkers
-		if workers <= 0 {
-			workers = alloc.DefaultPColorWorkers
-		}
-		h.Int(int64(workers))
 	}
 	h.Bool(opt.Machine != nil)
 	if m := opt.Machine; m != nil {

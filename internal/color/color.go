@@ -42,9 +42,9 @@ const (
 	Briggs
 	MatulaBeck
 	// SSA selects the SSA-form chordal allocator instead of a
-	// simplify order: construction, pre-spilling, and dominance-order
-	// greedy coloring all live in internal/ssa, dispatched by the
-	// alloc driver.
+	// simplify order: construction and pre-spilling live in
+	// internal/ssa, dispatched by the alloc driver, which colors by
+	// replaying dominance order through SelectInto.
 	SSA
 	// IRC selects George–Appel iterated register coalescing: the
 	// Build/Simplify/Coalesce/Freeze/Spill/Select worklist machine in
@@ -141,10 +141,9 @@ type Scratch struct {
 	wl  ig.Worklist
 	res SimplifyResult
 
-	colors   []int16
-	inserted []bool
-	used     []bool
-	uncol    []int32
+	colors []int16
+	used   []bool
+	uncol  []int32
 }
 
 // scratchPool lends Run a Scratch when its caller threads none, so
@@ -152,7 +151,8 @@ type Scratch struct {
 // pool is warm.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Outcome is one heuristic's coloring step over a graph.
+// Outcome is one heuristic's coloring step over a graph. Run returns
+// one, and so does the alloc driver's pcolor step.
 type Outcome struct {
 	// Colors is the assignment, NoColor on every uncolored node. It
 	// is nil when Chaitin's simplify marked spills and select was
@@ -216,9 +216,9 @@ func Run(sc *Scratch, g *ig.Graph, pre []int16, cost []float64, k K, h Heuristic
 
 // SimplifyInto runs only the simplification phase of heuristic h
 // over g, into sc: the result's slices alias sc and stay valid until
-// its next use. Only perfbench's probe calls it (and SelectInto), to
-// time the two phases apart; both go with the probe (ROADMAP.md).
-// Everything else colors through Run.
+// its next use. Only perfbench's probe calls it, to time the two
+// phases apart, and it goes with the probe (ROADMAP.md). Everything
+// else colors through Run, or, for ssa, through SelectInto.
 func SimplifyInto(sc *Scratch, g *ig.Graph, cost []float64, k K, h Heuristic, metric Metric, tr *obs.Tracer) *SimplifyResult {
 	return simplify(sc, g, nil, cost, k, h, metric, tr)
 }
@@ -305,15 +305,19 @@ const NoColor int16 = -1
 // optimistic=false (Chaitin after a simplify that marked nothing) a
 // node that finds no color panics; with optimistic=true colorless
 // nodes stay NoColor and are returned as uncolored. The slices alias
-// sc. Like SimplifyInto, only perfbench's probe calls it.
+// sc. ssa's coloring calls it with its dominance order as the stack
+// (optimistic, nil tracer): replayed in that order, the lowest free
+// color is an optimal coloring of the chordal graph. perfbench's
+// probe calls it to time select apart from simplify.
 func SelectInto(sc *Scratch, g *ig.Graph, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
 	return selectColors(sc, g, nil, sr, k, optimistic, tr)
 }
 
 // selectColors is Run's second phase. pre is Run's: every precolored
-// node is seeded with its fixed color as already inserted, so the
-// reinserted nodes color around the physical registers exactly as
-// they color around each other.
+// node is seeded with its fixed color, so the reinserted nodes color
+// around the physical registers exactly as they color around each
+// other. Only a node already reinserted or precolored has a color, so
+// a neighbor's color alone says whether select has put it back.
 func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K, optimistic bool, tr *obs.Tracer) (colors []int16, uncolored []int32) {
 	stack := sr.Stack
 	var candidate []bool
@@ -328,15 +332,9 @@ func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K
 	for i := range colors {
 		colors[i] = NoColor
 	}
-	inserted := growBool(sc.inserted, g.NumNodes())
-	sc.inserted = inserted
-	for i := range inserted {
-		inserted[i] = false
-	}
 	for n, c := range pre {
 		if c >= 0 {
 			colors[n] = c
-			inserted[n] = true
 		}
 	}
 	used := sc.used
@@ -352,8 +350,8 @@ func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K
 			used[j] = false
 		}
 		for _, nb := range g.Neighbors(n) {
-			if inserted[nb] && colors[nb] != NoColor && int(colors[nb]) < kn {
-				used[colors[nb]] = true
+			if c := colors[nb]; c != NoColor && int(c) < kn {
+				used[c] = true
 			}
 		}
 		c := int16(NoColor)
@@ -376,7 +374,6 @@ func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K
 				}
 			}
 		}
-		inserted[n] = true
 		if c == NoColor {
 			if !optimistic {
 				panic("color: pessimistic Select ran out of colors; simplify guaranteed this cannot happen")
@@ -394,13 +391,6 @@ func selectColors(sc *Scratch, g *ig.Graph, pre []int16, sr *SimplifyResult, k K
 		uncolored = sc.uncol
 	}
 	return colors, uncolored
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 func growInt16(s []int16, n int) []int16 {

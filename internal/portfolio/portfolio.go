@@ -135,7 +135,7 @@ type Config struct {
 	Mode Mode
 	// Workers bounds how many candidates run concurrently; <= 0 means
 	// GOMAXPROCS. It is independent of each candidate's own
-	// Opt.Workers / Opt.PColorWorkers.
+	// Opt.Workers and of the pcolor engine's fixed worker count.
 	Workers int
 	// Budget, when > 0, is a wall-clock deadline for starting new
 	// candidates, layered onto the caller's context. See the package
@@ -523,7 +523,6 @@ func Default(base alloc.Options, pcolorSeeds ...uint64) []Candidate {
 		cands = append(cands, mk(fmt.Sprintf("pcolor/s%d", seed), func(o *alloc.Options) {
 			o.UsePColor = true
 			o.PColorSeed = seed
-			o.PColorWorkers = alloc.DefaultPColorWorkers
 		}))
 	}
 	// One Jones–Plassmann entrant on the first seed: its spill set
@@ -534,7 +533,6 @@ func Default(base alloc.Options, pcolorSeeds ...uint64) []Candidate {
 		cands = append(cands, mk(fmt.Sprintf("pcolor/jp/s%d", seed), func(o *alloc.Options) {
 			o.UsePColor = true
 			o.PColorSeed = seed
-			o.PColorWorkers = alloc.DefaultPColorWorkers
 			o.PColorAlgo = pcolor.JonesPlassmann
 		}))
 	}

@@ -6,8 +6,6 @@
 package sem
 
 import (
-	"fmt"
-
 	"regalloc/internal/ast"
 	"regalloc/internal/source"
 )
@@ -587,11 +585,4 @@ func arrayArgName(e ast.Expr) (string, bool) {
 		return e.Name, true
 	}
 	return "", false
-}
-
-// Describe returns a short human-readable summary of a unit's
-// symbols, used by the compiler driver's -verbose mode.
-func (ui *UnitInfo) Describe() string {
-	s := fmt.Sprintf("unit %s: %d symbols", ui.Unit.Name, len(ui.Symbols))
-	return s
 }

@@ -18,7 +18,7 @@ import (
 func Construct(f *ir.Func) (*Func, error) {
 	pruneUnreachable(f)
 	normalizeEntry(f)
-	s := &Func{F: f, spilledEver: make(map[ir.Reg]bool)}
+	s := &Func{F: f}
 	s.ZeroDefs = insertZeroDefs(f)
 	s.SplitEdges = splitCriticalEdges(f)
 	s.Info = cfg.Analyze(f)

@@ -4,49 +4,29 @@ import (
 	"fmt"
 
 	"regalloc/internal/color"
+	"regalloc/internal/ir"
 )
 
-// Color greedily assigns each definition, in dominance order, the
-// lowest color unused by its already-colored interference
-// neighbors. Dominance order is the reverse of a perfect elimination
-// order of the chordal SSA interference graph, so this is optimal:
-// it uses exactly MAXLIVE colors per class, and after pre-spilling
-// (MAXLIVE ≤ K) it cannot fail. Registers that are never defined
-// (pre-rename husks) keep color.NoColor; no instruction mentions
-// them.
+// Color assigns each definition, in dominance order, the lowest color
+// unused by its already-colored interference neighbors: color's
+// select phase, replaying that order as its stack. Dominance order is
+// the reverse of a perfect elimination order of the chordal SSA
+// interference graph, so this is optimal: it uses exactly MAXLIVE
+// colors per class, and after pre-spilling (MAXLIVE ≤ K) it cannot
+// fail. Registers that are never defined (pre-rename husks and
+// spilled values) keep color.NoColor; no instruction mentions them.
 func Color(s *Func, a *Analysis, k color.K) ([]int16, error) {
-	f := s.F
-	colors := make([]int16, f.NumRegs())
-	for i := range colors {
-		colors[i] = color.NoColor
+	// Select reinserts from the end of its stack.
+	stack := make([]int32, len(a.Order))
+	for i, r := range a.Order {
+		stack[len(stack)-1-i] = int32(r)
 	}
-	var used []bool
-	for _, r := range a.Order {
-		kn := k(f.RegClass(r))
-		if cap(used) < kn {
-			used = make([]bool, kn)
-		}
-		used = used[:kn]
-		for i := range used {
-			used[i] = false
-		}
-		for _, nb := range a.G.Neighbors(int32(r)) {
-			if c := colors[nb]; c != color.NoColor && int(c) < kn {
-				used[c] = true
-			}
-		}
-		c := color.NoColor
-		for j := 0; j < kn; j++ {
-			if !used[j] {
-				c = int16(j)
-				break
-			}
-		}
-		if c == color.NoColor {
-			return nil, fmt.Errorf("ssa: %s: v%d found no free color among %d %s registers after pre-spilling",
-				f.Name, r, kn, f.RegClass(r))
-		}
-		colors[r] = c
+	var sc color.Scratch
+	colors, uncolored := color.SelectInto(&sc, a.G, &color.SimplifyResult{Stack: stack}, k, true, nil)
+	if len(uncolored) > 0 {
+		r := ir.Reg(uncolored[0])
+		return nil, fmt.Errorf("ssa: %s: v%d found no free color among %d %s registers after pre-spilling",
+			s.F.Name, r, k(s.F.RegClass(r)), s.F.RegClass(r))
 	}
 	return colors, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"regalloc/internal/bitset"
@@ -25,11 +26,13 @@ var ErrIrreducible = errors.New("register pressure is irreducible by spilling")
 // picks — at every over-pressure program point — the cheapest values
 // that are live through the point (a value an instruction itself
 // reads or writes must be in a register there), and spills them
-// everywhere. Phi destinations spill by rewriting the phi into
-// per-predecessor slot stores; phi arguments reload at the end of
-// the feeding predecessor. Because pressure afterwards is at most K
-// at every point, the greedy dominance-order colorer cannot run out
-// of colors.
+// everywhere with the Figure 4 cycle's rewrite (spill.InsertCode),
+// after which a spilled value has no reference left, so no later
+// round sees it live. Phi destinations spill by rewriting the phi
+// into per-predecessor slot stores; phi arguments reload at the end
+// of the feeding predecessor. Because pressure afterwards is at most
+// K at every point, coloring in dominance order cannot run out of
+// colors.
 //
 // It returns the final Analysis (valid for the code as rewritten)
 // and the per-round statistics. An instruction needing more than K
@@ -67,7 +70,6 @@ func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) 
 		}
 		for _, r := range chosen {
 			rs.SpillCost += costs[r]
-			s.spilledEver[r] = true
 		}
 		rs.Spilled = len(chosen)
 		rs.Loads, rs.Stores = insertSpillCode(s, chosen)
@@ -100,8 +102,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 	classOf := func(r int) ir.Class { return f.RegClass(ir.Reg(r)) }
 	spillable := func(r int) bool {
 		return banned[r] != stamp && !inSet[r] &&
-			f.RegFlags(ir.Reg(r))&ir.FlagSpillTemp == 0 &&
-			!s.spilledEver[ir.Reg(r)] && !math.IsInf(costs[r], 1)
+			f.RegFlags(ir.Reg(r))&ir.FlagSpillTemp == 0 && !math.IsInf(costs[r], 1)
 	}
 
 	// reduce brings one over-pressure point down to the budget by
@@ -173,8 +174,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 				cands = cands[:0]
 				for i := range phis {
 					d := int(phis[i].Dst)
-					if classOf(d) == ir.Class(c) && !inSet[d] &&
-						f.RegFlags(phis[i].Dst)&ir.FlagSpillTemp == 0 && !s.spilledEver[phis[i].Dst] {
+					if classOf(d) == ir.Class(c) && !inSet[d] && f.RegFlags(phis[i].Dst)&ir.FlagSpillTemp == 0 {
 						cands = append(cands, d)
 					}
 				}
@@ -249,27 +249,36 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 }
 
 // insertSpillCode sends every chosen value to a fresh spill slot,
-// everywhere: a store after its (unique) definition, a reload into a
-// fresh temporary before each use. Phi destinations rewrite the phi
-// away into per-predecessor stores; phi arguments reload at the end
-// of the feeding predecessor. Returns the load and store counts.
+// everywhere, and returns the load and store counts. It writes only
+// the code on phi edges: a spilled phi destination rewrites its phi
+// away into a store in each predecessor, and a spilled phi argument
+// reloads at the end of the feeding predecessor. That code goes in
+// just before each predecessor's terminator. spill.InsertCode, the
+// Figure 4 cycle's rewrite, does the rest (a store after the
+// definition, a reload before each use) and numbers the slots in the
+// order of chosen from f.NumSlots on, as the edge code already has.
+// Its reloads for a terminator land between the edge code and the
+// terminator, the order in which selectSpills counted the pressure.
 func insertSpillCode(s *Func, chosen []ir.Reg) (loads, stores int) {
 	f := s.F
-	slot := make(map[ir.Reg]int64, len(chosen))
-	for _, r := range chosen {
-		slot[r] = f.NewSlot()
+	// slot[r] is r's slot plus one, and 0 for a register not chosen.
+	slot := make([]int64, f.NumRegs())
+	for i, r := range chosen {
+		slot[r] = f.NumSlots + int64(i) + 1
 	}
-	spilled := func(r ir.Reg) bool {
-		_, ok := slot[r]
-		return ok
+	spillLoad := func(t, r ir.Reg) ir.Instr {
+		return ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[r] - 1}
+	}
+	spillStore := func(v, r ir.Reg) ir.Instr {
+		return ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: v, B: ir.NoReg, C: ir.NoReg, Imm: slot[r] - 1}
 	}
 
-	// Phase 1: rewrite the phi side table, queueing predecessor-end
-	// code. Phis read in parallel before they write, so a load must
-	// precede any store that overwrites the slot it reads — that can
-	// only happen when a spilled value is both some phi's destination
-	// and another phi's argument on the same edge, so only *those*
-	// loads are hoisted to the front. Every other bounce pair emits
+	// Rewrite the phi side table, queueing predecessor-end code. Phis
+	// read in parallel before they write, so a load must precede any
+	// store that overwrites the slot it reads — that can only happen
+	// when a spilled value is both some phi's destination and another
+	// phi's argument on the same edge, so only *those* loads are
+	// hoisted to the front. Every other bounce pair emits
 	// load-then-store adjacently: its temporary is live for just two
 	// instructions, keeping the predecessor-end pressure down to one
 	// transient temporary (plus the reloads that feed surviving phis,
@@ -277,49 +286,43 @@ func insertSpillCode(s *Func, chosen []ir.Reg) (loads, stores int) {
 	hoist := make([][]ir.Instr, len(f.Blocks))
 	seq := make([][]ir.Instr, len(f.Blocks))
 	tail := make([][]ir.Instr, len(f.Blocks))
+	// stored[r] is b+1 when r is the spilled destination of a phi of
+	// block b: the predecessors of b store to r's slot.
+	stored := make([]int, f.NumRegs())
 	for _, b := range f.Blocks {
 		phis := s.Phis[b.ID]
-		if len(phis) == 0 {
-			continue
-		}
-		storeSlots := make(map[int64]bool)
 		for i := range phis {
-			if spilled(phis[i].Dst) {
-				storeSlots[slot[phis[i].Dst]] = true
+			if slot[phis[i].Dst] != 0 {
+				stored[phis[i].Dst] = b.ID + 1
 			}
 		}
 		kept := phis[:0]
 		for i := range phis {
 			ph := phis[i]
-			dstSp := spilled(ph.Dst)
+			dstSp := slot[ph.Dst] != 0
 			for j, arg := range ph.Args {
 				p := b.Preds[j]
-				cls := f.RegClass(arg)
 				switch {
-				case dstSp && spilled(arg):
+				case dstSp && slot[arg] != 0:
 					// Slot-to-slot: bounce through a temporary.
-					t := f.NewSpillTemp(cls)
-					ld := ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[arg]}
-					st := ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: t, B: ir.NoReg, C: ir.NoReg, Imm: slot[ph.Dst]}
-					if storeSlots[slot[arg]] {
-						hoist[p] = append(hoist[p], ld)
-						seq[p] = append(seq[p], st)
+					t := f.NewSpillTemp(f.RegClass(arg))
+					if stored[arg] == b.ID+1 {
+						hoist[p] = append(hoist[p], spillLoad(t, arg))
+						seq[p] = append(seq[p], spillStore(t, ph.Dst))
 					} else {
-						seq[p] = append(seq[p], ld, st)
+						seq[p] = append(seq[p], spillLoad(t, arg), spillStore(t, ph.Dst))
 					}
 					loads++
 					stores++
 				case dstSp:
-					seq[p] = append(seq[p],
-						ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: arg, B: ir.NoReg, C: ir.NoReg, Imm: slot[ph.Dst]})
+					seq[p] = append(seq[p], spillStore(arg, ph.Dst))
 					stores++
-				case spilled(arg):
-					t := f.NewSpillTemp(cls)
-					ld := ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[arg]}
-					if storeSlots[slot[arg]] {
-						hoist[p] = append(hoist[p], ld)
+				case slot[arg] != 0:
+					t := f.NewSpillTemp(f.RegClass(arg))
+					if stored[arg] == b.ID+1 {
+						hoist[p] = append(hoist[p], spillLoad(t, arg))
 					} else {
-						tail[p] = append(tail[p], ld)
+						tail[p] = append(tail[p], spillLoad(t, arg))
 					}
 					loads++
 					ph.Args[j] = t
@@ -331,55 +334,12 @@ func insertSpillCode(s *Func, chosen []ir.Reg) (loads, stores int) {
 		}
 		s.Phis[b.ID] = kept
 	}
-	atEnd := make([][]ir.Instr, len(f.Blocks))
-	for i := range atEnd {
-		atEnd[i] = append(append(hoist[i], seq[i]...), tail[i]...)
+	for _, b := range f.Blocks {
+		if code := append(append(hoist[b.ID], seq[b.ID]...), tail[b.ID]...); len(code) > 0 {
+			b.Instrs = slices.Insert(b.Instrs, len(b.Instrs)-1, code...)
+		}
 	}
 
-	// Phase 2: rewrite instructions — reload before use, store after
-	// definition — and splice the queued predecessor-end code in
-	// front of each terminator.
-	var ubuf []ir.Reg
-	for _, b := range f.Blocks {
-		out := make([]ir.Instr, 0, len(b.Instrs)+len(atEnd[b.ID]))
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			if in.Op.IsTerminator() {
-				out = append(out, atEnd[b.ID]...)
-			}
-			var reloaded map[ir.Reg]ir.Reg
-			reload := func(u ir.Reg) ir.Reg {
-				if u == ir.NoReg || !spilled(u) {
-					return u
-				}
-				if t, ok := reloaded[u]; ok {
-					return t
-				}
-				t := f.NewSpillTemp(f.RegClass(u))
-				out = append(out, ir.Instr{Op: ir.OpSpillLoad, Dst: t, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg, Imm: slot[u]})
-				loads++
-				if reloaded == nil {
-					reloaded = make(map[ir.Reg]ir.Reg, 2)
-				}
-				reloaded[u] = t
-				return t
-			}
-			ubuf = in.AppendUses(ubuf[:0])
-			if len(ubuf) > 0 {
-				in.A = reload(in.A)
-				in.B = reload(in.B)
-				in.C = reload(in.C)
-				for ai := range in.Args {
-					in.Args[ai] = reload(in.Args[ai])
-				}
-			}
-			out = append(out, in)
-			if d := in.Def(); d != ir.NoReg && spilled(d) {
-				out = append(out, ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, A: d, B: ir.NoReg, C: ir.NoReg, Imm: slot[d]})
-				stores++
-			}
-		}
-		b.Instrs = out
-	}
-	return loads, stores
+	st := spill.InsertCode(f, chosen)
+	return loads + st.Loads, stores + st.Stores
 }

@@ -42,7 +42,7 @@ func selectSpillsMap(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg
 	spillable := func(r int) bool {
 		return banned[r] != stamp && !inSet[r] &&
 			f.RegFlags(ir.Reg(r))&ir.FlagSpillTemp == 0 &&
-			!s.spilledEver[ir.Reg(r)] && !math.IsInf(costs[r], 1)
+			!math.IsInf(costs[r], 1)
 	}
 
 	// reduce brings one over-pressure point down to the budget by
@@ -115,7 +115,7 @@ func selectSpillsMap(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg
 				for i := range phis {
 					d := int(phis[i].Dst)
 					if classOf(d) == ir.Class(c) && !inSet[d] &&
-						f.RegFlags(phis[i].Dst)&ir.FlagSpillTemp == 0 && !s.spilledEver[phis[i].Dst] {
+						f.RegFlags(phis[i].Dst)&ir.FlagSpillTemp == 0 {
 						cands = append(cands, d)
 					}
 				}
@@ -406,9 +406,6 @@ func TestPreSpillRoundsMatchReference(t *testing.T) {
 					break
 				}
 				spilling++
-				for _, r := range chosen {
-					s.spilledEver[r] = true
-				}
 				insertSpillCode(s, chosen)
 			}
 		}

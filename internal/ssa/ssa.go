@@ -18,12 +18,14 @@
 //  2. PreSpill: compute MAXLIVE (the per-class register pressure
 //     maximum, which equals the interference graph's clique number)
 //     and, while it exceeds K, spill the cheapest live-through
-//     values at every over-pressure point, everywhere. After this
-//     phase coloring cannot fail.
-//  3. Color: greedy lowest-color assignment over the definitions in
-//     dominance order — a reverse perfect elimination order of the
-//     chordal interference graph — which uses exactly MAXLIVE colors
-//     per class.
+//     values at every over-pressure point, everywhere. This package
+//     writes only the code on phi edges; the rest is the Figure 4
+//     cycle's own rewrite, spill.InsertCode. After this phase
+//     coloring cannot fail.
+//  3. Color: color's select phase (color.SelectInto) replaying the
+//     definitions in dominance order — a reverse perfect elimination
+//     order of the chordal interference graph — so the lowest free
+//     color uses exactly MAXLIVE colors per class.
 //  4. Lower: replace each phi by parallel copies at the end of its
 //     predecessors, sequentialized by physical location; copy cycles
 //     break through a scratch register on a free color when one
@@ -70,12 +72,6 @@ type Func struct {
 	ZeroDefs   int // zero-init defs added for upward-exposed registers
 	SplitEdges int // critical edges split
 	CopyProps  int // moves deleted by renaming-time copy propagation
-
-	// spilledEver marks registers a pre-spill round already sent to
-	// memory; later rounds must not pick them again (their residual
-	// def-to-store range is minimal, so re-spilling cannot reduce
-	// pressure).
-	spilledEver map[ir.Reg]bool
 }
 
 // NumPhis counts the phis across all blocks.

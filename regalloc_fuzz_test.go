@@ -10,6 +10,7 @@ import (
 	"regalloc/internal/asm"
 	"regalloc/internal/fuzzgen"
 	"regalloc/internal/irinterp"
+	"regalloc/internal/pcolor"
 	"regalloc/internal/portfolio"
 	"regalloc/internal/vm"
 )
@@ -75,6 +76,7 @@ func FuzzAllocateExecutes(f *testing.F) {
 	f.Add(uint64(31), uint64(6)) // odd seed+kraw: machine-model leg, k=8
 	f.Add(uint64(2), uint64(0))  // (seed+kraw)%4 == 2: spill-mode leg, k=8
 	f.Add(uint64(9), uint64(2))  // (seed+kraw)%4 == 3: spill-mode leg, k=16
+	f.Add(uint64(12), uint64(1)) // odd seed^kraw: pcolor leg, k=12
 	f.Fuzz(func(t *testing.T, seed, kraw uint64) {
 		// Register budgets below 8 are not a supported target shape
 		// (spill lowering needs scratch headroom), so map the fuzz
@@ -184,6 +186,37 @@ func FuzzAllocateExecutes(f *testing.F) {
 				}
 				if got != want {
 					t.Fatalf("seed %d briggs %s k=%d: allocated code diverged from the input IR\n%s", seed, mode, k, src)
+				}
+			}
+		}
+
+		// pcolor leg (the half of the corpus the portfolio leg below
+		// skips, keyed off the fuzz input): the speculative engine and
+		// the Jones–Plassmann one, seeded by the input, held to the
+		// assignment oracle and the same execution digest. The
+		// portfolio leg races pcolor but executes only the winner's
+		// code, so this is where pcolor's code runs.
+		if (seed^kraw)%2 == 1 {
+			for _, algo := range []pcolor.Algo{pcolor.Speculative, pcolor.JonesPlassmann} {
+				opt := regalloc.DefaultOptions()
+				opt.KInt = k
+				opt.UsePColor, opt.PColorSeed, opt.PColorAlgo = true, seed, algo
+				m := regalloc.RTPC().WithGPR(k)
+				code, results, err := prog.Assemble(m, opt)
+				if err != nil {
+					t.Fatalf("seed %d pcolor/%s k=%d: assemble: %v\n%s", seed, algo, k, err, src)
+				}
+				for name, res := range results {
+					if err := alloc.VerifyAssignment(res.Func, res.Colors); err != nil {
+						t.Fatalf("seed %d pcolor/%s k=%d %s: assignment oracle: %v\n%s", seed, algo, k, name, err, src)
+					}
+				}
+				got, err := fuzzRunVM(code, prog)
+				if err != nil {
+					t.Fatalf("seed %d pcolor/%s k=%d: vm: %v\n%s", seed, algo, k, err, src)
+				}
+				if got != want {
+					t.Fatalf("seed %d pcolor/%s k=%d: allocated code diverged from the input IR\n%s", seed, algo, k, src)
 				}
 			}
 		}

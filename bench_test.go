@@ -231,15 +231,17 @@ func BenchmarkSimplifySelect(b *testing.B) {
 	}
 }
 
-// BenchmarkFullAllocSVD measures one complete Figure 4 cycle set on
-// the paper's central routine.
+// BenchmarkFullAllocSVD measures one whole allocation of the paper's
+// central routine: the Figure 4 cycle under chaitin and briggs, and
+// the ssa and irc drivers.
 func BenchmarkFullAllocSVD(b *testing.B) {
 	f := svdFunc(b)
-	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs} {
+	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.SSA, color.IRC} {
 		h := h
 		b.Run(h.String(), func(b *testing.B) {
 			opt := alloc.DefaultOptions()
 			opt.Heuristic = h
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := alloc.Run(f, opt); err != nil {
 					b.Fatal(err)

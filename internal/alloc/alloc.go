@@ -25,7 +25,10 @@ import (
 	"regalloc/internal/spill"
 )
 
-// PassStats records one trip around the Figure 4 cycle.
+// PassStats records one trip around the Figure 4 cycle. ssa reports
+// one pass per pre-spill round plus a last one (runSSA); it builds one
+// interference graph, after the last round, so every ssa pass reports
+// that graph's LiveRanges and Edges.
 type PassStats struct {
 	Build    time.Duration // renumber + graph build + coalesce + costs
 	Simplify time.Duration

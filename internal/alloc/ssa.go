@@ -13,11 +13,13 @@ import (
 // chordal allocator (internal/ssa) and maps its phase statistics onto
 // the Figure 4 pass shape the rest of the system reports: one
 // PassStats per pre-spill round carrying that round's spill work, and
-// a final pass carrying the build and coloring times. The result is
-// re-checked with the program-level verifier before it is returned —
-// the SSA path skips color.Verify's graph check (its coloring is
-// optimal by construction, and lowering adds scratch registers the
-// analysis graph never saw), so the stronger oracle runs instead.
+// a final pass carrying the coloring time; pass 0 carries all the
+// build time (construction and the one graph build) and all the spill
+// time. The result is re-checked with the program-level verifier
+// before it is returned — the SSA path skips color.Verify's graph
+// check (its coloring is optimal by construction, and lowering adds
+// scratch registers the analysis graph never saw), so the stronger
+// oracle runs instead.
 func runSSA(ctx context.Context, f *ir.Func, opt Options, tr *obs.Tracer) (*Result, error) {
 	work := f.Clone()
 	sres, err := ssa.Allocate(ctx, work, opt.K(), opt.CostParams, tr)

@@ -2,6 +2,7 @@ package alloc_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"regalloc/internal/ir"
 	"regalloc/internal/obs"
 	"regalloc/internal/reqtrace"
+	"regalloc/internal/ssa"
+	"regalloc/internal/workloads"
 )
 
 // capture is an Observer that keeps every event.
@@ -29,18 +32,31 @@ func (c *capture) Emit(e obs.Event) {
 
 // TestPhaseSpansAreTheObsSpans runs every allocator family traced,
 // with a capturing Observer, and holds the three views of its phases
-// to one clock reading per boundary: each span-end event's Time is its
-// begin event's Time plus Dur; each phase:NAME request span starts at
-// its begin event and lasts its Dur; those spans sum exactly to the
-// PassStats phase total; and they lie inside the run's alloc:UNIT
-// span. The families run HOT at (12,12); irc also runs a generated
-// program whose worklist round falls back to the baseline coloring.
+// to one clock reading per boundary: every begin event has its end
+// event, whose Time is the begin's Time plus Dur; each phase:NAME
+// request span starts at its begin event and lasts its Dur; those
+// spans sum exactly to the PassStats phase total; and they lie inside
+// the run's alloc:UNIT span. The families run HOT at (12,12); irc also
+// runs a generated program whose worklist round falls back to the
+// baseline coloring. ssa also fails twice, on SIMPLEX at (4,4), whose
+// pressure no spilling lowers, and on SVD under a cancelled context:
+// a failed run must still end every span it began.
 func TestPhaseSpansAreTheObsSpans(t *testing.T) {
 	hot := compile(t, pressureSrc).Func("HOT")
 	fz, err := regalloc.Compile(fuzzgen.Generate(2, fuzzgen.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	simplex, err := regalloc.Compile(workloads.Simplex().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svd, err := regalloc.Compile(workloads.SVD().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		name     string
 		h        color.Heuristic
@@ -48,14 +64,18 @@ func TestPhaseSpansAreTheObsSpans(t *testing.T) {
 		f        *ir.Func
 		k        [2]int
 		fallback bool // irc's worklist round falls back
+		ctx      context.Context
+		wantErr  error
 	}{
-		{"chaitin", color.Chaitin, false, hot, [2]int{12, 12}, false},
-		{"briggs", color.Briggs, false, hot, [2]int{12, 12}, false},
-		{"mb", color.MatulaBeck, false, hot, [2]int{12, 12}, false},
-		{"ssa", color.SSA, false, hot, [2]int{12, 12}, false},
-		{"irc", color.IRC, false, hot, [2]int{12, 12}, false},
-		{"pcolor", color.Briggs, true, hot, [2]int{12, 12}, false},
-		{"irc-fallback", color.IRC, false, fz.Func("FZ"), [2]int{16, 8}, true},
+		{"chaitin", color.Chaitin, false, hot, [2]int{12, 12}, false, nil, nil},
+		{"briggs", color.Briggs, false, hot, [2]int{12, 12}, false, nil, nil},
+		{"mb", color.MatulaBeck, false, hot, [2]int{12, 12}, false, nil, nil},
+		{"ssa", color.SSA, false, hot, [2]int{12, 12}, false, nil, nil},
+		{"irc", color.IRC, false, hot, [2]int{12, 12}, false, nil, nil},
+		{"pcolor", color.Briggs, true, hot, [2]int{12, 12}, false, nil, nil},
+		{"irc-fallback", color.IRC, false, fz.Func("FZ"), [2]int{16, 8}, true, nil, nil},
+		{"ssa-irreducible", color.SSA, false, simplex.Func("SIMPLEX"), [2]int{4, 4}, false, nil, ssa.ErrIrreducible},
+		{"ssa-cancelled", color.SSA, false, svd.Func("SVD"), [2]int{16, 8}, false, cancelled, context.Canceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := alloc.DefaultOptions()
@@ -64,12 +84,16 @@ func TestPhaseSpansAreTheObsSpans(t *testing.T) {
 			opt.KInt, opt.KFloat = tc.k[0], tc.k[1]
 			var obsv capture
 			opt.Observer = &obsv
-			rt := reqtrace.NewTrace(reqtrace.Mint())
-			res, err := alloc.RunContext(reqtrace.ContextWith(context.Background(), rt, 0), tc.f, opt)
-			if err != nil {
-				t.Fatal(err)
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
 			}
-			if res.TotalSpilled() == 0 && tc.h != color.SSA && !tc.fallback {
+			rt := reqtrace.NewTrace(reqtrace.Mint())
+			res, err := alloc.RunContext(reqtrace.ContextWith(ctx, rt, 0), tc.f, opt)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("error %v, want %v", err, tc.wantErr)
+			}
+			if err == nil && tc.h != color.SSA && !tc.fallback && res.TotalSpilled() == 0 {
 				t.Fatal("test premise broken: HOT must spill at (12,12), so every phase runs")
 			}
 			if tc.fallback {
@@ -118,6 +142,11 @@ func TestPhaseSpansAreTheObsSpans(t *testing.T) {
 					}
 				}
 			}
+			for p, stack := range open {
+				if len(stack) > 0 {
+					t.Fatalf("%d %s spans begin without an end", len(stack), obs.Phase(p))
+				}
+			}
 
 			spans, _ := rt.Snapshot()
 			var run *reqtrace.Span
@@ -152,8 +181,8 @@ func TestPhaseSpansAreTheObsSpans(t *testing.T) {
 				}
 				sum += sp.DurNS
 			}
-			if want := res.TotalTime().Nanoseconds(); sum != want {
-				t.Errorf("phase spans sum to %dns, PassStats to %dns", sum, want)
+			if err == nil && sum != res.TotalTime().Nanoseconds() {
+				t.Errorf("phase spans sum to %dns, PassStats to %dns", sum, res.TotalTime().Nanoseconds())
 			}
 		})
 	}

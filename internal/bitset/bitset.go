@@ -119,14 +119,6 @@ func (s *Set) SetUnionMinus(a, b, c *Set) bool {
 	return changed
 }
 
-// Intersect removes from s every element not in o.
-func (s *Set) Intersect(o *Set) {
-	s.check(o)
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
 // Subtract removes from s every element of o.
 func (s *Set) Subtract(o *Set) {
 	s.check(o)

@@ -53,13 +53,6 @@ func TestSetAlgebra(t *testing.T) {
 	if u.Union(b) {
 		t.Fatal("second union should be a no-op")
 	}
-	inter := a.Copy()
-	inter.Intersect(b)
-	for i := 0; i < 130; i++ {
-		if inter.Has(i) != (i%6 == 0) {
-			t.Fatalf("intersect wrong at %d", i)
-		}
-	}
 	diff := a.Copy()
 	diff.Subtract(b)
 	for i := 0; i < 130; i++ {

@@ -255,13 +255,3 @@ func Graph(g *ig.Graph, costs []float64) Key {
 	}
 	return h.Key()
 }
-
-// Combine derives a request key from component digests under a fresh
-// domain tag — e.g. (input digest, options digest, response shape).
-func Combine(tag string, keys ...Key) Key {
-	h := New(tag)
-	for _, k := range keys {
-		h.Bytes(k[:])
-	}
-	return h.Key()
-}

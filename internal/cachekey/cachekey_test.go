@@ -201,17 +201,6 @@ func TestFuncDigestNormalizesSource(t *testing.T) {
 	}
 }
 
-func TestCombineDomainSeparates(t *testing.T) {
-	var a, b Key
-	a[0], b[0] = 1, 2
-	if Combine("t", a, b) == Combine("t", b, a) {
-		t.Fatal("Combine is order-insensitive")
-	}
-	if Combine("t1", a) == Combine("t2", a) {
-		t.Fatal("Combine ignores the domain tag")
-	}
-}
-
 // compileOne compiles a single-routine source via the public
 // compiler entry point (no import cycle: the root package does not
 // import cachekey).

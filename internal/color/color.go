@@ -100,6 +100,20 @@ const (
 	DegreeOnly                   // spill the highest-degree range
 )
 
+// Value is the metric's figure for a node of the given spill cost and
+// degree. A stuck simplify removes the node whose value is smallest,
+// and so does irc's spill choice.
+func (m Metric) Value(cost float64, degree int32) float64 {
+	switch m {
+	case CostOnly:
+		return cost
+	case DegreeOnly:
+		return -float64(degree)
+	default:
+		return cost / float64(degree)
+	}
+}
+
 // K maps a register class to the number of available colors.
 type K func(ir.Class) int
 
@@ -279,16 +293,7 @@ func chooseSpill(w *ig.Worklist, cost []float64, metric Metric) (int32, float64)
 		if !w.InClass(a) || w.Removed(a) {
 			continue
 		}
-		var v float64
-		switch metric {
-		case CostOnly:
-			v = cost[a]
-		case DegreeOnly:
-			v = -float64(w.Degree(a))
-		default:
-			v = cost[a] / float64(w.Degree(a))
-		}
-		if best == -1 || v < bestVal {
+		if v := metric.Value(cost[a], w.Degree(a)); best == -1 || v < bestVal {
 			best = a
 			bestVal = v
 		}

@@ -636,16 +636,7 @@ func (s *state) popSpill() bool {
 			continue
 		}
 		live = append(live, v)
-		var val float64
-		switch s.metric {
-		case color.CostOnly:
-			val = s.cost[v]
-		case color.DegreeOnly:
-			val = -float64(s.degree[v])
-		default:
-			val = s.cost[v] / float64(s.degree[v])
-		}
-		if best == -1 || val < bestVal {
+		if val := s.metric.Value(s.cost[v], s.degree[v]); best == -1 || val < bestVal {
 			best = v
 			bestVal = val
 		}

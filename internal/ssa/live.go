@@ -1,6 +1,8 @@
 package ssa
 
 import (
+	"math"
+
 	"regalloc/internal/bitset"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -115,59 +117,42 @@ func computeLiveness(s *Func) *Liveness {
 	return lv
 }
 
-// Analyze computes liveness, builds the interference graph, records
-// the per-class pressure maxima (MAXLIVE), and lays out the
-// definitions in dominance order. Interference edges connect each
-// definition to the values live after it — with no move exception:
-// SSA values are distinct, and the chordality argument needs the
-// plain def-versus-live rule.
+// Analyze computes liveness, MAXLIVE, and the graph and dominance
+// order newAnalysis builds. MAXLIVE is the peak of selectSpills's
+// walk run with no budget, which chooses nothing.
 func Analyze(s *Func) *Analysis {
+	lv := computeLiveness(s)
+	_, _, maxLive := selectSpills(s, lv, func(ir.Class) int { return math.MaxInt }, nil)
+	return newAnalysis(s, lv, maxLive)
+}
+
+// newAnalysis builds the interference graph of s from its liveness lv
+// and lays out the definitions in dominance order; maxLive is lv's
+// MAXLIVE. Interference edges connect each definition to the values
+// live after it — with no move exception: SSA values are distinct,
+// and the chordality argument needs the plain def-versus-live rule.
+func newAnalysis(s *Func, lv *Liveness, maxLive [ir.NumClasses]int) *Analysis {
 	f := s.F
 	nr := f.NumRegs()
 	classes := make([]ir.Class, nr)
 	for r := 0; r < nr; r++ {
 		classes[r] = f.RegClass(ir.Reg(r))
 	}
-	a := &Analysis{Live: computeLiveness(s), G: ig.New(classes)}
-
-	var cnt [ir.NumClasses]int
-	bump := func() {
-		for c := 0; c < ir.NumClasses; c++ {
-			if cnt[c] > a.MaxLive[c] {
-				a.MaxLive[c] = cnt[c]
-			}
-		}
-	}
+	a := &Analysis{Live: lv, G: ig.New(classes), MaxLive: maxLive}
 	var ubuf []ir.Reg
+	live := bitset.New(nr)
 	for _, b := range f.Blocks {
-		live := a.Live.Out[b.ID].Copy()
-		cnt[ir.ClassInt], cnt[ir.ClassFloat] = 0, 0
-		live.ForEach(func(r int) { cnt[classes[r]]++ })
-		bump() // block exit (includes outgoing phi arguments)
+		live.CopyFrom(lv.Out[b.ID])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.NoReg {
 				a.G.AddLiveEdges(int32(d), live, -1)
-				if live.Has(int(d)) {
-					live.Remove(int(d))
-					cnt[classes[d]]--
-				} else {
-					// A dead definition still occupies a register at
-					// its definition point: the clique there is d plus
-					// everything live after the instruction.
-					cnt[classes[d]]++
-					bump()
-					cnt[classes[d]]--
-				}
+				live.Remove(int(d))
 			}
 			ubuf = in.AppendUses(ubuf[:0])
 			for _, u := range ubuf {
-				if !live.Has(int(u)) {
-					live.Add(int(u))
-					cnt[classes[u]]++
-				}
+				live.Add(int(u))
 			}
-			bump() // point just before instruction i
 		}
 		// Block entry: the phi destinations are all defined here,
 		// simultaneously — they interfere with each other and with
@@ -179,14 +164,6 @@ func Analyze(s *Func) *Analysis {
 			for j := i + 1; j < len(phis); j++ {
 				a.G.AddEdge(int32(d), int32(phis[j].Dst))
 			}
-		}
-		if len(phis) > 0 {
-			for i := range phis {
-				if d := phis[i].Dst; !live.Has(int(d)) {
-					cnt[classes[d]]++
-				}
-			}
-			bump()
 		}
 	}
 	a.G.Finalize()

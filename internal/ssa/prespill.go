@@ -22,73 +22,64 @@ import (
 var ErrIrreducible = errors.New("register pressure is irreducible by spilling")
 
 // PreSpill lowers register pressure below the color budget before
-// coloring runs: while some class's MAXLIVE exceeds its K, the round
-// picks — at every over-pressure program point — the cheapest values
-// that are live through the point (a value an instruction itself
-// reads or writes must be in a register there), and spills them
-// everywhere with the Figure 4 cycle's rewrite (spill.InsertCode),
-// after which a spilled value has no reference left, so no later
-// round sees it live. Phi destinations spill by rewriting the phi
-// into per-predecessor slot stores; phi arguments reload at the end
-// of the feeding predecessor. Because pressure afterwards is at most
-// K at every point, coloring in dominance order cannot run out of
-// colors.
+// coloring runs. A round solves liveness and walks the program points
+// once (selectSpills), picking at every over-pressure point the
+// cheapest values that are live through it (a value an instruction
+// itself reads or writes must be in a register there), and spills
+// them everywhere with the Figure 4 cycle's rewrite
+// (spill.InsertCode), after which a spilled value has no reference
+// left, so no later round sees it live. Phi destinations spill by
+// rewriting the phi into per-predecessor slot stores; phi arguments
+// reload at the end of the feeding predecessor. The rounds build no
+// graph: under SSA it is chordal, so MAXLIVE ≤ K alone means coloring
+// in dominance order cannot run out of colors. A round that chooses
+// nothing and is not stuck has found MAXLIVE ≤ K, since the walk's
+// first over-budget point either chooses a value or is stuck.
 //
-// It returns the final Analysis (valid for the code as rewritten)
-// and the per-round statistics. An instruction needing more than K
-// simultaneously-live operands of one class makes the pressure
-// irreducible; that is reported as an error, as is failure to
-// converge within maxPreSpillRounds.
-func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) (*Analysis, []RoundStats, error) {
+// It returns that round's liveness and MAXLIVE (valid for the code as
+// rewritten) and the per-round statistics. An instruction needing
+// more than K simultaneously-live operands of one class makes the
+// pressure irreducible; that is reported as an error, as is failure
+// to converge within maxPreSpillRounds.
+func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) (*Liveness, [ir.NumClasses]int, []RoundStats, error) {
 	f := s.F
 	var rounds []RoundStats
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, rounds, fmt.Errorf("ssa: %s: cancelled before pre-spill round %d: %w", f.Name, round, err)
+			return nil, [ir.NumClasses]int{}, rounds, fmt.Errorf("ssa: %s: cancelled before pre-spill round %d: %w", f.Name, round, err)
 		}
-		a := Analyze(s)
-		over := false
-		for c := 0; c < ir.NumClasses; c++ {
-			if a.MaxLive[c] > k(ir.Class(c)) {
-				over = true
-			}
-		}
-		if !over {
-			return a, rounds, nil
-		}
-		if round == maxPreSpillRounds {
-			return nil, rounds, fmt.Errorf("ssa: %s: pre-spilling did not converge after %d rounds", f.Name, maxPreSpillRounds)
-		}
-		rs := RoundStats{
-			MaxLiveInt:   a.MaxLive[ir.ClassInt],
-			MaxLiveFloat: a.MaxLive[ir.ClassFloat],
-		}
+		lv := computeLiveness(s)
 		costs := spill.Costs(f, params)
-		chosen, stuck := selectSpills(s, a, k, costs)
-		if len(chosen) == 0 {
-			return nil, rounds, fmt.Errorf("ssa: %s: %s: %w", f.Name, stuck, ErrIrreducible)
+		chosen, stuck, maxLive := selectSpills(s, lv, k, costs)
+		switch {
+		case len(chosen) == 0 && stuck == "":
+			return lv, maxLive, rounds, nil
+		case round == maxPreSpillRounds:
+			return nil, [ir.NumClasses]int{}, rounds, fmt.Errorf("ssa: %s: pre-spilling did not converge after %d rounds", f.Name, maxPreSpillRounds)
+		case len(chosen) == 0:
+			return nil, [ir.NumClasses]int{}, rounds, fmt.Errorf("ssa: %s: %s: %w", f.Name, stuck, ErrIrreducible)
 		}
+		rs := RoundStats{Spilled: len(chosen)}
 		for _, r := range chosen {
 			rs.SpillCost += costs[r]
 		}
-		rs.Spilled = len(chosen)
 		rs.Loads, rs.Stores = insertSpillCode(s, chosen)
 		rounds = append(rounds, rs)
 	}
 }
 
-// selectSpills walks every program point with its live set and, at
-// points whose per-class pressure exceeds K, greedily adds the
-// cheapest spillable live-through values to the spill set until the
-// point fits. Values already chosen count as removed at every later
-// point of the walk. When some point stays over-pressure with no
-// spillable candidate, the reason is reported via stuck.
-func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, string) {
+// selectSpills walks every program point with its live set under lv
+// and, at points whose per-class pressure exceeds K, greedily adds
+// the cheapest spillable live-through values to the spill set until
+// the point fits. Values already chosen count as removed at every
+// later point of the walk. When some point stays over-pressure with
+// no spillable candidate, the reason is reported via stuck. peak is
+// the per-class pressure maximum of the values not yet chosen, which
+// is MAXLIVE when nothing is; costs is read only over budget.
+func selectSpills(s *Func, lv *Liveness, k color.K, costs []float64) (chosen []ir.Reg, stuck string, peak [ir.NumClasses]int) {
 	f := s.F
 	nr := f.NumRegs()
 	inSet := make([]bool, nr)
-	var chosen []ir.Reg
-	stuck := ""
 
 	// banned marks registers the current point cannot spill: the
 	// instruction's own operands and definition. Stamp-based so each
@@ -105,17 +96,11 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 			f.RegFlags(ir.Reg(r))&ir.FlagSpillTemp == 0 && !math.IsInf(costs[r], 1)
 	}
 
-	// reduce brings one over-pressure point down to the budget by
-	// picking cheapest-first among live spillable values of class c,
-	// returning the excess it could not cover.
+	// cheapestFirst spills the gathered candidates cands, cheapest
+	// first (ties to the lower register), until need is covered, and
+	// returns what it could not cover.
 	var cands []int
-	reduce := func(live *bitset.Set, c ir.Class, excess int) int {
-		cands = cands[:0]
-		live.ForEach(func(r int) {
-			if classOf(r) == c && spillable(r) {
-				cands = append(cands, r)
-			}
-		})
+	cheapestFirst := func(need int) int {
 		sort.Slice(cands, func(i, j int) bool {
 			if costs[cands[i]] != costs[cands[j]] {
 				return costs[cands[i]] < costs[cands[j]]
@@ -123,14 +108,26 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 			return cands[i] < cands[j]
 		})
 		for _, r := range cands {
-			if excess <= 0 {
+			if need <= 0 {
 				break
 			}
 			inSet[r] = true
 			chosen = append(chosen, ir.Reg(r))
-			excess--
+			need--
 		}
-		return excess
+		return need
+	}
+	// reduce brings one over-pressure point down to the budget by
+	// picking cheapest-first among live spillable values of class c,
+	// returning the excess it could not cover.
+	reduce := func(live *bitset.Set, c ir.Class, excess int) int {
+		cands = cands[:0]
+		live.ForEach(func(r int) {
+			if classOf(r) == c && spillable(r) {
+				cands = append(cands, r)
+			}
+		})
+		return cheapestFirst(excess)
 	}
 	check := func(live *bitset.Set) [ir.NumClasses]int {
 		var short [ir.NumClasses]int
@@ -141,6 +138,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 			}
 		})
 		for c := 0; c < ir.NumClasses; c++ {
+			peak[c] = max(peak[c], cnt[c])
 			if excess := cnt[c] - k(ir.Class(c)); excess > 0 {
 				short[c] = reduce(live, ir.Class(c), excess)
 			}
@@ -178,20 +176,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 						cands = append(cands, d)
 					}
 				}
-				sort.Slice(cands, func(i, j int) bool {
-					if costs[cands[i]] != costs[cands[j]] {
-						return costs[cands[i]] < costs[cands[j]]
-					}
-					return cands[i] < cands[j]
-				})
-				for _, d := range cands {
-					if short[c] <= 0 {
-						break
-					}
-					inSet[d] = true
-					chosen = append(chosen, ir.Reg(d))
-					short[c]--
-				}
+				short[c] = cheapestFirst(short[c])
 			}
 		}
 		return short
@@ -200,7 +185,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 	var ubuf []ir.Reg
 	live := bitset.New(nr)
 	for _, b := range f.Blocks {
-		live.CopyFrom(a.Live.Out[b.ID])
+		live.CopyFrom(lv.Out[b.ID])
 		// Block exit. Outgoing phi arguments are reads at the edge: a
 		// spilled argument is replaced by a reload temporary at the
 		// predecessor's end that is exactly as live, so spilling them
@@ -245,7 +230,7 @@ func selectSpills(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg, s
 			note(check(live))
 		}
 	}
-	return chosen, stuck
+	return chosen, stuck, peak
 }
 
 // insertSpillCode sends every chosen value to a fresh spill slot,

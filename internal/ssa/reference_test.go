@@ -239,7 +239,7 @@ func spillAndColor(f *ir.Func, k color.K, m target.Machine, ref bool) ([]spillRo
 			}
 		}
 		var rd spillRound
-		rd.chosen, rd.stuck = selectSpills(s, a, k, costs)
+		rd.chosen, rd.stuck, _ = selectSpills(s, a.Live, k, costs)
 		if len(rd.chosen) == 0 {
 			return append(rounds, rd), "", ErrIrreducible
 		}

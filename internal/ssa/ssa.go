@@ -15,13 +15,14 @@
 //     rename every definition to a fresh SSA value along the
 //     dominator tree. Phis live in a side table — the IR itself has
 //     no phi opcode, so Assemble and the VM never see one.
-//  2. PreSpill: compute MAXLIVE (the per-class register pressure
+//  2. PreSpill: while MAXLIVE (the per-class register pressure
 //     maximum, which equals the interference graph's clique number)
-//     and, while it exceeds K, spill the cheapest live-through
-//     values at every over-pressure point, everywhere. This package
-//     writes only the code on phi edges; the rest is the Figure 4
-//     cycle's own rewrite, spill.InsertCode. After this phase
-//     coloring cannot fail.
+//     exceeds K, spill the cheapest live-through values at every
+//     over-pressure point, everywhere. A round only counts pressure,
+//     in one walk over one liveness solve. This package writes only
+//     the code on phi edges; the rest is the Figure 4 cycle's own
+//     rewrite, spill.InsertCode. After this phase coloring cannot
+//     fail; the graph is built once, from the last round's liveness.
 //  3. Color: color's select phase (color.SelectInto) replaying the
 //     definitions in dominance order — a reverse perfect elimination
 //     order of the chordal interference graph — so the lowest free
@@ -83,14 +84,12 @@ func (s *Func) NumPhis() int {
 	return n
 }
 
-// RoundStats records one pre-spill round.
+// RoundStats records one pre-spill round that spilled.
 type RoundStats struct {
-	MaxLiveInt   int // pressure maxima observed entering the round
-	MaxLiveFloat int
-	Spilled      int     // values sent to memory this round
-	SpillCost    float64 // summed estimated cost of those values
-	Loads        int
-	Stores       int
+	Spilled   int     // values sent to memory this round
+	SpillCost float64 // summed estimated cost of those values
+	Loads     int
+	Stores    int
 }
 
 // Stats summarizes one SSA allocation.
@@ -114,6 +113,7 @@ type Stats struct {
 	CycleBreaks int // cycles broken via a scratch register
 	SlotBounces int // cycles broken via a spill-slot store/load
 
+	// Build is construction plus the graph build after pre-spilling.
 	Build, Spill, Color, Lower time.Duration
 }
 
@@ -151,26 +151,31 @@ const maxPreSpillRounds = 64
 // place (pass a clone to keep the original). k gives the per-class
 // color budgets, params the spill-cost estimator settings, and tr an
 // optional tracer (a nil tracer still times the phases). The context
-// is checked between pre-spill rounds.
+// is checked between pre-spill rounds. Every phase's span ends before
+// its error is checked, so a failed run leaves no span open.
 func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParams, tr *obs.Tracer) (*Result, error) {
+	res := &Result{Func: f}
 	t0 := tr.Begin(obs.PhaseBuild)
 	s, err := Construct(f)
+	res.Stats.Build = tr.End(obs.PhaseBuild, t0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Func: f}
 	res.Stats.ZeroDefs = s.ZeroDefs
 	res.Stats.SplitEdges = s.SplitEdges
 	res.Stats.CopyProps = s.CopyProps
-	res.Stats.Build = tr.End(obs.PhaseBuild, t0)
 
 	t0 = tr.Begin(obs.PhaseSpill)
-	a, rounds, err := PreSpill(ctx, s, k, params)
-	res.Stats.Rounds = rounds
+	lv, maxLive, rounds, err := PreSpill(ctx, s, k, params)
+	res.Stats.Spill = tr.End(obs.PhaseSpill, t0)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Spill = tr.End(obs.PhaseSpill, t0)
+	res.Stats.Rounds = rounds
+
+	t0 = tr.Begin(obs.PhaseBuild)
+	a := newAnalysis(s, lv, maxLive)
+	res.Stats.Build += tr.End(obs.PhaseBuild, t0)
 	res.Stats.Phis = s.NumPhis()
 	res.Stats.LiveRanges = f.NumRegs()
 	res.Stats.Edges = a.G.NumEdges()
@@ -179,10 +184,10 @@ func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParam
 
 	t0 = tr.Begin(obs.PhaseColor)
 	colors, err := Color(s, a, k)
+	res.Stats.Color = tr.End(obs.PhaseColor, t0)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Color = tr.End(obs.PhaseColor, t0)
 
 	// Lowering is its own span: it shares the Color phase bucket (the
 	// registry's PhaseNS[Color] stays Color+Lower, matching what the
@@ -191,10 +196,10 @@ func Allocate(ctx context.Context, f *ir.Func, k color.K, params spill.CostParam
 	// coloring walk.
 	t0 = tr.Begin(obs.PhaseColor)
 	colors, low, err := Lower(s, a, colors, k)
+	res.Stats.Lower = tr.End(obs.PhaseColor, t0)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Lower = tr.End(obs.PhaseColor, t0)
 	res.Stats.Copies = low.Copies
 	res.Stats.CycleBreaks = low.CycleBreaks
 	res.Stats.SlotBounces = low.SlotBounces

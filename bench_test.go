@@ -3,7 +3,7 @@
 // table/figure (see DESIGN.md §3):
 //
 //	BenchmarkFigure3            — the 4-cycle example graph
-//	BenchmarkFigure5Allocate    — static allocation of the full suite
+//	BenchmarkSuiteSweep         — static allocation of the full suite
 //	BenchmarkFigure5Dynamic     — the simulated dynamic runs
 //	BenchmarkFigure6Quicksort   — the register-set study
 //	BenchmarkFigure7Phases      — phase times on the four big routines
@@ -12,6 +12,7 @@
 package regalloc_test
 
 import (
+	"fmt"
 	"testing"
 
 	"regalloc"
@@ -38,34 +39,39 @@ func BenchmarkFigure3(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5Allocate performs the static half of Figure 5:
-// allocating every routine of every program with both heuristics on
-// the paper's machine.
-func BenchmarkFigure5Allocate(b *testing.B) {
-	type unit struct {
-		prog *regalloc.Program
-		name string
-	}
-	var units []unit
-	for _, w := range workloads.All() {
+// BenchmarkSuiteSweep allocates the 29 suite units (every Figure 5
+// routine plus QSORT) under chaitin, briggs, ssa and irc at (16,8)
+// and (8,4). Its chaitin and briggs legs at (16,8) are the static half
+// of Figure 5, plus QSORT.
+func BenchmarkSuiteSweep(b *testing.B) {
+	var fns []*ir.Func
+	for _, w := range append(workloads.All(), workloads.Quicksort()) {
 		prog, err := regalloc.Compile(w.Source)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, r := range w.Routines {
-			units = append(units, unit{prog, r})
+			fns = append(fns, prog.Func(r))
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, u := range units {
-			for _, h := range []regalloc.Heuristic{regalloc.Chaitin, regalloc.Briggs} {
-				opt := regalloc.DefaultOptions()
-				opt.Heuristic = h
-				if _, err := u.prog.Allocate(u.name, opt); err != nil {
-					b.Fatal(err)
+	if len(fns) != 29 {
+		b.Fatalf("%d suite units, want 29", len(fns))
+	}
+	for _, h := range []color.Heuristic{color.Chaitin, color.Briggs, color.SSA, color.IRC} {
+		for _, kk := range [][2]int{{16, 8}, {8, 4}} {
+			opt := alloc.DefaultOptions()
+			opt.Heuristic = h
+			opt.KInt, opt.KFloat = kk[0], kk[1]
+			b.Run(fmt.Sprintf("%s/%dx%d", h, kk[0], kk[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, f := range fns {
+						if _, err := alloc.Run(f, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -212,7 +218,7 @@ func BenchmarkCoalesce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work := f.Clone()
 		liverange.Renumber(work)
-		coalesce.Run(work)
+		coalesce.RunWithLiveness(work, dataflow.ComputeLiveness(work), nil, 0, nil)
 	}
 }
 

@@ -561,6 +561,29 @@ type allocResponse struct {
 	Machine *machineResponse `json:"machine,omitempty"`
 }
 
+// addUnit appends the row of the unit sum describes and adds it to
+// the reply's totals. colors is the unit's coloring when the request
+// asked for it, and p its race report when the portfolio raced it.
+func (r *allocResponse) addUnit(sum regalloc.RunSummary, colors []int16, p *portfolioResponse) {
+	r.Units = append(r.Units, unitResponse{
+		Unit:         sum.Unit,
+		LiveRanges:   sum.LiveRanges,
+		Edges:        sum.Edges,
+		Passes:       sum.Passes,
+		Spilled:      sum.Spills,
+		SpillCost:    float64(sum.SpillCostMilli) / 1000,
+		PaletteInt:   sum.PaletteInt,
+		PaletteFloat: sum.PaletteFloat,
+		TotalNS:      sum.TotalNS,
+		PhaseNS:      phaseNSMap(sum),
+		Colors:       colors,
+		Portfolio:    p,
+	})
+	r.SpilledTotal += sum.Spills
+	r.SpillCost += float64(sum.SpillCostMilli) / 1000
+	r.TotalNS += sum.TotalNS
+}
+
 // machineResponse is the resolved machine model in the reply.
 type machineResponse struct {
 	Name    string                 `json:"name"`
@@ -633,25 +656,11 @@ func (s *server) sourceBody(ctx context.Context, prog *regalloc.Program, opt reg
 		sum := regalloc.Summarize(name, res)
 		s.reg.Record(sum)
 		costMilli += sum.SpillCostMilli
-		u := unitResponse{
-			Unit:         name,
-			LiveRanges:   sum.LiveRanges,
-			Edges:        sum.Edges,
-			Passes:       sum.Passes,
-			Spilled:      sum.Spills,
-			SpillCost:    float64(sum.SpillCostMilli) / 1000,
-			PaletteInt:   sum.PaletteInt,
-			PaletteFloat: sum.PaletteFloat,
-			TotalNS:      sum.TotalNS,
-			PhaseNS:      phaseNSMap(sum),
-		}
+		var colors []int16
 		if req.Colors {
-			u.Colors = res.Colors
+			colors = res.Colors
 		}
-		resp.Units = append(resp.Units, u)
-		resp.SpilledTotal += sum.Spills
-		resp.SpillCost += float64(sum.SpillCostMilli) / 1000
-		resp.TotalNS += sum.TotalNS
+		resp.addUnit(sum, colors, nil)
 	}
 	if rt, _ := reqtrace.FromContext(ctx); rt != nil {
 		rt.Annotate("spill_cost_milli", strconv.FormatInt(costMilli, 10))
@@ -771,18 +780,6 @@ func (s *server) allocPortfolio(w http.ResponseWriter, ctx context.Context, req 
 		sum := regalloc.SummarizePortfolio(name, pr)
 		s.reg.Record(sum)
 		costMilli += sum.SpillCostMilli
-		u := unitResponse{
-			Unit:         name,
-			LiveRanges:   sum.LiveRanges,
-			Edges:        sum.Edges,
-			Passes:       sum.Passes,
-			Spilled:      sum.Spills,
-			SpillCost:    float64(sum.SpillCostMilli) / 1000,
-			PaletteInt:   sum.PaletteInt,
-			PaletteFloat: sum.PaletteFloat,
-			TotalNS:      sum.TotalNS,
-			PhaseNS:      phaseNSMap(sum),
-		}
 		win := pr.Outcomes[pr.Winner]
 		p := &portfolioResponse{
 			Mode:      pr.Mode.String(),
@@ -802,14 +799,11 @@ func (s *server) allocPortfolio(w http.ResponseWriter, ctx context.Context, req 
 			}
 			p.Candidates = append(p.Candidates, pc)
 		}
-		u.Portfolio = p
+		var colors []int16
 		if req.Colors {
-			u.Colors = pr.Res.Colors
+			colors = pr.Res.Colors
 		}
-		resp.Units = append(resp.Units, u)
-		resp.SpilledTotal += sum.Spills
-		resp.SpillCost += float64(sum.SpillCostMilli) / 1000
-		resp.TotalNS += sum.TotalNS
+		resp.addUnit(sum, colors, p)
 	}
 	rt.Annotate("spill_cost_milli", strconv.FormatInt(costMilli, 10))
 	writeJSON(w, resp)

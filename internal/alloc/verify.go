@@ -22,11 +22,19 @@ import (
 // "dst = move src", dst may occupy src's register, because they hold
 // the same value at that point.
 func VerifyAssignment(f *ir.Func, colors []int16) error {
+	_, err := verifyAssignment(f, colors)
+	return err
+}
+
+// verifyAssignment is VerifyAssignment, returning the liveness it
+// solved for a caller with more walks to make.
+func verifyAssignment(f *ir.Func, colors []int16) (*dataflow.Liveness, error) {
 	if len(colors) < f.NumRegs() {
-		return fmt.Errorf("verify: %s: %d colors for %d registers", f.Name, len(colors), f.NumRegs())
+		return nil, fmt.Errorf("verify: %s: %d colors for %d registers", f.Name, len(colors), f.NumRegs())
 	}
+	lv := dataflow.ComputeLiveness(f)
 	var fail error
-	dataflow.ComputeLiveness(f).LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
+	lv.LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
 		if fail != nil {
 			return
 		}
@@ -56,7 +64,7 @@ func VerifyAssignment(f *ir.Func, colors []int16) error {
 			}
 		})
 	})
-	return fail
+	return lv, fail
 }
 
 // VerifyAssignmentMachine is VerifyAssignment plus the machine-model
@@ -64,9 +72,11 @@ func VerifyAssignment(f *ir.Func, colors []int16) error {
 // and no value live across a call occupies a caller-saved register
 // (the callee is free to clobber it). Like VerifyAssignment it works
 // from the program, not the graph, so it catches a missing clobber
-// edge in graph construction as readily as a coloring bug.
+// edge in graph construction as readily as a coloring bug. Both walks
+// read one liveness solve.
 func VerifyAssignmentMachine(f *ir.Func, colors []int16, m *machine.Model) error {
-	if err := VerifyAssignment(f, colors); err != nil {
+	lv, err := verifyAssignment(f, colors)
+	if err != nil {
 		return err
 	}
 	for r := 0; r < f.NumRegs(); r++ {
@@ -80,7 +90,7 @@ func VerifyAssignmentMachine(f *ir.Func, colors []int16, m *machine.Model) error
 		}
 	}
 	var fail error
-	dataflow.ComputeLiveness(f).LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
+	lv.LiveAcross(f, func(b *ir.Block, i int, in *ir.Instr, liveAfter *bitset.Set) {
 		if fail != nil || in.Op != ir.OpCall {
 			return
 		}

@@ -48,46 +48,6 @@ type Stats struct {
 	Rounds int
 }
 
-// Run coalesces moves in f until fixpoint, rewriting registers and
-// deleting the eliminated copies. It returns the number of moves
-// removed and the interference graph of the final program, which the
-// caller may reuse.
-//
-// Moves involving a spill temporary are never coalesced: merging a
-// reload temporary back into a long-lived range would undo the spill
-// and could keep the allocator from converging.
-func Run(f *ir.Func) (int, *ig.Graph) {
-	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, nil, 0, nil)
-	return st.Moves, finalGraph(f, g, lv)
-}
-
-// finalGraph upholds the convenience entry points' contract of always
-// returning a graph: when RunWithLiveness returned none (an aggressive
-// run builds none, and after a merge the caller must renumber and
-// build anyway), build one for the rewritten function here, on the
-// liveness the run left in lv.
-func finalGraph(f *ir.Func, g *ig.Graph, lv *dataflow.Liveness) *ig.Graph {
-	if g == nil {
-		g = ig.BuildWithLiveness(f, lv, 0, nil)
-	}
-	return g
-}
-
-// RunConservative coalesces with the Briggs conservative test that
-// the same authors published five years after this paper
-// ("Improvements to Graph Coloring Register Allocation", TOPLAS
-// 1994): a move is merged only when the combined node would have
-// fewer than k neighbors of significant degree (degree >= k for
-// their class), which guarantees the merge can never turn a
-// colorable graph into a spilling one. Included as an ablation — the
-// paper's own allocator coalesces aggressively.
-func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
-	lv := dataflow.ComputeLiveness(f)
-	st, g := RunWithLiveness(f, lv, k, 0, nil)
-	return st.Moves, finalGraph(f, g, lv)
-}
-
 // RunWithLiveness is RunContext without cancellation. The int
 // argument is ignored; it stays only because perfbench's probe still
 // passes a worker count.
@@ -100,9 +60,11 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 // current liveness for f, which the rounds keep current instead of
 // recomputing. On return lv is the liveness of f as rewritten.
 // conservativeK, when non-nil, switches to the Briggs conservative
-// test. ctx is checked before every round; once it is done, RunContext
-// returns an error wrapping ctx.Err(), and f and lv are left in no
-// particular state.
+// test ("Improvements to Graph Coloring Register Allocation", TOPLAS
+// 1994), an ablation: the paper's own allocator coalesces
+// aggressively. ctx is checked before every round; once it is done,
+// RunContext returns an error wrapping ctx.Err(), and f and lv are
+// left in no particular state.
 //
 // The returned graph is non-nil only when a conservative run merged
 // nothing: it is the graph the last round's Briggs test read, and f
@@ -152,8 +114,10 @@ func Skipped(f *ir.Func, lv *dataflow.Liveness) {
 
 // coalescible reports whether a copy between the distinct registers
 // dst and src may merge them: they share a class and neither is a
-// spill temporary. Merging keeps both properties, so a copy that is
-// not coalescible never becomes so.
+// spill temporary. Merging a reload temporary back into a long-lived
+// range would undo the spill and could keep the allocator from
+// converging. Merging keeps both properties, so a copy that is not
+// coalescible never becomes so.
 func coalescible(f *ir.Func, dst, src ir.Reg) bool {
 	return f.RegClass(dst) == f.RegClass(src) &&
 		f.RegFlags(dst)&ir.FlagSpillTemp == 0 && f.RegFlags(src)&ir.FlagSpillTemp == 0

@@ -5,9 +5,19 @@ import (
 
 	"regalloc/internal/coalesce"
 	"regalloc/internal/dataflow"
+	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 	"regalloc/internal/irinterp"
 )
+
+// coalesceFresh coalesces f on a fresh liveness, aggressively or,
+// with a non-nil k, under the Briggs conservative test. It returns the
+// moves removed and the liveness the run left current for f.
+func coalesceFresh(f *ir.Func, k func(ir.Class) int) (int, *dataflow.Liveness) {
+	lv := dataflow.ComputeLiveness(f)
+	st, _ := coalesce.RunWithLiveness(f, lv, k, 0, nil)
+	return st.Moves, lv
+}
 
 func countMoves(f *ir.Func) int {
 	n := 0
@@ -32,15 +42,15 @@ func TestCoalescesSimpleCopy(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: b, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	n, g := coalesce.Run(f)
+	n, lv := coalesceFresh(f, nil)
 	if n != 1 {
 		t.Fatalf("coalesced %d, want 1", n)
 	}
 	if countMoves(f) != 0 {
 		t.Fatal("copy not deleted")
 	}
-	if g == nil {
-		t.Fatal("no graph returned")
+	if g := ig.BuildWithLiveness(f, lv, 0, nil); g == nil || g.NumEdges() != 0 {
+		t.Fatalf("graph of the coalesced function: %v, want one with no edges", g)
 	}
 	if f.Blocks[0].Instrs[1].A != a {
 		t.Fatal("ret operand not renamed to the representative")
@@ -62,7 +72,7 @@ func TestRefusesInterferingCopy(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	n, _ := coalesce.Run(f)
+	n, _ := coalesceFresh(f, nil)
 	if n != 0 {
 		t.Fatalf("coalesced an interfering pair (%d merges)", n)
 	}
@@ -87,7 +97,7 @@ func TestMergesWhenSourceStillUsed(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	if n, _ := coalesce.Run(f); n != 1 {
+	if n, _ := coalesceFresh(f, nil); n != 1 {
 		t.Fatalf("coalesced %d, want 1", n)
 	}
 	if countMoves(f) != 0 {
@@ -118,7 +128,7 @@ func TestRefusesInterferenceFromMoveFreeBlock(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	if n, _ := coalesce.Run(f); n != 0 {
+	if n, _ := coalesceFresh(f, nil); n != 0 {
 		t.Fatalf("coalesced an interfering pair (%d merges)", n)
 	}
 	if countMoves(f) != 1 {
@@ -137,7 +147,7 @@ func TestSpillTempsNotCoalesced(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: a, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	n, _ := coalesce.Run(f)
+	n, _ := coalesceFresh(f, nil)
 	if n != 0 {
 		t.Fatal("coalesced a spill temporary")
 	}
@@ -180,7 +190,7 @@ func TestChainedMovesRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := build()
-	coalesce.Run(f)
+	coalesceFresh(f, nil)
 	if err := ir.Validate(f); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +218,7 @@ func TestCrossClassNeverCoalesced(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: x, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	n, _ := coalesce.Run(f)
+	n, _ := coalesceFresh(f, nil)
 	if n != 0 {
 		t.Fatal("nothing should coalesce here")
 	}
@@ -231,7 +241,7 @@ func TestConservativeRefusesRiskyMerge(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: b, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	if n, _ := coalesce.RunConservative(f, kOf); n != 1 {
+	if n, _ := coalesceFresh(f, kOf); n != 1 {
 		t.Fatalf("safe merge refused (%d)", n)
 	}
 
@@ -259,12 +269,12 @@ func TestConservativeRefusesRiskyMerge(t *testing.T) {
 	g.RecomputePreds()
 	nAgg := func() int {
 		c := g.Clone()
-		n, _ := coalesce.Run(c)
+		n, _ := coalesceFresh(c, nil)
 		return n
 	}()
 	nCons := func() int {
 		c := g.Clone()
-		n, _ := coalesce.RunConservative(c, kOf)
+		n, _ := coalesceFresh(c, kOf)
 		return n
 	}()
 	if nCons >= nAgg {

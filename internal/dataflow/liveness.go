@@ -1,10 +1,16 @@
 // Package dataflow implements the bit-vector live-variable analysis
-// the allocator depends on. The interference-graph builder walks it
-// backward through each block (LiveAcross). The coalescer reads the
-// live-out sets directly to answer its interference queries, and keeps
-// the sets current across its merges itself (see package coalesce). It
-// is all the renumbering pass needs to build webs (see package
-// liverange).
+// the allocator depends on, and it is the repository's one liveness
+// solver. The interference-graph builder walks it backward through
+// each block (LiveAcross). The coalescer reads the live-out sets
+// directly to answer its interference queries, and keeps the sets
+// current across its merges itself (see package coalesce). It is all
+// the renumbering pass needs to build webs (see package liverange).
+//
+// The SSA allocator (package ssa) solves with it too. Its phis are
+// not instructions, so it passes their values as edge values
+// (ComputeLivenessEdges): a phi's destination is defined on entry to
+// its block, and each argument is read on the way out of the matching
+// predecessor.
 package dataflow
 
 import (
@@ -21,12 +27,39 @@ type Liveness struct {
 
 // ComputeLiveness runs backward iterative live-variable analysis.
 // All of its sets, and each block's upward-exposed uses and
-// definitions it solves with, come from one backing array.
+// definitions it solves with, come from one backing array. It is
+// ComputeLivenessEdges with no edge values.
 func ComputeLiveness(f *ir.Func) *Liveness {
+	return ComputeLivenessEdges(f, nil, nil)
+}
+
+// ComputeLivenessEdges is ComputeLiveness for a function whose edges
+// carry values of their own, as an SSA function's phis do.
+// entryDefs[b] lists the registers defined on entry to block b, before
+// its first instruction; exitUses[b] lists the registers read on the
+// way out of b, after its last instruction. Either may be nil. An
+// entry definition is not live into its block, and an exit use is
+// live out of its block, so a value read on the way out of a
+// predecessor and defined on entry to the successor is live out of
+// the one and not into the other.
+func ComputeLivenessEdges(f *ir.Func, entryDefs, exitUses [][]ir.Reg) *Liveness {
 	n := len(f.Blocks)
 	sets := bitset.NewMany(4*n, f.NumRegs())
 	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
 	use, def := sets[2*n:3*n], sets[3*n:]
+
+	// The seeds have loops of their own: branching on them inside the
+	// scan below slows plain liveness, which every pass solves.
+	for b, rs := range entryDefs {
+		for _, r := range rs {
+			def[b].Add(int(r))
+		}
+	}
+	for b, rs := range exitUses {
+		for _, r := range rs {
+			lv.Out[b].Add(int(r))
+		}
+	}
 
 	var ubuf []ir.Reg
 	for _, b := range f.Blocks {

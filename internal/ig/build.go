@@ -16,6 +16,12 @@ import (
 // through coalescing and graph construction instead of recomputing it
 // at every build. A nil tracer disables the build counter.
 //
+// A register defined at a point interferes with every register (of
+// its class) live after that point, except — for a copy instruction —
+// the copy's source. That exception is Chaitin's: the move dst/src
+// pair should be coalescable, not conflicting, when dst's value is
+// just src's.
+//
 // f's blocks are walked in order, each one backward, and every
 // definition is inserted against the registers live after it, minus
 // the defined register itself and a move's source (AddLiveEdges). The

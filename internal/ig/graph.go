@@ -40,7 +40,6 @@ import (
 	"sync"
 
 	"regalloc/internal/bitset"
-	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
 )
 
@@ -297,19 +296,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return int(max)
-}
-
-// Build constructs the interference graph of f. A register defined
-// at a point interferes with every register (of its class) live
-// after that point, except — for a copy instruction — the copy's
-// source. That exception is Chaitin's: the move dst/src pair should
-// be coalescable, not conflicting, when dst's value is just src's.
-//
-// Build computes liveness from scratch; callers holding a current
-// liveness (the allocator's per-pass cache) should use
-// BuildWithLiveness.
-func Build(f *ir.Func) *Graph {
-	return BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 }
 
 // String summarizes the graph.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"regalloc/internal/dataflow"
 	"regalloc/internal/graphgen"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -69,7 +70,7 @@ func TestBuildInterference(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: c, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	g := ig.Build(f)
+	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	if !g.Interfere(int32(a), int32(b)) {
 		t.Fatal("a and b are simultaneously live; must interfere")
 	}
@@ -95,7 +96,7 @@ func TestMoveSourceException(t *testing.T) {
 		{Op: ir.OpRet, Dst: ir.NoReg, A: b, B: ir.NoReg, C: ir.NoReg},
 	}
 	f.RecomputePreds()
-	g := ig.Build(f)
+	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
 	if g.Interfere(int32(a), int32(b)) {
 		t.Fatal("move dst/src should not interfere")
 	}
@@ -109,7 +110,8 @@ func TestMoveSourceException(t *testing.T) {
 func TestWorklistSmallestLast(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		g, _ := graphgen.Random(80, 0.15, seed)
-		w := ig.NewWorklist(g, ir.ClassInt)
+		var w ig.Worklist
+		w.Init(g, ir.ClassInt)
 		prevCheck := func(d int32) bool {
 			// every remaining node must have degree >= d... that IS
 			// min-degree by construction; verify directly:
@@ -143,7 +145,8 @@ func TestWorklistDegreeTracking(t *testing.T) {
 	g := ig.New(make([]ir.Class, 3))
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	w := ig.NewWorklist(g, ir.ClassInt)
+	var w ig.Worklist
+	w.Init(g, ir.ClassInt)
 	if w.Degree(1) != 2 {
 		t.Fatalf("deg(1) = %d", w.Degree(1))
 	}
@@ -163,7 +166,8 @@ func TestWorklistClassFilter(t *testing.T) {
 	classes := []ir.Class{ir.ClassInt, ir.ClassFloat, ir.ClassInt}
 	g := ig.New(classes)
 	g.AddEdge(0, 2)
-	w := ig.NewWorklist(g, ir.ClassFloat)
+	var w ig.Worklist
+	w.Init(g, ir.ClassFloat)
 	if w.Remaining() != 1 {
 		t.Fatalf("float worklist remaining = %d, want 1", w.Remaining())
 	}
@@ -230,7 +234,8 @@ func TestScanWorkBound(t *testing.T) {
 		inputs = append(inputs, input{"cycle-300", g})
 	}
 	for _, in := range inputs {
-		w := ig.NewWorklist(in.g, ir.ClassInt)
+		var w ig.Worklist
+		w.Init(in.g, ir.ClassInt)
 		nodes := w.Remaining()
 		for w.Remaining() > 0 {
 			w.Remove(w.MinDegreeNode())

@@ -30,14 +30,6 @@ type Worklist struct {
 	ScanSteps int
 }
 
-// NewWorklist builds the bucket structure for the nodes of class cls
-// in g.
-func NewWorklist(g *Graph, cls ir.Class) *Worklist {
-	w := &Worklist{}
-	w.Init(g, cls)
-	return w
-}
-
 // Init (re)builds the bucket structure for the nodes of class cls in
 // g, reusing the worklist's backing slices when they are big enough.
 // A Worklist held in per-pass scratch (color.Scratch) is re-Inited

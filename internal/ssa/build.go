@@ -19,12 +19,20 @@ func Construct(f *ir.Func) (*Func, error) {
 	pruneUnreachable(f)
 	normalizeEntry(f)
 	s := &Func{F: f}
-	s.ZeroDefs = insertZeroDefs(f)
+	// One solve serves both the zero definitions and phi placement,
+	// which reads In only at dominance-frontier blocks. Every frontier
+	// block is an original block other than the entry: a block split
+	// off an edge has one predecessor, and after normalizeEntry the
+	// entry has none. The zero definitions go at the top of the entry,
+	// which no other block reaches, and a split block only branches.
+	// So no frontier block's In set changes between the two steps.
+	lv := dataflow.ComputeLiveness(f)
+	s.ZeroDefs = insertZeroDefs(f, lv)
 	s.SplitEdges = splitCriticalEdges(f)
 	s.Info = cfg.Analyze(f)
 	s.Kids = domChildren(s.Info)
 	s.Phis = make([][]Phi, len(f.Blocks))
-	insertPhis(s)
+	insertPhis(s, lv)
 	if err := rename(s); err != nil {
 		return nil, err
 	}
@@ -117,9 +125,8 @@ func normalizeEntry(f *ir.Func) {
 // register files, so the rewrite preserves semantics while making
 // the function strict: every use is now dominated by a definition,
 // the precondition for SSA renaming (and for the chordality of the
-// SSA interference graph).
-func insertZeroDefs(f *ir.Func) int {
-	lv := dataflow.ComputeLiveness(f)
+// SSA interference graph). lv is f's liveness.
+func insertZeroDefs(f *ir.Func, lv *dataflow.Liveness) int {
 	entryLive := lv.In[0]
 	if entryLive.Empty() {
 		return 0
@@ -221,11 +228,10 @@ func frontiers(f *ir.Func, info *cfg.Info) [][]int {
 // insertPhis places pruned phis: register r gets a phi at join y iff
 // y is in the iterated dominance frontier of r's definition sites
 // and r is live into y. Phis are definition sites themselves, hence
-// the worklist.
-func insertPhis(s *Func) {
+// the worklist. lv.In must be current at every frontier block.
+func insertPhis(s *Func, lv *dataflow.Liveness) {
 	f := s.F
 	df := frontiers(f, s.Info)
-	lv := dataflow.ComputeLiveness(f)
 
 	nr := f.NumRegs()
 	defsites := make([][]int, nr)

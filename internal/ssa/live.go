@@ -4,124 +4,57 @@ import (
 	"math"
 
 	"regalloc/internal/bitset"
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
 )
 
-// Liveness holds phi-aware per-block live sets. The convention is
-// Hack's: a phi's destination is live-in to the phi's block (all
-// destinations of one block are simultaneously live at its entry),
-// a phi's argument is live-out of the corresponding predecessor, and
-// neither is live across the edge itself — which is what keeps
-// MAXLIVE equal to the interference graph's clique number.
-type Liveness struct {
-	In  []*bitset.Set
-	Out []*bitset.Set
-}
-
 // Analysis is the coloring view of an SSA function: liveness, the
 // interference graph, the per-class pressure maxima, and the
 // definitions in dominance order (a reverse perfect elimination
-// order of the chordal graph).
+// order of the chordal graph). Live follows the convention of
+// (*Func).liveness: only its Out sets are read.
 type Analysis struct {
-	Live    *Liveness
+	Live    *dataflow.Liveness
 	G       *ig.Graph
 	MaxLive [ir.NumClasses]int
 	Order   []ir.Reg
 }
 
-// computeLiveness runs the phi-aware backward fixpoint.
-func computeLiveness(s *Func) *Liveness {
-	f := s.F
-	n := len(f.Blocks)
-	nr := f.NumRegs()
-	lv := &Liveness{In: make([]*bitset.Set, n), Out: make([]*bitset.Set, n)}
-
-	use := make([]*bitset.Set, n)
-	def := make([]*bitset.Set, n)
-	phiDef := make([]*bitset.Set, n)
-	// argsOut[p] lists the phi arguments flowing out of block p into
-	// its successor's phis; fixed once the side table is fixed.
-	argsOut := make([][]ir.Reg, n)
-
-	var ubuf []ir.Reg
-	for _, b := range f.Blocks {
-		u := bitset.New(nr)
-		d := bitset.New(nr)
-		pd := bitset.New(nr)
-		for _, ph := range s.Phis[b.ID] {
-			pd.Add(int(ph.Dst))
-			d.Add(int(ph.Dst))
+// liveness solves s's liveness with the shared solver, passing the
+// phis as edge values. The convention is Hack's: a phi's destination
+// is defined on entry to its block (all destinations of one block are
+// defined there simultaneously), a phi's argument is read on the way
+// out of the corresponding predecessor, and neither is live across
+// the edge itself — which is what keeps MAXLIVE equal to the
+// interference graph's clique number. So an argument is in its
+// predecessor's Out set, and a block's In set holds what is live into
+// the block minus its phi destinations, which are defined there.
+func (s *Func) liveness() *dataflow.Liveness {
+	n := len(s.F.Blocks)
+	entryDefs := make([][]ir.Reg, n)
+	exitUses := make([][]ir.Reg, n)
+	for _, b := range s.F.Blocks {
+		phis := s.Phis[b.ID]
+		for i := range phis {
+			entryDefs[b.ID] = append(entryDefs[b.ID], phis[i].Dst)
 		}
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			ubuf = in.AppendUses(ubuf[:0])
-			for _, r := range ubuf {
-				if !d.Has(int(r)) {
-					u.Add(int(r))
-				}
-			}
-			if dst := in.Def(); dst != ir.NoReg {
-				d.Add(int(dst))
-			}
-		}
-		use[b.ID] = u
-		def[b.ID] = d
-		phiDef[b.ID] = pd
-		lv.In[b.ID] = bitset.New(nr)
-		lv.Out[b.ID] = bitset.New(nr)
-	}
-	for _, b := range f.Blocks {
 		for j, p := range b.Preds {
-			for _, ph := range s.Phis[b.ID] {
-				if a := ph.Args[j]; a != ir.NoReg {
-					argsOut[p] = append(argsOut[p], a)
+			for i := range phis {
+				if a := phis[i].Args[j]; a != ir.NoReg {
+					exitUses[p] = append(exitUses[p], a)
 				}
 			}
 		}
 	}
-
-	tmp := bitset.New(nr)
-	for changed := true; changed; {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := lv.Out[b.ID]
-			for _, sid := range b.Succs {
-				// live across the edge: the successor's live-in minus
-				// its phi defs...
-				tmp.CopyFrom(lv.In[sid])
-				tmp.Subtract(phiDef[sid])
-				if out.Union(tmp) {
-					changed = true
-				}
-			}
-			// ...plus the phi arguments this block feeds.
-			for _, a := range argsOut[b.ID] {
-				if !out.Has(int(a)) {
-					out.Add(int(a))
-					changed = true
-				}
-			}
-			// in = phiDefs ∪ use ∪ (out − def)
-			tmp.CopyFrom(out)
-			tmp.Subtract(def[b.ID])
-			tmp.Union(use[b.ID])
-			tmp.Union(phiDef[b.ID])
-			if !tmp.Equal(lv.In[b.ID]) {
-				lv.In[b.ID].CopyFrom(tmp)
-				changed = true
-			}
-		}
-	}
-	return lv
+	return dataflow.ComputeLivenessEdges(s.F, entryDefs, exitUses)
 }
 
 // Analyze computes liveness, MAXLIVE, and the graph and dominance
 // order newAnalysis builds. MAXLIVE is the peak of selectSpills's
 // walk run with no budget, which chooses nothing.
 func Analyze(s *Func) *Analysis {
-	lv := computeLiveness(s)
+	lv := s.liveness()
 	_, _, maxLive := selectSpills(s, lv, func(ir.Class) int { return math.MaxInt }, nil)
 	return newAnalysis(s, lv, maxLive)
 }
@@ -131,7 +64,7 @@ func Analyze(s *Func) *Analysis {
 // MAXLIVE. Interference edges connect each definition to the values
 // live after it — with no move exception: SSA values are distinct,
 // and the chordality argument needs the plain def-versus-live rule.
-func newAnalysis(s *Func, lv *Liveness, maxLive [ir.NumClasses]int) *Analysis {
+func newAnalysis(s *Func, lv *dataflow.Liveness, maxLive [ir.NumClasses]int) *Analysis {
 	f := s.F
 	nr := f.NumRegs()
 	classes := make([]ir.Class, nr)

@@ -10,6 +10,7 @@ import (
 
 	"regalloc/internal/bitset"
 	"regalloc/internal/color"
+	"regalloc/internal/dataflow"
 	"regalloc/internal/ir"
 	"regalloc/internal/spill"
 )
@@ -37,18 +38,21 @@ var ErrIrreducible = errors.New("register pressure is irreducible by spilling")
 // first over-budget point either chooses a value or is stuck.
 //
 // It returns that round's liveness and MAXLIVE (valid for the code as
-// rewritten) and the per-round statistics. An instruction needing
-// more than K simultaneously-live operands of one class makes the
-// pressure irreducible; that is reported as an error, as is failure
-// to converge within maxPreSpillRounds.
-func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) (*Liveness, [ir.NumClasses]int, []RoundStats, error) {
+// rewritten) and the per-round statistics. The liveness is the shared
+// solver's with the phis as edge values ((*Func).liveness): its Out
+// sets hold the phi arguments, and no block's In set holds the
+// block's own phi destinations. An instruction needing more than K
+// simultaneously-live operands of one class makes the pressure
+// irreducible; that is reported as an error, as is failure to
+// converge within maxPreSpillRounds.
+func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) (*dataflow.Liveness, [ir.NumClasses]int, []RoundStats, error) {
 	f := s.F
 	var rounds []RoundStats
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, [ir.NumClasses]int{}, rounds, fmt.Errorf("ssa: %s: cancelled before pre-spill round %d: %w", f.Name, round, err)
 		}
-		lv := computeLiveness(s)
+		lv := s.liveness()
 		costs := spill.Costs(f, params)
 		chosen, stuck, maxLive := selectSpills(s, lv, k, costs)
 		switch {
@@ -68,15 +72,17 @@ func PreSpill(ctx context.Context, s *Func, k color.K, params spill.CostParams) 
 	}
 }
 
-// selectSpills walks every program point with its live set under lv
-// and, at points whose per-class pressure exceeds K, greedily adds
-// the cheapest spillable live-through values to the spill set until
-// the point fits. Values already chosen count as removed at every
-// later point of the walk. When some point stays over-pressure with
-// no spillable candidate, the reason is reported via stuck. peak is
-// the per-class pressure maximum of the values not yet chosen, which
-// is MAXLIVE when nothing is; costs is read only over budget.
-func selectSpills(s *Func, lv *Liveness, k color.K, costs []float64) (chosen []ir.Reg, stuck string, peak [ir.NumClasses]int) {
+// selectSpills walks every program point with its live set under lv,
+// starting each block from its Out set (In is not read) and adding
+// the phi destinations itself at the block's entry. At points whose
+// per-class pressure exceeds K, it greedily adds the cheapest
+// spillable live-through values to the spill set until the point
+// fits. Values already chosen count as removed at every later point
+// of the walk. When some point stays over-pressure with no spillable
+// candidate, the reason is reported via stuck. peak is the per-class
+// pressure maximum of the values not yet chosen, which is MAXLIVE
+// when nothing is; costs is read only over budget.
+func selectSpills(s *Func, lv *dataflow.Liveness, k color.K, costs []float64) (chosen []ir.Reg, stuck string, peak [ir.NumClasses]int) {
 	f := s.F
 	nr := f.NumRegs()
 	inSet := make([]bool, nr)

@@ -10,6 +10,7 @@ import (
 
 	"regalloc/internal/bitset"
 	"regalloc/internal/color"
+	"regalloc/internal/dataflow"
 	"regalloc/internal/fuzzgen"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -267,7 +268,7 @@ func analyzeRef(s *Func) *Analysis {
 	for r := 0; r < nr; r++ {
 		classes[r] = f.RegClass(ir.Reg(r))
 	}
-	a := &Analysis{Live: computeLiveness(s), G: ig.New(classes)}
+	a := &Analysis{Live: computeLivenessRef(s), G: ig.New(classes)}
 
 	var cnt [ir.NumClasses]int
 	bump := func() {
@@ -507,7 +508,7 @@ func selectSpillsRef(s *Func, a *Analysis, k color.K, costs []float64) ([]ir.Reg
 // time. Each definition meets the values live after it, and at a
 // block's entry each phi destination meets the values live into the
 // block body and then the later destinations of the block.
-func analyzeStream(s *Func, lv *Liveness, emit func(a, b int32)) {
+func analyzeStream(s *Func, lv *dataflow.Liveness, emit func(a, b int32)) {
 	var ubuf []ir.Reg
 	for _, b := range s.F.Blocks {
 		live := lv.Out[b.ID].Copy()
@@ -752,8 +753,8 @@ func TestPreSpillMatchesAnalyzeReference(t *testing.T) {
 				t.Fatalf("%s: the rewritten function differs from the reference's", label)
 			}
 			if wantErr == nil {
-				if !reflect.DeepEqual(lv, wantA.Live) {
-					t.Fatalf("%s: the final liveness differs from the reference's", label)
+				if err := sameLiveness(got, lv, wantA.Live); err != nil {
+					t.Fatalf("%s: the final liveness differs from the reference's: %v", label, err)
 				}
 				if maxLive != wantA.MaxLive {
 					t.Fatalf("%s: MAXLIVE %v, reference %v", label, maxLive, wantA.MaxLive)

@@ -13,13 +13,20 @@
 //     semantics-preserving strictness repair), split critical edges,
 //     insert pruned phis on the iterated dominance frontier, and
 //     rename every definition to a fresh SSA value along the
-//     dominator tree. Phis live in a side table — the IR itself has
-//     no phi opcode, so Assemble and the VM never see one.
+//     dominator tree. One liveness solve serves both the zero
+//     definitions and phi placement. Phis live in a side table — the
+//     IR itself has no phi opcode, so Assemble and the VM never see
+//     one.
 //  2. PreSpill: while MAXLIVE (the per-class register pressure
 //     maximum, which equals the interference graph's clique number)
 //     exceeds K, spill the cheapest live-through values at every
 //     over-pressure point, everywhere. A round only counts pressure,
-//     in one walk over one liveness solve. This package writes only
+//     in one walk over one liveness solve. The solver is the one every
+//     family uses (dataflow.ComputeLivenessEdges); the phis go in as
+//     its edge values, each destination defined on entry to its block
+//     and each argument read on the way out of its predecessor, so an
+//     argument is live out of the predecessor and a destination is not
+//     live into its block. This package writes only
 //     the code on phi edges; the rest is the Figure 4 cycle's own
 //     rewrite, spill.InsertCode. After this phase coloring cannot
 //     fail; the graph is built once, from the last round's liveness.

@@ -100,14 +100,11 @@ const (
 // counts (machine.Model re-exported): the caller/callee-saved
 // partition and the calling convention's argument and return register
 // bindings. Set Options.Machine to allocate under those constraints;
-// see MachineRTPC and MachineFor.
+// see MachineFor. MachineFor(RTPC()) is the paper's RT/PC target: 16
+// general-purpose registers (r0–r7 caller-saved, r0–r3 arguments, r0
+// return) and 8 floating-point registers (f0–f3 caller-saved and
+// arguments, f0 return).
 type MachineModel = machine.Model
-
-// MachineRTPC returns the register-file model of the paper's RT/PC
-// target: 16 general-purpose registers (r0–r7 caller-saved, r0–r3
-// arguments, r0 return) and 8 floating-point registers (f0–f3
-// caller-saved and arguments, f0 return).
-func MachineRTPC() *MachineModel { return machine.RTPC() }
 
 // MachineFor derives a register-file model from a simulated target:
 // the low half of each class is caller-saved, the first min(4, half)
